@@ -72,4 +72,4 @@ from .mc_verifier import (
     verify_term_bound,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -11,14 +11,25 @@ line k.  The downward move of a diagonal touch point (the operation that
 drives the gamma-product monotonicity argument) acts on a by
 a_i -> a_i + 1, a_{i+1} -> a_{i+1} - 1.
 
+Equivalently, a is the bit string of its offsets
+
+    d_k = (a_1 + ... + a_k) - k in {0, 1},  k = 1..n-1,  d_0 = d_n = 0,
+
+with a_k = 1 + d_k - d_{k-1}; every choice of the n-1 bits gives a member
+of A_n.  Lexicographic order on a is the binary order of d_1...d_{n-1}
+read with d_1 as the most significant bit, so row i of `exponent_matrix`
+is the vector whose offsets spell i in binary.  A diagonal touch point i
+is a position with d_i = 0, and `move_down` sets that bit to 1.
+
 All arithmetic here is exact (integers / fractions.Fraction).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,29 +158,24 @@ class LatticePath:
 
 
 def enumerate_exponent_vectors(n: int) -> list[ExponentVector]:
-    """All of A_n in lexicographic order; card(A_n) = 2^{n-1}.
-
-    Built by the inductive rule behind the product expansion: each
-    a in A_n extends either to (..., a_n + 1, 0) or to (..., a_n, 1).
-    """
-    if not 1 <= n <= MAX_ENUM_N:
-        raise SizeError(f"n must be in [1, {MAX_ENUM_N}], got {n}")
-    vectors = [(1,)]
-    for _ in range(n - 1):
-        nxt = []
-        for a in vectors:
-            nxt.append(a[:-1] + (a[-1] + 1, 0))
-            nxt.append(a + (1,))
-        vectors = nxt
-    vectors.sort()
-    return [ExponentVector(a) for a in vectors]
+    """All of A_n in lexicographic order; card(A_n) = 2^{n-1}."""
+    return [ExponentVector(tuple(row)) for row in exponent_matrix(n).tolist()]
 
 
 def exponent_matrix(n: int) -> np.ndarray:
-    """A_n as a (2^{n-1}, n) int array, rows in lexicographic order."""
-    return np.array(
-        [v.a for v in enumerate_exponent_vectors(n)], dtype=np.int64
-    )
+    """A_n as a (2^{n-1}, n) int array, rows in lexicographic order.
+
+    Row i has offsets d_1...d_{n-1} = the n-1 binary digits of i, most
+    significant first, and entries a_k = 1 + d_k - d_{k-1}.
+    """
+    if not 1 <= n <= MAX_ENUM_N:
+        raise SizeError(f"n must be in [1, {MAX_ENUM_N}], got {n}")
+    rows = np.arange(1 << (n - 1), dtype=np.int64)[:, None]
+    offsets = np.zeros((rows.shape[0], n + 1), dtype=np.int64)  # d_0..d_n
+    offsets[:, 1:n] = (rows >> np.arange(n - 2, -1, -1)) & 1
+    a = np.diff(offsets, axis=1)
+    a += 1
+    return a
 
 
 def expand_and_verify_identity(
@@ -179,6 +185,8 @@ def expand_and_verify_identity(
 
     Returns (lhs, rhs); callers assert lhs == rhs.  lhs is the direct
     product x_1 * prod (x_k + x_{k-1}); rhs sums the enumerated monomials.
+    Every monomial has degree n, so with D the common denominator of the
+    x_j the sum is taken over the integers X_j = D x_j and divided by D^n.
     """
     xs = [Fraction(x) for x in xs]
     n = len(xs)
@@ -189,13 +197,15 @@ def expand_and_verify_identity(
     lhs = xs[0]
     for k in range(1, n):
         lhs *= xs[k] + xs[k - 1]
-    rhs = Fraction(0)
-    for vec in enumerate_exponent_vectors(n):
-        term = Fraction(1)
-        for x, e in zip(xs, vec.a):
-            term *= x**e
-        rhs += term
-    return lhs, rhs
+    D = math.lcm(*(x.denominator for x in xs))
+    powers = []  # powers[j][e] = X_j^e for the exponents e in {0, 1, 2}
+    for x in xs:
+        X = x.numerator * (D // x.denominator)
+        powers.append((1, X, X * X))
+    total = 0
+    for row in exponent_matrix(n).tolist():
+        total += math.prod(p[e] for p, e in zip(powers, row))
+    return lhs, Fraction(total, D**n)
 
 
 def path_of(a: ExponentVector | Sequence[int]) -> LatticePath:

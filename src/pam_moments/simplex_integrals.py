@@ -193,7 +193,6 @@ def _nested_quadrature(spec: SimplexIntegralSpec, rtol: float):
             limit=200,
         )
         # crude but conservative: inner relative error propagates linearly
-        total_err = abs(err) + abs(val) * err_inner[0] / max(abs(val), 1e-300)
         return val, abs(err) + err_inner[0] * abs(upper)
 
     value, err = level(spec.n, spec.t)

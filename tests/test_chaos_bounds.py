@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as _sp
+from scipy.special import logsumexp
 
 from pam_moments.chaos_bounds import (
     FractionalParams,
@@ -20,12 +22,18 @@ from pam_moments.chaos_bounds import (
     tilde_exponents,
     verify_ab_condition,
 )
-from pam_moments.chaos_bounds import _envelope_exponent, _log_term_sum_exact
+from pam_moments.chaos_bounds import (
+    _envelope_exponent,
+    _log_gamma_n_rows,
+    _log_term_sum_exact,
+    _tilde_matrix,
+)
 from pam_moments.errors import DomainError, EstimationError, SizeError, ValidationError
 from pam_moments.initial_data import LebesgueConstant
 from pam_moments.path_combinatorics import (
     diagonal_touch_points,
     enumerate_exponent_vectors,
+    exponent_matrix,
     move_down,
 )
 from pam_moments.simplex_integrals import SimplexIntegralSpec, log_closed_form
@@ -204,6 +212,44 @@ def test_log_term_sum_small_n_by_hand():
     log_sum, max_g = _log_term_sum_exact(1, 1.0, P_REF)
     assert max_g == pytest.approx(1.0)
     assert math.isfinite(log_sum)
+
+
+def _log_term_sum_by_rows(n, t, params):
+    """Reference for _log_term_sum_exact: the summand evaluated row by row
+    over all of A_n, then log-sum-exp and the max of gamma_n."""
+    a = exponent_matrix(n).astype(float)
+    alpha = spatial_exponents(a, params)
+    at, bt = _tilde_matrix(alpha, params)
+    s_ab = np.sum(at + bt, axis=-1)
+    log_gam = _log_gamma_n_rows(a, params)
+    log_terms = (
+        (alpha[:, -1] + 1.0) / (4.0 * params.H0) * math.log(t)
+        + _sp.gammaln(at[:, 0] + 1.0)
+        + np.sum(_sp.gammaln(bt + 1.0), axis=-1)
+        - _sp.gammaln(s_ab + n + 1.0)
+        + log_gam
+        + (s_ab + n) * math.log(t)
+        + (n / (2.0 * params.H0)) * math.log(params.c_H)
+        + np.sum(_sp.gammaln((1.0 + alpha) / 2.0), axis=-1) / (2.0 * params.H0)
+    )
+    return float(logsumexp(log_terms)), math.exp(float(np.max(log_gam)))
+
+
+@pytest.mark.parametrize(
+    "grid, n_max",
+    [
+        (admissible_param_grid(), 10),
+        ([FractionalParams(0.75, 0.3), FractionalParams(0.85, 0.2)], 16),
+    ],
+)
+def test_log_term_sum_matches_row_by_row_sum(grid, n_max):
+    for params in grid:
+        for n in range(1, n_max + 1):
+            for t in (0.3, 1.0, 7.0):
+                log_sum, max_g = _log_term_sum_exact(n, t, params)
+                ref_sum, ref_g = _log_term_sum_by_rows(n, t, params)
+                assert abs(log_sum - ref_sum) <= 1e-12
+                assert abs(max_g - ref_g) <= 1e-12 * ref_g
 
 
 def test_stirling_bound_search():

@@ -20,6 +20,20 @@ from pam_moments.path_combinatorics import (
 )
 
 
+def _inductive_enumeration(n):
+    """Reference for exponent_matrix: A_n in lexicographic order, built by
+    the inductive rule behind the product expansion (each a in A_{n-1}
+    extends to (..., a_{n-1} + 1, 0) and to (..., a_{n-1}, 1))."""
+    vectors = [(1,)]
+    for _ in range(n - 1):
+        nxt = []
+        for a in vectors:
+            nxt.append(a[:-1] + (a[-1] + 1, 0))
+            nxt.append(a + (1,))
+        vectors = nxt
+    return sorted(vectors)
+
+
 def test_cardinality_is_2_pow_n_minus_1():
     for n in range(1, 17):
         assert len(enumerate_exponent_vectors(n)) == 2 ** (n - 1)
@@ -92,6 +106,27 @@ def test_identity_random_rationals():
 def test_identity_property(xs):
     lhs, rhs = expand_and_verify_identity(xs)
     assert lhs == rhs
+
+
+def test_identity_rhs_matches_fraction_monomial_sum():
+    rng = random.Random(7)
+    for n in range(2, 9):
+        for _ in range(3):
+            xs = [Fraction(rng.randint(1, 15), rng.randint(1, 15)) for _ in range(n)]
+            want = Fraction(0)
+            for a in _inductive_enumeration(n):
+                term = Fraction(1)
+                for x, e in zip(xs, a):
+                    term *= x**e
+                want += term
+            assert expand_and_verify_identity(xs)[1] == want
+
+
+def test_exponent_matrix_matches_inductive_enumeration():
+    for n in range(1, 17):
+        m = exponent_matrix(n)
+        assert m.dtype == np.int64
+        assert [tuple(r) for r in m.tolist()] == _inductive_enumeration(n)
 
 
 def test_exponent_matrix_matches_enumeration():
