@@ -9,7 +9,10 @@ Conventions shared by every subcommand:
     under ``$PAM_MOMENTS_OUTDIR`` when that variable is set);
   * floats are printed with 17 significant digits, so equal configs and
     seeds produce byte-identical files;
-  * exit code 0 on success, 1 when a verification fails, 2 on usage errors.
+  * exit code 0 on success, 1 when a verification fails, 2 on usage errors
+    and when the numerics cannot produce a value for the inputs (an
+    EstimationError, e.g. a series peak beyond the float range); exit code
+    2 prints a one-line message on stderr, never a traceback.
 
 CSV column orders (also documented in the README):
 
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -29,20 +31,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, SizeError, ValidationError
+from .errors import DomainError, EstimationError, SizeError, ValidationError
 from .chaos_bounds import (
     FractionalParams,
     admissible_param_grid,
-    fit_envelope_constants,
     gamma_n_matrix,
     log_chaos_series,
 )
-from .chaos_bounds import _envelope_exponent
+from .chaos_bounds import _envelope_exponent, _exp_or_inf, _fit_log_envelope
 from .initial_data import check_cond_mu0, j0 as eval_j0, measure_from_config
 from .mc_verifier import verify_lemma32, verify_term_bound
 from .path_combinatorics import (
     enumerate_exponent_vectors,
     expand_and_verify_identity,
+    exponent_matrix,
     path_of,
 )
 from .simplex_integrals import SimplexIntegralSpec, brute_force, closed_form
@@ -150,15 +152,17 @@ def _cmd_gamma_scan(args, stdout) -> int:
     _log_resolved(cfg)
     n_max = int(cfg.get("n_max", 8))
     grid = admissible_param_grid(int(cfg.get("grid_size", 5)))
+    ns = range(2, n_max + 1)
+    astrs = {
+        n: ["".join(map(str, a)) for a in exponent_matrix(n).tolist()] for n in ns
+    }
     out, close = _resolve_output(args.output, stdout)
     try:
         out.write("H0,H,n,a,gamma_n\n")
         for params in grid:
-            for n in range(2, n_max + 1):
-                vecs = enumerate_exponent_vectors(n)
+            for n in ns:
                 g = gamma_n_matrix(n, params)
-                for a, gv in zip(vecs, g):
-                    astr = "".join(str(v) for v in a)
+                for astr, gv in zip(astrs[n], g):
                     out.write(
                         f"{_fmt(params.H0)},{_fmt(params.H)},{n},{astr},{_fmt(gv)}\n"
                     )
@@ -248,20 +252,18 @@ def _cmd_bound_table(args, stdout) -> int:
     ps = _float_list(ps) if isinstance(ps, str) else [float(v) for v in np.atleast_1d(ps)]
     ts = _float_list(ts) if isinstance(ts, str) else [float(v) for v in np.atleast_1d(ts)]
     cc = float(cfg.get("C", 4.0))
-    c1, c2 = fit_envelope_constants(
-        params, C=cc, p_grid=tuple(ps), t_grid=tuple(ts)
-    )
+    c1_log, c2 = _fit_log_envelope(params, cc, tuple(ps), tuple(ts))
     out, close = _resolve_output(args.output, stdout)
     try:
         out.write("t,p,series_value,envelope_value,C1,C2\n")
         for t in ts:
             for p in ps:
                 ls, _ = log_chaos_series(p, t, params, C=cc)
-                env = math.log(c1) + c2 * _envelope_exponent(p, t, params) / p
+                env = c1_log + c2 * _envelope_exponent(p, t, params) / p
                 out.write(
-                    f"{_fmt(t)},{_fmt(p)},{_fmt(math.exp(ls) if ls < 709 else math.inf)},"
-                    f"{_fmt(math.exp(env) if env < 709 else math.inf)},"
-                    f"{_fmt(c1)},{_fmt(c2)}\n"
+                    f"{_fmt(t)},{_fmt(p)},{_fmt(_exp_or_inf(ls))},"
+                    f"{_fmt(_exp_or_inf(env))},"
+                    f"{_fmt(_exp_or_inf(c1_log))},{_fmt(c2)}\n"
                 )
     finally:
         if close:
@@ -414,6 +416,9 @@ def run(argv=None, stdout=None) -> int:
     except (ValidationError, DomainError, SizeError, FileNotFoundError,
             json.JSONDecodeError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except EstimationError as exc:
+        print(f"estimation error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -47,7 +47,9 @@ __all__ = [
     "move_down",
 ]
 
-MAX_ENUM_N = 24
+# 2^19 rows at n = 20 (the largest n any check enumerates) peak near
+# 250 MB; every further n doubles that
+MAX_ENUM_N = 20
 
 
 def _validate_exponents(a: Sequence[int]) -> None:

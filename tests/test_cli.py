@@ -71,6 +71,42 @@ def test_bound_table_csv_schema_and_monotonicity():
         assert float(r[3]) >= float(r[2]) * (1 - 1e-12)
 
 
+def _bound_table_rows(*argv):
+    code, out = run_cli("bound-table", *argv)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "t,p,series_value,envelope_value,C1,C2"
+    return [[float(f) for f in line.split(",")] for line in lines[1:]]
+
+
+def test_bound_table_beyond_the_float_range():
+    # ln C1 and the series exceed the float range at t = 1e3 and 1e9: the
+    # values print as inf instead of raising OverflowError
+    for t in ("1e3", "1e9"):
+        rows = _bound_table_rows("--H0", "0.75", "--H", "0.3", "--p", "2", "--t", t)
+        assert rows == [[float(t), 2.0, math.inf, math.inf, math.inf, 0.0]]
+    # at H = 0.05 and C = 1, ln C1 is about -1.4e4: C1 prints as 0
+    rows = _bound_table_rows(
+        "--H0", "0.75", "--H", "0.05", "--C", "1", "--p", "2,4,8,16,32",
+        "--t", "1,10,100",
+    )
+    assert len(rows) == 15
+    assert all(r[4] == 0.0 and 0.0 < r[5] < math.inf for r in rows)
+    assert all(r[3] >= r[2] for r in rows)
+
+
+def test_estimation_error_exits_2_without_traceback(capsys):
+    # the series peak at t = 1e30 overflows the float range
+    code = cli.run(
+        ["bound-table", "--H0", "0.75", "--H", "0.05", "--p", "32", "--t", "1e30"],
+        stdout=io.StringIO(),
+    )
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("estimation error: ")
+    assert not any("Traceback" in line for line in err)
+
+
 def test_gamma_scan_csv():
     code, out = run_cli("gamma-scan", "--n-max", "3", "--grid-size", "3")
     assert code == 0

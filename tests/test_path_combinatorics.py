@@ -80,6 +80,15 @@ def test_size_cap():
         enumerate_exponent_vectors(25)
 
 
+def test_exponent_matrix_memory_guard():
+    # n = 20 (2^19 rows, about 250 MB at peak) is the largest n admitted;
+    # the guard raises before anything is allocated
+    with pytest.raises(SizeError):
+        exponent_matrix(21)
+    with pytest.raises(SizeError):
+        enumerate_exponent_vectors(21)
+
+
 def test_identity_exact_small_cases():
     # n = 2: x1 (x2 + x1) = x1 x2 + x1^2 <-> A_2 = {(1,1), (2,0)}
     lhs, rhs = expand_and_verify_identity([Fraction(3, 7), Fraction(5, 2)])
