@@ -170,19 +170,21 @@ def verify_ab_condition(
     alpha_tilde: Sequence[float],
     beta_tilde: Sequence[float],
     alpha: Sequence[float],
-) -> bool:
-    """sum_{i<=k}(alpha~_i + beta~_i) + k + 1 + alpha_{k+1} > 0 for all k < n."""
-    at = np.asarray(alpha_tilde, dtype=float)
-    bt = np.asarray(beta_tilde, dtype=float)
-    al = np.asarray(alpha, dtype=float)
-    n = at.size
-    if bt.size != n or al.size != n:
+) -> bool | np.ndarray:
+    """sum_{i<=k}(alpha~_i + beta~_i) + k + 1 + alpha_{k+1} > 0 for all k < n.
+
+    Vectors run along the last axis: one vector gives a bool, an (m, n)
+    batch gives a bool array of shape (m,).
+    """
+    at = np.atleast_1d(np.asarray(alpha_tilde, dtype=float))
+    bt = np.atleast_1d(np.asarray(beta_tilde, dtype=float))
+    al = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if bt.shape != at.shape or al.shape != at.shape:
         raise ValidationError("inconsistent lengths")
-    if n == 1:
-        return True
-    k = np.arange(1, n)
-    lhs = np.cumsum(at + bt)[:-1] + k + 1 + al[1:]
-    return bool(np.all(lhs > 0))
+    k = np.arange(1, at.shape[-1])
+    lhs = np.cumsum(at + bt, axis=-1)[..., :-1] + k + 1 + al[..., 1:]
+    ok = np.all(lhs > 0, axis=-1)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def theta(k: int, a, params: FractionalParams) -> float:
@@ -574,15 +576,19 @@ def _fit_log_envelope(
     C: float,
     p_grid: Sequence[float],
     t_grid: Sequence[float],
-) -> tuple[float, float]:
-    """(ln C1, C2) of the envelope witnesses; see `fit_envelope_constants`."""
+) -> tuple[float, float, np.ndarray]:
+    """(ln C1, C2) of the envelope witnesses (see `fit_envelope_constants`)
+    and the log series values they were fitted to, shape (len(p_grid),
+    len(t_grid))."""
     u, v = [], []
     for p in p_grid:
         for t in t_grid:
             log_sum, _ = log_chaos_series(p, t, params, C)
             u.append(_envelope_exponent(p, t, params) / p)
             v.append(log_sum)
-    return _lowest_vertex(np.asarray(u), np.asarray(v))
+    v = np.asarray(v)
+    c1_log, c2 = _lowest_vertex(np.asarray(u), v)
+    return c1_log, c2, v.reshape(len(p_grid), len(t_grid))
 
 
 def fit_envelope_constants(
@@ -608,7 +614,7 @@ def fit_envelope_constants(
     EstimationError where no vertex is feasible or C1 leaves the range
     of positive floats.
     """
-    c1_log, c2 = _fit_log_envelope(params, C, p_grid, t_grid)
+    c1_log, c2, _ = _fit_log_envelope(params, C, p_grid, t_grid)
     c1 = _exp_or_inf(c1_log)
     if not 0.0 < c1 < math.inf:
         raise EstimationError(

@@ -36,7 +36,6 @@ from .chaos_bounds import (
     FractionalParams,
     admissible_param_grid,
     gamma_n_matrix,
-    log_chaos_series,
 )
 from .chaos_bounds import _envelope_exponent, _exp_or_inf, _fit_log_envelope
 from .initial_data import check_cond_mu0, j0 as eval_j0, measure_from_config
@@ -252,13 +251,13 @@ def _cmd_bound_table(args, stdout) -> int:
     ps = _float_list(ps) if isinstance(ps, str) else [float(v) for v in np.atleast_1d(ps)]
     ts = _float_list(ts) if isinstance(ts, str) else [float(v) for v in np.atleast_1d(ts)]
     cc = float(cfg.get("C", 4.0))
-    c1_log, c2 = _fit_log_envelope(params, cc, tuple(ps), tuple(ts))
+    c1_log, c2, log_sums = _fit_log_envelope(params, cc, tuple(ps), tuple(ts))
     out, close = _resolve_output(args.output, stdout)
     try:
         out.write("t,p,series_value,envelope_value,C1,C2\n")
-        for t in ts:
-            for p in ps:
-                ls, _ = log_chaos_series(p, t, params, C=cc)
+        for j, t in enumerate(ts):
+            for i, p in enumerate(ps):
+                ls = float(log_sums[i, j])
                 env = c1_log + c2 * _envelope_exponent(p, t, params) / p
                 out.write(
                     f"{_fmt(t)},{_fmt(p)},{_fmt(_exp_or_inf(ls))},"

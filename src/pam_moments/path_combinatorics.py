@@ -11,21 +11,26 @@ line k.  The downward move of a diagonal touch point (the operation that
 drives the gamma-product monotonicity argument) acts on a by
 a_i -> a_i + 1, a_{i+1} -> a_{i+1} - 1.
 
-Equivalently, a is the bit string of its offsets
+Every function here works on the one model of A_n: the bit string of
+offsets
 
     d_k = (a_1 + ... + a_k) - k in {0, 1},  k = 1..n-1,  d_0 = d_n = 0,
 
 with a_k = 1 + d_k - d_{k-1}; every choice of the n-1 bits gives a member
-of A_n.  Lexicographic order on a is the binary order of d_1...d_{n-1}
-read with d_1 as the most significant bit, so row i of `exponent_matrix`
-is the vector whose offsets spell i in binary.  A diagonal touch point i
-is a position with d_i = 0, and `move_down` sets that bit to 1.
+of A_n.  Validation checks just these offsets (the entry ranges and pair
+sums of the definition follow from them), the path heights are
+h_k = k - d_{k-1}, a diagonal touch point i is a position with d_i = 0,
+and `move_down` sets that bit to 1.  Lexicographic order on a is the
+binary order of d_1...d_{n-1} read with d_1 as the most significant bit,
+so row i of `exponent_matrix` is the vector whose offsets spell i in
+binary.
 
 All arithmetic here is exact (integers / fractions.Fraction).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,48 +57,30 @@ __all__ = [
 MAX_ENUM_N = 20
 
 
+def _offsets(a: Sequence[int]) -> list[int]:
+    """The offsets d_1..d_n of a, d_k = (a_1 + ... + a_k) - k."""
+    return [s - k for k, s in enumerate(itertools.accumulate(a), start=1)]
+
+
 def _validate_exponents(a: Sequence[int]) -> None:
-    """Check every defining clause of A_n; raise naming the first violated one."""
+    """Check a in A_n by its offsets; raise naming the first bad one.
+
+    a is in A_n exactly when d_k in {0, 1} for k < n and d_n = 0 (the
+    total is n).  The entry ranges and pair sums of the definition follow
+    from a_k = 1 + d_k - d_{k-1} with d_0 = 0.
+    """
     n = len(a)
     if n < 1:
         raise ValidationError("exponent vector must have length >= 1")
-    if n == 1:
-        if tuple(a) != (1,):
-            raise ValidationError("for n=1 the only admissible vector is (1,)")
-        return
-    if a[0] not in (1, 2):
-        raise ValidationError(f"a_1 must be in {{1,2}}, got {a[0]}")
-    if a[-1] not in (0, 1):
-        raise ValidationError(f"a_n must be in {{0,1}}, got {a[-1]}")
-    for j in range(1, n - 1):
-        if a[j] not in (0, 1, 2):
+    d = _offsets(a)
+    for k in range(1, n):
+        if d[k - 1] not in (0, 1):
             raise ValidationError(
-                f"a_{j + 1} must be in {{0,1,2}}, got {a[j]}"
+                f"partial sum a_1+...+a_{k} must be in "
+                f"{{{k},{k + 1}}}, got {d[k - 1] + k}"
             )
-    partial = 0
-    for i in range(n - 1):
-        partial += a[i]
-        if partial not in (i + 1, i + 2):
-            raise ValidationError(
-                f"partial sum a_1+...+a_{i + 1} must be in "
-                f"{{{i + 1},{i + 2}}}, got {partial}"
-            )
-    if partial + a[-1] != n:
-        raise ValidationError(
-            f"total sum must equal n={n}, got {partial + a[-1]}"
-        )
-    for i in range(1, n - 2):  # pairs a_i + a_{i+1}, 2 <= i <= n-2 (1-based)
-        if a[i] + a[i + 1] not in (1, 2, 3):
-            raise ValidationError(
-                f"a_{i + 1}+a_{i + 2} must be in {{1,2,3}}, "
-                f"got {a[i] + a[i + 1]}"
-            )
-    if a[0] + a[1] not in (2, 3):
-        raise ValidationError(f"a_1+a_2 must be in {{2,3}}, got {a[0] + a[1]}")
-    if a[-2] + a[-1] not in (1, 2):
-        raise ValidationError(
-            f"a_(n-1)+a_n must be in {{1,2}}, got {a[-2] + a[-1]}"
-        )
+    if d[-1] != 0:
+        raise ValidationError(f"total sum must equal n={n}, got {d[-1] + n}")
 
 
 @dataclass(frozen=True, order=True)
@@ -124,9 +111,9 @@ class ExponentVector:
 class LatticePath:
     """Heights h_k of the path point on column k (h_1 = 1).
 
-    h_{k+1} - h_k = 2 - a_k, so the path climbs 2/1/0 units per step for
-    exponent 0/1/2; it must stay between the diagonal and the diagonal
-    shifted one unit down: h_k in {k-1, k}.
+    The path stays between the diagonal and the diagonal shifted one unit
+    down, h_k in {k-1, k}: its offsets k - h_k = d_{k-1} lie in {0, 1}.
+    Steps h_{k+1} - h_k = 2 - a_k in {0, 1, 2} then hold automatically.
     """
 
     heights: tuple[int, ...]
@@ -136,22 +123,14 @@ class LatticePath:
             self, "heights", tuple(int(v) for v in self.heights)
         )
         h = self.heights
-        n = len(h)
-        if n < 1:
+        if len(h) < 1:
             raise ValidationError("path must have length >= 1")
         if h[0] != 1:
             raise ValidationError(f"path must start at height 1, got {h[0]}")
-        for k in range(n):
-            if h[k] not in (k, k + 1):  # 1-based column k+1: heights k or k+1
+        for k, hk in enumerate(h, start=1):
+            if k - hk not in (0, 1):
                 raise ValidationError(
-                    f"height at column {k + 1} must be in "
-                    f"{{{k},{k + 1}}}, got {h[k]}"
-                )
-        for k in range(n - 1):
-            if h[k + 1] - h[k] not in (0, 1, 2):
-                raise ValidationError(
-                    f"step {k + 1} rises by {h[k + 1] - h[k]}, "
-                    "must be 0, 1 or 2"
+                    f"height at column {k} must be in {{{k - 1},{k}}}, got {hk}"
                 )
 
     @property
@@ -211,50 +190,46 @@ def expand_and_verify_identity(
 
 
 def path_of(a: ExponentVector | Sequence[int]) -> LatticePath:
-    """The lattice path of a: heights h_1 = 1, h_{k+1} = h_k + 2 - a_k."""
+    """The lattice path of a: heights h_k = k - d_{k-1}, d_0 = 0."""
     if not isinstance(a, ExponentVector):
         a = ExponentVector(tuple(a))
-    heights = [1]
-    for k in range(a.n - 1):
-        heights.append(heights[-1] + 2 - a[k])
-    return LatticePath(tuple(heights))
+    d = [0] + _offsets(a)
+    return LatticePath(tuple(k - d[k - 1] for k in range(1, a.n + 1)))
 
 
 def exponent_of(path: LatticePath | Sequence[int]) -> ExponentVector:
-    """Inverse of path_of: a_k = number of path points on horizontal line k."""
+    """Inverse of path_of: offsets d_{k-1} = k - h_k, a_k = 1 + d_k - d_{k-1}."""
     if not isinstance(path, LatticePath):
         path = LatticePath(tuple(path))
-    n = path.n
-    counts = [0] * n
-    for h in path.heights:
-        counts[h - 1] += 1
-    return ExponentVector(tuple(counts))
+    d = [k - h for k, h in enumerate(path.heights, start=1)] + [0]
+    return ExponentVector(tuple(1 + d[k] - d[k - 1] for k in range(1, path.n + 1)))
 
 
 def diagonal_touch_points(a: ExponentVector | Sequence[int]) -> list[int]:
     """Indices i (1-based, i < n) where the path passes through (i+1, i+1).
 
-    These are exactly the points where a downward move is legal; the
-    bottom path (2,1,...,1,0) never returns to the diagonal and gets [].
+    These are the offsets d_i = 0, exactly the points where a downward
+    move is legal; the bottom path (2,1,...,1,0) has every d_i = 1 and
+    gets [].
     """
     if not isinstance(a, ExponentVector):
         a = ExponentVector(tuple(a))
-    h = path_of(a).heights
-    return [i for i in range(1, a.n) if h[i] == i + 1]
+    d = _offsets(a)
+    return [i for i in range(1, a.n) if d[i - 1] == 0]
 
 
 def move_down(a: ExponentVector | Sequence[int], i: int) -> ExponentVector:
     """Move the diagonal touch point (i+1, i+1) one unit down.
 
-    Acts on exponents as a_i -> a_i + 1, a_{i+1} -> a_{i+1} - 1
-    (1-based i); the result is validated as a member of A_n.
+    Legal iff d_i = 0 (1-based i < n); the move sets d_i = 1, which acts
+    on exponents as a_i -> a_i + 1, a_{i+1} -> a_{i+1} - 1.
     """
     if not isinstance(a, ExponentVector):
         a = ExponentVector(tuple(a))
-    if i not in diagonal_touch_points(a):
+    touch = diagonal_touch_points(a)
+    if i not in touch:
         raise DomainError(
-            f"i={i} is not a diagonal touch point of {a.a}; "
-            f"legal moves: {diagonal_touch_points(a)}"
+            f"i={i} is not a diagonal touch point of {a.a}; legal moves: {touch}"
         )
     new = list(a.a)
     new[i - 1] += 1

@@ -11,8 +11,6 @@ independent arbitrary-precision (mpmath) and series oracles.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy import special as _sp
 
@@ -65,11 +63,6 @@ def gamma_ratio(z, a):
     return out
 
 
-def euler_gamma() -> float:
-    """The Euler-Mascheroni constant (= -psi(1))."""
-    return float(np.euler_gamma)
-
-
 def log_factorial(n) -> float:
     """ln(n!) via log_gamma(n+1); n may be large."""
     n_arr = np.asarray(n)
@@ -79,41 +72,3 @@ def log_factorial(n) -> float:
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def digamma_series(x: float, terms: int = 2_000_000, tol: float = 1e-14) -> float:
-    """Reference series psi(x) = -gamma + sum_{k>=0} (1/(k+1) - 1/(k+x)).
-
-    Slowly convergent; retained as an independent oracle only.  Sums in
-    blocks until the tail bound (x-1)/k falls below ``tol``.
-    """
-    _check_positive(x, "x")
-    total = -np.euler_gamma
-    block = 100_000
-    k0 = 0
-    while k0 < terms:
-        k = np.arange(k0, min(k0 + block, terms), dtype=float)
-        total += np.sum(1.0 / (k + 1.0) - 1.0 / (k + x))
-        k0 += block
-        # tail of sum (1/(k+1) - 1/(k+x)) ~ (x-1)/k^2, summed ~ (x-1)/k0
-        if abs(x - 1.0) / max(k0, 1) < tol:
-            break
-    tail = (x - 1.0) / k0  # integral-comparison tail estimate
-    return float(total + tail)
-
-
-def stirling_log_gamma(x: float) -> float:
-    """Stirling-series ln Gamma for x >= 10; independent cross-check oracle."""
-    if x < 10:
-        raise DomainError("stirling_log_gamma requires x >= 10")
-    # Bernoulli-number coefficients B_{2k}/(2k(2k-1))
-    coeffs = [
-        1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680, 1.0 / 1188,
-        -691.0 / 360360, 1.0 / 156, -3617.0 / 122400,
-    ]
-    s = (x - 0.5) * math.log(x) - x + 0.5 * math.log(2 * math.pi)
-    xp = x
-    for c in coeffs:
-        s += c / xp
-        xp *= x * x
-    return s

@@ -42,6 +42,20 @@ def test_criterion_06_move_monotonicity():
     _report(acceptance.check_06_move_monotonicity())
 
 
+def test_criteria_05_06_counterexamples_are_pinned():
+    # criteria 05 and 06 stay red; their counterexamples do not move
+    assert acceptance.check_05_gamma_max_at_ones().detail == (
+        "gamma(1,...,1) = 1 to 1e-12: True; max excess over A_n, n <= 12, "
+        "5x5 grid: 0.586792 at (H0, H, a) = "
+        "(0.75, 0.05, (2, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 0))"
+    )
+    assert acceptance.check_06_move_monotonicity().detail == (
+        "14710/90134 legal moves increase gamma_n (tol 1e-12); worst "
+        "increase 0.412994 at (H0, H, a, i) = "
+        "(0.75, 0.05, (2, 0, 1, 1, 1, 1, 1, 1, 1, 1), 9)"
+    )
+
+
 def test_criterion_07_gamma_ratio_monotonicity():
     _report(acceptance.check_07_gamma_ratio_monotone())
 

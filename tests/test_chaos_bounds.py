@@ -98,6 +98,26 @@ def test_ab_condition_over_family():
                 break  # the full sweep lives in the acceptance suite
 
 
+def test_ab_condition_batch_matches_row_by_row():
+    # the exponent family (every row holds) and a random batch with rows
+    # on both sides of the condition
+    rng = np.random.default_rng(5)
+    batches = []
+    for p in (P_REF, FractionalParams(0.85, 0.2)):
+        for n in (1, 2, 5, 8):
+            alpha = spatial_exponents(exponent_matrix(n), p)
+            batches.append((*_tilde_matrix(alpha, p), alpha))
+    batches.append(tuple(rng.uniform(-1.5, 0.5, size=(3, 200, 6))))
+    for at, bt, alpha in batches:
+        got = verify_ab_condition(at, bt, alpha)
+        assert got.shape == (alpha.shape[0],)
+        want = [verify_ab_condition(*row) for row in zip(at, bt, alpha)]
+        assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+    with pytest.raises(ValidationError):
+        verify_ab_condition(at, bt[:, :-1], alpha)
+
+
 def test_gamma_all_ones_is_exactly_one():
     for p in admissible_param_grid():
         for n in (2, 5, 9, 12):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from pam_moments.chaos_bounds import FractionalParams
 from pam_moments.errors import DomainError, SizeError, ValidationError
@@ -22,24 +22,42 @@ from pam_moments.mc_verifier import (
 P = FractionalParams(0.75, 0.3)
 
 
+def _xi_integral(s, m, params):
+    """2 c_H int_0^inf xi^(1-2H) cos(m xi) exp(-s xi^2 / 2) dxi in closed form,
+    c_H Gamma(1-H) (s/2)^(H-1) 1F1(1-H; 1/2; -m^2/(2s))
+    (Gradshteyn-Ryzhik 3.952.8)."""
+    h = params.H
+    return (
+        params.c_H
+        * math.gamma(1.0 - h)
+        * (0.5 * s) ** (h - 1.0)
+        * special.hyp1f1(1.0 - h, 0.5, -m * m / (2.0 * s))
+    )
+
+
+def _xi_integral_by_quad(s, m, params):
+    """The same integral by adaptive quadrature over [0, 60/sqrt(s)]."""
+    h = params.H
+    f = lambda xi: (
+        params.c_H
+        * abs(xi) ** (1.0 - 2.0 * h)
+        * math.cos(xi * m)
+        * math.exp(-0.5 * s * xi * xi)
+    )
+    val, _ = integrate.quad(f, 0.0, 60.0 / math.sqrt(s), limit=400)
+    return 2.0 * val
+
+
 def _norm1_by_quadrature(t, x, measure, params):
     """Exact (quadrature) value of the first chaos norm, for cross-checks."""
-    h0, h = params.H0, params.H
+    h0 = params.H0
 
     def psi(t1, s1):
         g1 = kernel_fourier_gaussian(np.array([[t1]]), t, x, measure)
         g2 = kernel_fourier_gaussian(np.array([[s1]]), t, x, measure)
         ss = float(g1.cov[0, 0, 0] + g2.cov[0, 0, 0])
         dm = float(g1.mean[0, 0] - g2.mean[0, 0])
-        f = lambda xi: (
-            params.c_H
-            * abs(xi) ** (1.0 - 2.0 * h)
-            * math.cos(xi * dm)
-            * math.exp(-0.5 * ss * xi * xi)
-        )
-        lim = 60.0 / math.sqrt(ss)
-        val, _ = integrate.quad(f, 0.0, lim, limit=400)
-        return 2.0 * float(g1.amp[0] * g2.amp[0]) * val
+        return float(g1.amp[0] * g2.amp[0]) * _xi_integral(ss, dm, params)
 
     def inner(t1):
         left = (
@@ -62,6 +80,15 @@ def _norm1_by_quadrature(t, x, measure, params):
 
     val, _ = integrate.quad(inner, 0.0, t, limit=100, epsabs=1e-9)
     return params.alpha_H0 * val
+
+
+def test_xi_integral_closed_form_matches_quadrature():
+    for p in (P, FractionalParams(0.85, 0.2)):
+        for s in (0.01, 0.1, 0.5, 1.0, 2.0):
+            for m in (0.0, 0.05, 0.3, 1.0):
+                assert _xi_integral(s, m, p) == pytest.approx(
+                    _xi_integral_by_quad(s, m, p), rel=1e-8
+                )
 
 
 def test_n1_estimate_matches_quadrature_dirac():

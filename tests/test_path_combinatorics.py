@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,6 +33,63 @@ def _inductive_enumeration(n):
             nxt.append(a + (1,))
         vectors = nxt
     return sorted(vectors)
+
+
+def _eight_clause_validate(a):
+    """Reference for the offset check: every defining clause of A_n in
+    turn (entry ranges, partial sums, total, pair sums)."""
+    n = len(a)
+    if n < 1:
+        raise ValidationError("exponent vector must have length >= 1")
+    if n == 1:
+        if tuple(a) != (1,):
+            raise ValidationError("for n=1 the only admissible vector is (1,)")
+        return
+    if a[0] not in (1, 2):
+        raise ValidationError(f"a_1 must be in {{1,2}}, got {a[0]}")
+    if a[-1] not in (0, 1):
+        raise ValidationError(f"a_n must be in {{0,1}}, got {a[-1]}")
+    for j in range(1, n - 1):
+        if a[j] not in (0, 1, 2):
+            raise ValidationError(f"a_{j + 1} must be in {{0,1,2}}, got {a[j]}")
+    partial = 0
+    for i in range(n - 1):
+        partial += a[i]
+        if partial not in (i + 1, i + 2):
+            raise ValidationError(f"bad partial sum {partial} at {i + 1}")
+    if partial + a[-1] != n:
+        raise ValidationError(f"total sum must equal n={n}")
+    for i in range(1, n - 2):
+        if a[i] + a[i + 1] not in (1, 2, 3):
+            raise ValidationError(f"bad pair sum at {i + 1}")
+    if a[0] + a[1] not in (2, 3):
+        raise ValidationError("bad a_1+a_2")
+    if a[-2] + a[-1] not in (1, 2):
+        raise ValidationError("bad a_(n-1)+a_n")
+
+
+def _height_and_step_check(h):
+    """Reference for LatticePath: start at 1, h_k in {k-1, k}, and every
+    step rises by 0, 1 or 2."""
+    n = len(h)
+    if n < 1:
+        raise ValidationError("path must have length >= 1")
+    if h[0] != 1:
+        raise ValidationError("path must start at height 1")
+    for k in range(n):
+        if h[k] not in (k, k + 1):
+            raise ValidationError(f"bad height at column {k + 1}")
+    for k in range(n - 1):
+        if h[k + 1] - h[k] not in (0, 1, 2):
+            raise ValidationError(f"bad step {k + 1}")
+
+
+def _rejects(check, x):
+    try:
+        check(x)
+    except ValidationError:
+        return True
+    return False
 
 
 def test_cardinality_is_2_pow_n_minus_1():
@@ -207,3 +265,37 @@ def test_all_ones_reachable_to_everything():
                         nxt.append(b)
             frontier = nxt
         assert seen == members
+
+
+def test_offset_checks_accept_exactly_what_the_clauses_accept():
+    # exhaustive over short vectors and paths, including out-of-range
+    # entries and heights
+    for n in range(1, 7):
+        members = []
+        for a in itertools.product(range(-2, 4), repeat=n):
+            rejected = _rejects(ExponentVector, a)
+            assert rejected == _rejects(_eight_clause_validate, a), a
+            if not rejected:
+                members.append(a)
+        assert members == [tuple(r) for r in exponent_matrix(n).tolist()]
+    for n in range(1, 6):
+        for h in itertools.product(range(-1, 8), repeat=n):
+            assert _rejects(LatticePath, h) == _rejects(_height_and_step_check, h), h
+
+
+def test_bit_set_move_equals_move_down():
+    # row r's move at touch point i is row r | 1 << (n-1-i), legal iff
+    # that bit is clear
+    for n in range(2, 11):
+        rows = [tuple(r) for r in exponent_matrix(n).tolist()]
+        for r, a in enumerate(rows):
+            touch = diagonal_touch_points(a)
+            for i in range(1, n):
+                bit = 1 << (n - 1 - i)
+                if r & bit:
+                    assert i not in touch
+                    with pytest.raises(DomainError):
+                        move_down(a, i)
+                else:
+                    assert i in touch
+                    assert tuple(move_down(a, i)) == rows[r | bit]

@@ -8,17 +8,58 @@ from hypothesis import strategies as st
 
 from pam_moments.errors import DomainError
 from pam_moments.special_functions import (
+    _check_positive,
     digamma,
-    digamma_series,
-    euler_gamma,
     gamma_ratio,
     log_factorial,
     log_gamma,
     log_gamma_ratio,
-    stirling_log_gamma,
 )
 
 mpmath.mp.dps = 40
+
+
+def euler_gamma() -> float:
+    """The Euler-Mascheroni constant (= -psi(1))."""
+    return float(np.euler_gamma)
+
+
+def digamma_series(x: float, terms: int = 2_000_000, tol: float = 1e-14) -> float:
+    """Reference series psi(x) = -gamma + sum_{k>=0} (1/(k+1) - 1/(k+x)).
+
+    Slowly convergent; retained as an independent oracle only.  Sums in
+    blocks until the tail bound (x-1)/k falls below ``tol``.
+    """
+    _check_positive(x, "x")
+    total = -np.euler_gamma
+    block = 100_000
+    k0 = 0
+    while k0 < terms:
+        k = np.arange(k0, min(k0 + block, terms), dtype=float)
+        total += np.sum(1.0 / (k + 1.0) - 1.0 / (k + x))
+        k0 += block
+        # tail of sum (1/(k+1) - 1/(k+x)) ~ (x-1)/k^2, summed ~ (x-1)/k0
+        if abs(x - 1.0) / max(k0, 1) < tol:
+            break
+    tail = (x - 1.0) / k0  # integral-comparison tail estimate
+    return float(total + tail)
+
+
+def stirling_log_gamma(x: float) -> float:
+    """Stirling-series ln Gamma for x >= 10; independent cross-check oracle."""
+    if x < 10:
+        raise DomainError("stirling_log_gamma requires x >= 10")
+    # Bernoulli-number coefficients B_{2k}/(2k(2k-1))
+    coeffs = [
+        1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680, 1.0 / 1188,
+        -691.0 / 360360, 1.0 / 156, -3617.0 / 122400,
+    ]
+    s = (x - 0.5) * math.log(x) - x + 0.5 * math.log(2 * math.pi)
+    xp = x
+    for c in coeffs:
+        s += c / xp
+        xp *= x * x
+    return s
 
 
 def test_log_gamma_against_mpmath():
