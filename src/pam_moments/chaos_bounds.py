@@ -16,6 +16,11 @@ its monotonicity under downward path moves do not hold over all of A_n
 (acceptance checks 5 and 6 report this).  All products of gamma factors
 are accumulated in log space.
 
+In the offsets d_k of a (see path_combinatorics), theta_k depends on
+d_{k-1} alone and the k-th gamma factor on (d_{k-1}, d_{k+1}), so one
+table of 4(n-1) log factors serves `gamma_n`, `gamma_n_matrix` and the
+exact sum of `term_bound`, which all add the entries a path picks.
+
 The final p-th moment bound has existential constants; here every
 constant in the chain is carried explicitly, with the single external
 inequality constant b_H0 exposed as a configuration input (default 1),
@@ -35,7 +40,7 @@ from scipy.special import logsumexp
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
 from .initial_data import InitialMeasure, j0 as _j0
-from .path_combinatorics import ExponentVector, exponent_matrix
+from .path_combinatorics import ExponentVector, _offset_matrix, _offsets
 
 __all__ = [
     "FractionalParams",
@@ -187,6 +192,13 @@ def verify_ab_condition(
     return bool(ok) if ok.ndim == 0 else ok
 
 
+def _theta(k, d_prev, params: FractionalParams):
+    """theta_k from the offset d_prev = d_{k-1} (k, d_prev may be arrays)."""
+    q = 4.0 * params.H0
+    c = (1.0 - 2.0 * params.H) / q
+    return 1.0 - 1.0 / q + k * (q + 4.0 * params.H - 3.0) / q + c * (k - 1 + d_prev)
+
+
 def theta(k: int, a, params: FractionalParams) -> float:
     """theta_k = sum_{i<=k}(alpha~_i + beta~_i) + k + 1, in closed form.
 
@@ -197,59 +209,51 @@ def theta(k: int, a, params: FractionalParams) -> float:
     n = arr.size
     if not 1 <= k <= n:
         raise DomainError(f"k must be in [1, {n}], got {k}")
-    H, H0 = params.H, params.H0
-    if k == 1:
-        return (H - 1.0) / H0 + 2.0
-    return (
-        1.0
-        - 1.0 / (4.0 * H0)
-        + k * (4.0 * H0 + 4.0 * H - 3.0) / (4.0 * H0)
-        + (1.0 - 2.0 * H) / (4.0 * H0) * float(np.sum(arr[: k - 1]))
-    )
+    return float(_theta(k, float(np.sum(arr[: k - 1])) - (k - 1), params))
 
 
-def _theta_matrix(a_mat: np.ndarray, params: FractionalParams) -> np.ndarray:
-    """theta_k for k = 1..n, per row of an exponent matrix."""
-    alpha = spatial_exponents(a_mat, params)
-    at, bt = _tilde_matrix(alpha, params)
-    n = a_mat.shape[-1]
-    return np.cumsum(at + bt, axis=-1) + np.arange(1, n + 1) + 1
-
-
-def _log_gamma_n_rows(a_mat: np.ndarray, params: FractionalParams) -> np.ndarray:
-    """log gamma_n for each row of a (m, n) exponent matrix."""
-    n = a_mat.shape[-1]
-    if n == 1:
-        return np.zeros(a_mat.shape[0])
-    th = _theta_matrix(a_mat, params)[..., :-1]
-    shift = (
-        (1.0 - 2.0 * params.H)
-        / (4.0 * params.H0)
-        * (a_mat[..., :-1] + a_mat[..., 1:] - 2.0)
-    )
-    args = th + shift
-    if np.any(args <= 0) or np.any(th <= 0):
+def _gamma_factor_table(n: int, params: FractionalParams) -> np.ndarray:
+    """g[k-1, d_{k-1}, d_{k+1}] = ln Gamma(theta_k + c (d_{k+1} - d_{k-1}))
+    - ln Gamma(theta_k), k = 1..n-1, c = (1-2H)/(4H0): the log gamma
+    factors of gamma_n, shape (n-1, 2, 2)."""
+    c = (1.0 - 2.0 * params.H) / (4.0 * params.H0)
+    d = np.array([0.0, 1.0])
+    th = _theta(np.arange(1, n)[:, None, None], d[:, None], params)
+    args = th + c * (d[None, :] - d[:, None])
+    if np.any(args <= 0):
         raise EstimationError(
             "non-positive gamma argument in gamma_n; parameter validation bug"
         )
-    return np.sum(_sp.gammaln(args) - _sp.gammaln(th), axis=-1)
+    return _sp.gammaln(args) - _sp.gammaln(th)
+
+
+def _log_gamma_n(d: np.ndarray, params: FractionalParams) -> np.ndarray:
+    """log gamma_n per row of a (m, n+1) matrix of offsets d_0..d_n: the
+    table entries added in k order from 0.0, as the max-plus pass does."""
+    n = d.shape[1] - 1
+    g = _gamma_factor_table(n, params)
+    log_g = np.zeros(d.shape[0])
+    for k in range(1, n):
+        log_g += g[k - 1, d[:, k - 1], d[:, k + 1]]
+    return log_g
 
 
 def gamma_n(a, params: FractionalParams) -> float:
     """The gamma-ratio product gamma_n(a), computed in log space.
 
+    Its log is the sum of the factor-table entries the offsets of a pick.
     gamma_n(1, ..., 1) = 1; other vectors can give values above 1.
     """
     if not isinstance(a, ExponentVector):
         a = ExponentVector(tuple(a))
-    mat = np.asarray([a.a], dtype=float)
-    return float(np.exp(_log_gamma_n_rows(mat, params)[0]))
+    d = np.array([[0] + _offsets(a.a)])
+    return float(np.exp(_log_gamma_n(d, params))[0])
 
 
 def gamma_n_matrix(n: int, params: FractionalParams) -> np.ndarray:
-    """gamma_n over all of A_n (rows in lexicographic order)."""
-    mat = exponent_matrix(n).astype(float)
-    return np.exp(_log_gamma_n_rows(mat, params))
+    """gamma_n over all of A_n (rows in lexicographic order), by lookups
+    in one factor table; the maximum equals `term_bound`'s gamma_n."""
+    return np.exp(_log_gamma_n(_offset_matrix(n), params))
 
 
 @dataclass(frozen=True)
@@ -291,7 +295,7 @@ def _log_term_sum_exact(
       - per entry a_k = 1 + d_k - d_{k-1}: Gamma(beta~_k + 1) and
         Gamma((1+alpha_k)/2)^{1/(2H0)}; for k = 1 also Gamma(alpha~_1 + 1);
       - gamma factor k < n: Gamma(theta_k + c (d_{k+1} - d_{k-1})) /
-        Gamma(theta_k), where theta_k depends on d_{k-1} only;
+        Gamma(theta_k), theta_k depending on d_{k-1} only (the table);
       - |alpha~| + |beta~| = (2n(H-1) - 1 - alpha_n) / (4H0), so
         Gamma(|alpha~|+|beta~|+n+1) and the powers of t depend on a_n only.
     One forward pass over the states (d_{k-1}, d_k) then sums all
@@ -300,7 +304,6 @@ def _log_term_sum_exact(
     """
     H, H0 = params.H, params.H0
     q = 4.0 * H0
-    c = (1.0 - 2.0 * H) / q
     log_t = math.log(t)
     d = np.array([0.0, 1.0])
     alpha = spatial_exponents(1.0 + d[None, :] - d[:, None], params)  # [d_{k-1}, d_k]
@@ -313,11 +316,7 @@ def _log_term_sum_exact(
     log_sum[0] = _sp.gammaln((4.0 * H - 3.0 + alpha[0]) / q + 1.0) + log_entry[0]
     log_gam = np.full((2, 2), -np.inf)
     log_gam[0] = 0.0
-    k = np.arange(1, n)[:, None, None]
-    th = 1.0 - 1.0 / q + k * (q + 4.0 * H - 3.0) / q + c * (k - 1 + d[:, None])
-    # gamma factor k at [k-1, d_{k-1}, d_{k+1}]
-    g = _sp.gammaln(th + c * (d[None, :] - d[:, None])) - _sp.gammaln(th)
-    for g_k in g:
+    for g_k in _gamma_factor_table(n, params):
         # [d_k, d_{k+1}], through d_{k-1} = 0 or 1
         log_sum = (
             np.logaddexp(log_sum[0][:, None] + g_k[0], log_sum[1][:, None] + g_k[1])
@@ -337,7 +336,7 @@ def _log_term_sum_exact(
     log_total = logsumexp(log_sum[:, 0] + log_last) + n / (2.0 * H0) * math.log(
         params.c_H
     )
-    return float(log_total), math.exp(float(np.max(log_gam[:, 0])))
+    return float(log_total), float(np.exp(np.max(log_gam[:, 0])))
 
 
 def term_bound(
@@ -352,8 +351,10 @@ def term_bound(
     exact-constants mode sums over all 2^{n-1} members of A_n, carrying
     every gamma and spectral constant of the chain (n <= 30); the sum is
     taken by a transfer-matrix recursion over the path offsets in O(n)
-    work, without enumerating A_n.  asymptotic mode returns
-    C^n (n!)^{-H} t^{n(2H0+H-1)} with the caller-supplied constant C.
+    work, without enumerating A_n, over the gamma factor table behind
+    `gamma_n`; its gamma_n is `gamma_n_matrix(n, params).max()` exactly.
+    asymptotic mode returns C^n (n!)^{-H} t^{n(2H0+H-1)} with the
+    caller-supplied constant C.
     """
     if n < 1:
         raise SizeError(f"n must be >= 1, got {n}")

@@ -23,6 +23,7 @@ CSV column orders (also documented in the README):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -41,10 +42,9 @@ from .chaos_bounds import _envelope_exponent, _exp_or_inf, _fit_log_envelope
 from .initial_data import check_cond_mu0, j0 as eval_j0, measure_from_config
 from .mc_verifier import verify_lemma32, verify_term_bound
 from .path_combinatorics import (
-    enumerate_exponent_vectors,
+    _offset_matrix,
     expand_and_verify_identity,
     exponent_matrix,
-    path_of,
 )
 from .simplex_integrals import SimplexIntegralSpec, brute_force, closed_form
 
@@ -53,21 +53,32 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _float_list(key: str, value) -> list[float]:
+    """Floats from a comma-separated string or a JSON number or list."""
+    try:
+        if isinstance(value, str):
+            return [float(v) for v in value.split(",") if v.strip()]
+        return [float(v) for v in np.atleast_1d(value)]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad value for {key}: {value!r} ({exc})") from exc
 
 
-def _resolve_output(path: str | None, stdout):
+@contextlib.contextmanager
+def _output(path: str | None, stdout):
+    """The stream a command writes to: stdout, or the file at path."""
     if path is None:
-        return stdout or sys.stdout, False
+        yield stdout or sys.stdout
+        return
     outdir = os.environ.get("PAM_MOMENTS_OUTDIR")
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
-    return open(path, "w"), True
+    with open(path, "w") as fh:
+        yield fh
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Resolved config: file values overridden by explicitly set flags."""
+    """Resolved config: file values overridden by explicitly set flags,
+    logged to stderr."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -79,6 +90,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key in ("config", "func", "output") or val is None:
             continue
         cfg[key] = val
+    print("config: " + json.dumps(cfg, sort_keys=True, default=str), file=sys.stderr)
     return cfg
 
 
@@ -98,33 +110,28 @@ def _measure_of(cfg: dict):
     return measure_from_config(m)
 
 
-def _log_resolved(cfg: dict) -> None:
-    print("config: " + json.dumps(cfg, sort_keys=True, default=str), file=sys.stderr)
-
-
 def _cmd_paths(args, stdout) -> int:
     cfg = _merge_config(args)
-    _log_resolved(cfg)
     n = _require(cfg, "n", int)
-    out, close = _resolve_output(args.output, stdout)
-    try:
-        for a in enumerate_exponent_vectors(n):
-            rec = {"n": n, "a": list(a), "path_heights": list(path_of(a).heights)}
+    a = exponent_matrix(n).tolist()
+    heights = (np.arange(1, n + 1) - _offset_matrix(n)[:, :-1]).tolist()  # k - d_{k-1}
+    with _output(args.output, stdout) as out:
+        for a_row, h_row in zip(a, heights):
+            rec = {"n": n, "a": a_row, "path_heights": h_row}
             out.write(json.dumps(rec) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_identity(args, stdout) -> int:
     cfg = _merge_config(args)
-    _log_resolved(cfg)
     n = _require(cfg, "n", int)
     trials = int(cfg.get("trials", 100))
     rng = random.Random(int(cfg.get("seed", 0)))
     if "xs" in cfg:
-        draws = [[Fraction(v) for v in str(cfg["xs"]).split(",")]]
+        try:
+            draws = [[Fraction(v) for v in str(cfg["xs"]).split(",")]]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad value for xs: {cfg['xs']!r} ({exc})") from exc
     else:
         draws = [
             [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(n)]
@@ -135,28 +142,22 @@ def _cmd_identity(args, stdout) -> int:
         lhs, rhs = expand_and_verify_identity(xs)
         if lhs != rhs:
             failures += 1
-    out, close = _resolve_output(args.output, stdout)
-    try:
+    with _output(args.output, stdout) as out:
         out.write(
             json.dumps({"n": n, "trials": len(draws), "failures": failures}) + "\n"
         )
-    finally:
-        if close:
-            out.close()
     return 0 if failures == 0 else 1
 
 
 def _cmd_gamma_scan(args, stdout) -> int:
     cfg = _merge_config(args)
-    _log_resolved(cfg)
     n_max = int(cfg.get("n_max", 8))
     grid = admissible_param_grid(int(cfg.get("grid_size", 5)))
     ns = range(2, n_max + 1)
     astrs = {
         n: ["".join(map(str, a)) for a in exponent_matrix(n).tolist()] for n in ns
     }
-    out, close = _resolve_output(args.output, stdout)
-    try:
+    with _output(args.output, stdout) as out:
         out.write("H0,H,n,a,gamma_n\n")
         for params in grid:
             for n in ns:
@@ -165,15 +166,11 @@ def _cmd_gamma_scan(args, stdout) -> int:
                     out.write(
                         f"{_fmt(params.H0)},{_fmt(params.H)},{n},{astr},{_fmt(gv)}\n"
                     )
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_dirichlet(args, stdout) -> int:
     cfg = _merge_config(args)
-    _log_resolved(cfg)
     spec_cfg = cfg.get("spec")
     if isinstance(spec_cfg, str):
         spec_cfg = json.loads(spec_cfg)
@@ -207,18 +204,13 @@ def _cmd_dirichlet(args, stdout) -> int:
         )
         if rel > tol:
             code = 1
-    out, close = _resolve_output(args.output, stdout)
-    try:
+    with _output(args.output, stdout) as out:
         out.write(json.dumps(record) + "\n")
-    finally:
-        if close:
-            out.close()
     return code
 
 
 def _cmd_j0(args, stdout) -> int:
     cfg = _merge_config(args)
-    _log_resolved(cfg)
     t = _require(cfg, "t", float)
     x = _require(cfg, "x", float)
     measure = _measure_of(cfg)
@@ -230,30 +222,22 @@ def _cmd_j0(args, stdout) -> int:
         "cond_mu0_ok": rep.ok,
         "cond_mu0_values": [float(_fmt(v)) for v in rep.values],
     }
-    out, close = _resolve_output(args.output, stdout)
-    try:
+    with _output(args.output, stdout) as out:
         out.write(json.dumps(record) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0 if rep.ok else 1
 
 
 def _cmd_bound_table(args, stdout) -> int:
     cfg = _merge_config(args)
-    _log_resolved(cfg)
     params = FractionalParams(
         _require(cfg, "H0", float), _require(cfg, "H", float),
         float(cfg.get("b", 1.0)),
     )
-    ps = cfg.get("p", "2")
-    ts = cfg.get("t", "1,2,4,8")
-    ps = _float_list(ps) if isinstance(ps, str) else [float(v) for v in np.atleast_1d(ps)]
-    ts = _float_list(ts) if isinstance(ts, str) else [float(v) for v in np.atleast_1d(ts)]
+    ps = _float_list("p", cfg.get("p", "2"))
+    ts = _float_list("t", cfg.get("t", "1,2,4,8"))
     cc = float(cfg.get("C", 4.0))
     c1_log, c2, log_sums = _fit_log_envelope(params, cc, tuple(ps), tuple(ts))
-    out, close = _resolve_output(args.output, stdout)
-    try:
+    with _output(args.output, stdout) as out:
         out.write("t,p,series_value,envelope_value,C1,C2\n")
         for j, t in enumerate(ts):
             for i, p in enumerate(ps):
@@ -264,15 +248,11 @@ def _cmd_bound_table(args, stdout) -> int:
                     f"{_fmt(_exp_or_inf(env))},"
                     f"{_fmt(_exp_or_inf(c1_log))},{_fmt(c2)}\n"
                 )
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_mc_verify(args, stdout) -> int:
     cfg = _merge_config(args)
-    _log_resolved(cfg)
     n = _require(cfg, "n", int)
     t = _require(cfg, "t", float)
     x = float(cfg.get("x", 0.0))
@@ -306,24 +286,16 @@ def _cmd_mc_verify(args, stdout) -> int:
         "spectral_majorant_passed": cmp.ok,
         "spectral_margins": [_fmt(v) for v in cmp.margins],
     }
-    out, close = _resolve_output(args.output, stdout)
-    try:
+    with _output(args.output, stdout) as out:
         out.write(json.dumps(report, sort_keys=True, default=str) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0 if chk.passed and cmp.ok else 1
 
 
 def _cmd_selfcheck(args, stdout) -> int:
     from .acceptance import run_all
 
-    out, close = _resolve_output(args.output, stdout)
-    try:
+    with _output(args.output, stdout) as out:
         results = run_all(report=lambda line: out.write(line + "\n"))
-    finally:
-        if close:
-            out.close()
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -423,3 +395,7 @@ def run(argv=None, stdout=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

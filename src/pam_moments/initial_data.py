@@ -213,18 +213,26 @@ def check_cond_mu0(
 
 
 def measure_from_config(cfg: dict) -> InitialMeasure:
-    """Build a measure from its JSON form, e.g. {"type": "dirac", "x0": 0.0}."""
+    """Build a measure from its JSON form, e.g. {"type": "dirac", "x0": 0.0}.
+
+    Raises ValidationError for a non-object or a non-numeric field.
+    """
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"measure must be a JSON object, got {cfg!r}")
     kind = cfg.get("type")
-    if kind == "dirac":
-        return DiracAt(float(cfg.get("x0", 0.0)))
-    if kind == "lebesgue":
-        return LebesgueConstant(float(cfg.get("c", 1.0)))
-    if kind == "polynomial":
-        return PolynomialDensity()
-    if kind == "gaussian":
-        return GaussianDensity(
-            float(cfg.get("mean", 0.0)), float(cfg.get("variance", 1.0))
-        )
-    if kind == "atoms":
-        return FiniteAtoms(tuple((x, m) for x, m in cfg["atoms"]))
+    try:
+        if kind == "dirac":
+            return DiracAt(float(cfg.get("x0", 0.0)))
+        if kind == "lebesgue":
+            return LebesgueConstant(float(cfg.get("c", 1.0)))
+        if kind == "polynomial":
+            return PolynomialDensity()
+        if kind == "gaussian":
+            return GaussianDensity(
+                float(cfg.get("mean", 0.0)), float(cfg.get("variance", 1.0))
+            )
+        if kind == "atoms":
+            return FiniteAtoms(tuple((x, m) for x, m in cfg["atoms"]))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad field in measure {cfg!r} ({exc})") from exc
     raise ValidationError(f"unknown measure type {kind!r}")

@@ -143,18 +143,22 @@ def enumerate_exponent_vectors(n: int) -> list[ExponentVector]:
     return [ExponentVector(tuple(row)) for row in exponent_matrix(n).tolist()]
 
 
-def exponent_matrix(n: int) -> np.ndarray:
-    """A_n as a (2^{n-1}, n) int array, rows in lexicographic order.
-
-    Row i has offsets d_1...d_{n-1} = the n-1 binary digits of i, most
-    significant first, and entries a_k = 1 + d_k - d_{k-1}.
-    """
+def _offset_matrix(n: int) -> np.ndarray:
+    """The offsets d_0..d_n of every row of `exponent_matrix(n)`, as a
+    (2^{n-1}, n+1) int array: d_1...d_{n-1} of row i are the n-1 binary
+    digits of i, most significant first, and d_0 = d_n = 0."""
     if not 1 <= n <= MAX_ENUM_N:
         raise SizeError(f"n must be in [1, {MAX_ENUM_N}], got {n}")
     rows = np.arange(1 << (n - 1), dtype=np.int64)[:, None]
-    offsets = np.zeros((rows.shape[0], n + 1), dtype=np.int64)  # d_0..d_n
+    offsets = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
     offsets[:, 1:n] = (rows >> np.arange(n - 2, -1, -1)) & 1
-    a = np.diff(offsets, axis=1)
+    return offsets
+
+
+def exponent_matrix(n: int) -> np.ndarray:
+    """A_n as a (2^{n-1}, n) int array, rows in lexicographic order: row
+    i has the offsets of `_offset_matrix(n)` row i, a_k = 1 + d_k - d_{k-1}."""
+    a = np.diff(_offset_matrix(n), axis=1)
     a += 1
     return a
 

@@ -24,13 +24,13 @@ from pam_moments.chaos_bounds import (
 )
 from pam_moments.chaos_bounds import (
     _envelope_exponent,
-    _log_gamma_n_rows,
     _log_term_sum_exact,
     _tilde_matrix,
 )
 from pam_moments.errors import DomainError, EstimationError, SizeError, ValidationError
 from pam_moments.initial_data import LebesgueConstant
 from pam_moments.path_combinatorics import (
+    ExponentVector,
     diagonal_touch_points,
     enumerate_exponent_vectors,
     exponent_matrix,
@@ -87,15 +87,18 @@ def test_theta_closed_form_matches_cumulative_definition():
 
 
 def test_ab_condition_over_family():
+    # the whole family in one batch; a few rows per n through the
+    # per-vector path as its oracle
     for p in admissible_param_grid():
         for n in (1, 4, 8, 12):
-            for a in enumerate_exponent_vectors(n):
-                alpha = spatial_exponents(a, p)
-                te = tilde_exponents(alpha, p)
-                ok = verify_ab_condition(te.alpha_tilde, te.beta_tilde, alpha)
-                assert ok
-            if n > 8:
-                break  # the full sweep lives in the acceptance suite
+            a = exponent_matrix(n)
+            alpha = spatial_exponents(a, p)
+            ok = verify_ab_condition(*_tilde_matrix(alpha, p), alpha)
+            assert ok.shape == (len(a),) and ok.all()
+            for i in sorted({0, len(a) // 3, len(a) // 2, len(a) - 1}):
+                alpha_i = spatial_exponents(ExponentVector(tuple(a[i])), p)
+                te = tilde_exponents(alpha_i, p)
+                assert verify_ab_condition(te.alpha_tilde, te.beta_tilde, alpha_i) is True
 
 
 def test_ab_condition_batch_matches_row_by_row():
@@ -122,6 +125,13 @@ def test_gamma_all_ones_is_exactly_one():
     for p in admissible_param_grid():
         for n in (2, 5, 9, 12):
             assert gamma_n((1,) * n, p) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_term_bound_gamma_equals_gamma_matrix_max():
+    # both read one factor table and add its entries in the same order
+    for p in admissible_param_grid():
+        for n in range(2, 17):
+            assert term_bound(n, 1.0, p).gamma_n == gamma_n_matrix(n, p).max()
 
 
 def test_gamma_matrix_agrees_with_scalar():
@@ -232,6 +242,33 @@ def test_log_term_sum_small_n_by_hand():
     log_sum, max_g = _log_term_sum_exact(1, 1.0, P_REF)
     assert max_g == pytest.approx(1.0)
     assert math.isfinite(log_sum)
+
+
+def _theta_matrix(a_mat: np.ndarray, params: FractionalParams) -> np.ndarray:
+    """theta_k for k = 1..n, per row of an exponent matrix."""
+    alpha = spatial_exponents(a_mat, params)
+    at, bt = _tilde_matrix(alpha, params)
+    n = a_mat.shape[-1]
+    return np.cumsum(at + bt, axis=-1) + np.arange(1, n + 1) + 1
+
+
+def _log_gamma_n_rows(a_mat: np.ndarray, params: FractionalParams) -> np.ndarray:
+    """log gamma_n for each row of a (m, n) exponent matrix."""
+    n = a_mat.shape[-1]
+    if n == 1:
+        return np.zeros(a_mat.shape[0])
+    th = _theta_matrix(a_mat, params)[..., :-1]
+    shift = (
+        (1.0 - 2.0 * params.H)
+        / (4.0 * params.H0)
+        * (a_mat[..., :-1] + a_mat[..., 1:] - 2.0)
+    )
+    args = th + shift
+    if np.any(args <= 0) or np.any(th <= 0):
+        raise EstimationError(
+            "non-positive gamma argument in gamma_n; parameter validation bug"
+        )
+    return np.sum(_sp.gammaln(args) - _sp.gammaln(th), axis=-1)
 
 
 def _log_term_sum_by_rows(n, t, params):

@@ -2,9 +2,12 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pam_moments
 from pam_moments import cli
 
 
@@ -157,6 +160,38 @@ def test_usage_errors_exit_2():
     code, _ = run_cli("dirichlet", "--spec", "not json")
     assert code == 2
     assert cli.run(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound-table", "--H0", "0.75", "--H", "0.3", "--p", "abc"],
+        ["identity", "--n", "3", "--xs", "1/0,2,3"],
+        ["identity", "--n", "3", "--xs", "a,b"],
+        ["j0", "--t", "1", "--x", "0", "--measure", "[1]"],
+        ["j0", "--t", "1", "--x", "0", "--measure", '{"type": "dirac", "x0": "a"}'],
+    ],
+)
+def test_malformed_values_exit_2_without_traceback(argv, capsys):
+    assert cli.run(argv, stdout=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # besides the resolved-config log line, exactly one error line
+    lines = [line for line in err.splitlines() if not line.startswith("config: ")]
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(pam_moments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    _, want = run_cli("paths", "--n", "3")
+    for module in ("pam_moments", "pam_moments.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "paths", "--n", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout == want
 
 
 def test_verification_failure_exits_1():
