@@ -112,7 +112,10 @@ class FractionalParams:
 
 
 def admissible_param_grid(size: int = 5) -> list[FractionalParams]:
-    """A size x size grid of (H0, H) strictly inside the admissible region."""
+    """A size x size grid of (H0, H) strictly inside the admissible region;
+    raises SizeError for a negative size."""
+    if size < 0:
+        raise SizeError(f"grid size must be >= 0, got {size}")
     out = []
     for H0 in np.linspace(0.56, 0.94, size):
         for H in np.linspace(0.05, 0.45, size):
@@ -523,9 +526,16 @@ DEFAULT_T_GRID = tuple(np.logspace(0.0, 2.0, 9))
 
 
 def _envelope_exponent(p: float, t: float, params: FractionalParams) -> float:
-    """g(p, t) = p^{(H+1)/H} t^{(2H0+H-1)/H}."""
+    """g(p, t) = p^{(H+1)/H} t^{(2H0+H-1)/H}; raises EstimationError where
+    g leaves the float range."""
     H = params.H
-    return p ** ((H + 1.0) / H) * t ** (params.time_growth_exponent / H)
+    try:
+        g = p ** ((H + 1.0) / H) * t ** (params.time_growth_exponent / H)
+    except OverflowError:
+        g = math.inf
+    if not math.isfinite(g):
+        raise EstimationError(f"envelope exponent g(p={p!r}, t={t!r}) is not finite")
+    return g
 
 
 def _exp_or_inf(x: float) -> float:
@@ -580,7 +590,9 @@ def _fit_log_envelope(
 ) -> tuple[float, float, np.ndarray]:
     """(ln C1, C2) of the envelope witnesses (see `fit_envelope_constants`)
     and the log series values they were fitted to, shape (len(p_grid),
-    len(t_grid))."""
+    len(t_grid)).  Raises ValidationError for an empty grid."""
+    if not (len(p_grid) and len(t_grid)):
+        raise ValidationError("p_grid and t_grid must be nonempty")
     u, v = [], []
     for p in p_grid:
         for t in t_grid:

@@ -60,7 +60,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
-from .chaos_bounds import FractionalParams, term_bound
+from .chaos_bounds import FractionalParams, _exp_or_inf, term_bound
 from .initial_data import (
     DiracAt,
     GaussianDensity,
@@ -322,6 +322,9 @@ def verify_lemma32(
     integrands coincide exactly, which pins down all constants.
     """
     _check_inputs(n, t, params)
+    if xi_samples < 1 or (ordered_times is None and time_samples < 1):
+        raise DomainError("time_samples and xi_samples must be >= 1, "
+                          f"got {time_samples} and {xi_samples}")
     h = params.H
     streams = _spawn_streams(seed, workers)
     if ordered_times is not None:
@@ -401,16 +404,20 @@ def verify_term_bound(
 
     The check passes when the estimate (plus three standard errors) sits
     below the bound evaluated at the configured base constant; the exact
-    minimal constant is always reported alongside.
+    minimal constant is always reported alongside.  A bound or constant
+    above the float range is inf; raises EstimationError where J0(t, x)^2
+    underflows to 0.
     """
     est = chaos_norm_estimate(n, t, x, measure, params, samples, seed, workers)
     j0sq = measure.j0(t, x) ** 2
+    if j0sq == 0.0:
+        raise EstimationError(f"J0(t, x)^2 underflows to 0 at t={t!r}, x={x!r}")
     ratio = est.value / j0sq
     ratio_err = est.stderr / j0sq
     log_b1 = term_bound(
         n, t, FractionalParams(params.H0, params.H, 1.0), mode="exact-constants"
     ).log_bound
-    bound = math.exp(term_bound(n, t, params, mode="exact-constants").log_bound)
-    minimal_b = math.exp((math.log(max(ratio, 1e-300)) - log_b1) / n)
+    bound = _exp_or_inf(term_bound(n, t, params, mode="exact-constants").log_bound)
+    minimal_b = _exp_or_inf((math.log(max(ratio, 1e-300)) - log_b1) / n)
     passed = ratio - 3.0 * ratio_err <= bound
     return TermBoundCheck(n, est, bound, minimal_b, passed)

@@ -249,14 +249,19 @@ def brute_force(
     ``nested-quadrature`` supports n <= 3; ``monte-carlo`` supports
     n <= 5 with ``budget`` samples.  An estimate whose reported error
     bound misses the target is returned as-is (the error_bound field is
-    the contract), never silently tightened.
+    the contract), never silently tightened.  The seed must be a
+    nonnegative integer and quadrature's rtol above 50 machine epsilons.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     report = check_conditions(spec)
     if not report:
         raise ValidationError(report.clause)
     if method == "nested-quadrature":
         if spec.n > 3:
             raise SizeError("nested-quadrature supports n <= 3")
+        if not rtol > 50 * np.finfo(float).eps:
+            raise ValidationError(f"rtol must exceed 50 machine epsilons, got {rtol}")
         value, err, evals = _nested_quadrature(spec, rtol)
         return BruteForceResult(value, err, method, evals)
     if method == "monte-carlo":

@@ -24,11 +24,12 @@ from pam_moments.chaos_bounds import (
 )
 from pam_moments.chaos_bounds import (
     _envelope_exponent,
+    _fit_log_envelope,
     _log_term_sum_exact,
     _tilde_matrix,
 )
 from pam_moments.errors import DomainError, EstimationError, SizeError, ValidationError
-from pam_moments.initial_data import LebesgueConstant
+from pam_moments.initial_data import DiracAt, LebesgueConstant
 from pam_moments.path_combinatorics import (
     ExponentVector,
     diagonal_touch_points,
@@ -365,3 +366,17 @@ def test_moment_bound_composition():
     assert res.log_envelope_value >= res.log_series_value
     assert res.truncation_index > 0
     assert res.series_value == math.inf or res.series_value > 0
+
+
+def test_inputs_beyond_the_float_range_raise_library_errors():
+    # p^{(H+1)/H} at p = 1e75 exceeds the float range
+    with pytest.raises(EstimationError):
+        _envelope_exponent(1e75, 1.0, P_REF)
+    with pytest.raises(EstimationError):
+        moment_bound(1e75, 1.0, 0.0, FractionalParams(0.75, 0.3), DiracAt(0.0), C=4.0)
+    for p_grid, t_grid in (((), (1.0,)), ((2.0,), ())):
+        with pytest.raises(ValidationError):
+            _fit_log_envelope(P_REF, 4.0, p_grid, t_grid)
+    with pytest.raises(SizeError):
+        admissible_param_grid(-1)
+    assert admissible_param_grid(0) == []

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pam_moments
 from pam_moments import cli
@@ -99,15 +101,15 @@ def test_bound_table_beyond_the_float_range():
 
 
 def test_estimation_error_exits_2_without_traceback(capsys):
-    # the series peak at t = 1e30 overflows the float range
-    code = cli.run(
-        ["bound-table", "--H0", "0.75", "--H", "0.05", "--p", "32", "--t", "1e30"],
-        stdout=io.StringIO(),
-    )
-    assert code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1].startswith("estimation error: ")
-    assert not any("Traceback" in line for line in err)
+    # the series peak at t = 1e30 overflows the float range, and so does the
+    # envelope exponent p^{(H+1)/H} at p = 1e75
+    for argv in (["--H", "0.05", "--p", "32", "--t", "1e30"],
+                 ["--H", "0.3", "--p", "1e75", "--t", "1"]):
+        code = cli.run(["bound-table", "--H0", "0.75", *argv], stdout=io.StringIO())
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("estimation error: ")
+        assert not any("Traceback" in line for line in err)
 
 
 def test_gamma_scan_csv():
@@ -170,6 +172,15 @@ def test_usage_errors_exit_2():
         ["identity", "--n", "3", "--xs", "a,b"],
         ["j0", "--t", "1", "--x", "0", "--measure", "[1]"],
         ["j0", "--t", "1", "--x", "0", "--measure", '{"type": "dirac", "x0": "a"}'],
+        ["bound-table", "--H0", "0.75", "--H", "0.3", "--p", ","],
+        ["identity", "--n", "5", "--xs", "1,2"],
+        ["dirichlet", "--spec", '{"t": "x", "alphas": [1], "betas": [1]}'],
+        ["dirichlet", "--spec", '{"t": 1, "alphas": 1, "betas": [1]}'],
+        ["dirichlet", "--spec", '{"t": 1, "alphas": [1], "betas": [1]}',
+         "--oracle", "mc", "--seed", "-1"],
+        ["paths", "--n", "abc"],
+        ["dirichlet", "--spec", '{"t": 1, "alphas": [1], "betas": [1]}',
+         "--oracle", "xx"],
     ],
 )
 def test_malformed_values_exit_2_without_traceback(argv, capsys):
@@ -179,6 +190,74 @@ def test_malformed_values_exit_2_without_traceback(argv, capsys):
     # besides the resolved-config log line, exactly one error line
     lines = [line for line in err.splitlines() if not line.startswith("config: ")]
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("identity", {"n": 3, "trials": "abc"}, "trials"),
+        ("mc-verify", {"n": 2, "t": 1, "H0": 0.75, "H": 0.3, "samples": "many"},
+         "samples"),
+        ("gamma-scan", {"n_max": "x"}, "n_max"),
+        ("dirichlet", {"spec": {"t": 1, "alphas": [1], "betas": [1]},
+                       "oracle": "xx"}, "oracle"),
+    ],
+)
+def test_config_file_values_are_cast_like_flags(command, cfg, key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run([command, "--config", str(path)], stdout=io.StringIO()) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: bad value for {key}: ")
+
+
+def test_failing_command_leaves_the_output_file_unchanged(tmp_path):
+    out, cfg = tmp_path / "out.txt", tmp_path / "cfg.json"
+    out.write_bytes(b"kept\n")
+    cfg.write_text(json.dumps({"n": 3, "trials": "abc"}))
+    for argv in (["identity", "--n", "5", "--xs", "1,2"],
+                 ["identity", "--config", str(cfg)],
+                 ["bound-table", "--H0", "0.75", "--H", "0.3", "--p", "1e75"]):
+        assert cli.run(argv + ["--output", str(out)]) == 2
+        assert out.read_bytes() == b"kept\n"
+
+
+# every key of each subcommand with a value that works; the fuzz test keeps
+# it or replaces it by a value from one pool of JSON values, whose integers
+# stay small so that every size (n, samples, ...) is at most 64
+_FUZZ_KEYS = {
+    "paths": {"n": 12},
+    "identity": {"n": 3, "trials": 2, "seed": 1, "xs": "1/2,3,5/4"},
+    "gamma-scan": {"n_max": 4, "grid_size": 2},
+    "dirichlet": {"spec": {"t": 1.0, "alphas": [1.0], "betas": [1.0]},
+                  "oracle": "mc", "rtol": 1e-3, "seed": 3},
+    "j0": {"t": 1.0, "x": 0.0, "measure": {"type": "dirac", "x0": 0.0}},
+    "bound-table": {"H0": 0.75, "H": 0.3, "b": 1.0, "C": 4.0, "p": "2,4",
+                    "t": [1, 8]},
+    "mc-verify": {"n": 2, "t": 1.0, "x": 0.0, "H0": 0.75, "H": 0.3, "b": 1.0,
+                  "measure": {"type": "dirac", "x0": 0.0}, "samples": 64,
+                  "seed": 7, "workers": 2, "time_samples": 3, "xi_samples": 64},
+}
+_FUZZ_POOL = [
+    None, True, -1, 0, 1, 2, 3, 0.3, 0.75, 2.5, -1.5, math.nan, 1e300,
+    "", "abc", "2,4", "1/2", "mc", "quadrature", [], [2, 4], ["x"], [[1]], {},
+    {"type": "dirac", "x0": 0.0}, {"type": "atoms", "atoms": [[0.0, 1.0]]},
+    {"t": 1.0, "alphas": [1.0], "betas": [1.0]},
+]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_fuzz_exits_0_1_or_2_without_traceback(data, tmp_path, capsys):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_KEYS)), label="command")
+    cfg = {key: data.draw(st.one_of(st.just(valid), st.sampled_from(_FUZZ_POOL)),
+                          label=key)
+           for key, valid in _FUZZ_KEYS[command].items()}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run([command, "--config", str(path)], stdout=io.StringIO()) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_the_cli():

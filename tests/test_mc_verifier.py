@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, special
 
 from pam_moments.chaos_bounds import FractionalParams
-from pam_moments.errors import DomainError, SizeError, ValidationError
+from pam_moments.errors import DomainError, EstimationError, SizeError, ValidationError
 from pam_moments.initial_data import (
     DiracAt,
     GaussianDensity,
@@ -234,3 +234,17 @@ def test_input_validation():
         chaos_norm_estimate(1, 1.0, 0.0, DiracAt(0.0), P, seed=-1)
     with pytest.raises(ValidationError):
         chaos_norm_estimate(1, 1.0, 0.0, DiracAt(0.0), P, workers=0)
+
+
+def test_degenerate_inputs_give_inf_or_a_library_error():
+    # b = 1e300 puts the per-order bound above the float range: it is inf
+    huge_b = FractionalParams(0.75, 0.3, 1e300)
+    chk = verify_term_bound(2, 1.0, 0.0, DiracAt(0.0), huge_b, samples=64)
+    assert chk.bound == math.inf and chk.passed
+    # far from the point mass J0^2 underflows to 0 and the ratio is undefined
+    with pytest.raises(EstimationError):
+        verify_term_bound(2, 1.0, 100.0, DiracAt(0.0), P, samples=64)
+    for time_samples, xi_samples in ((0, 64), (3, 0), (-1, 64), (3, -1)):
+        with pytest.raises(DomainError):
+            verify_lemma32(2, 1.0, 0.0, DiracAt(0.0), P, time_samples=time_samples,
+                           xi_samples=xi_samples)

@@ -164,3 +164,13 @@ def test_gaussian_spectral_integral_domain():
         gaussian_spectral_integral(-1.0, 1.0)
     with pytest.raises(DomainError):
         gaussian_spectral_integral(0.5, 0.0)
+
+
+def test_oracle_rejects_bad_seed_and_rtol():
+    spec = SimplexIntegralSpec(1.0, (1.0,), (1.0,))
+    for seed in (-1, 1.5):
+        with pytest.raises(ValidationError):
+            brute_force(spec, method="monte-carlo", seed=seed)
+    for rtol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError):
+            brute_force(spec, method="nested-quadrature", rtol=rtol)
