@@ -88,8 +88,8 @@ class FractionalParams:
             raise ValidationError(
                 f"H0 + H must exceed 3/4, got {self.H0 + self.H}"
             )
-        if not (self.b_H0 > 0):
-            raise ValidationError(f"b_H0 must be > 0, got {self.b_H0}")
+        if not (0 < self.b_H0 < math.inf):
+            raise ValidationError(f"b_H0 must be finite and > 0, got {self.b_H0}")
 
     @property
     def alpha_H0(self) -> float:
@@ -446,8 +446,8 @@ def log_chaos_series(
     [0, n_hi], term for term.  Should the term at n_lo still be kept (a
     poor saddle estimate), the window falls back to n_lo = 0.
     """
-    if p < 2:
-        raise DomainError(f"p must be >= 2, got {p}")
+    if not (2 <= p < math.inf):
+        raise DomainError(f"p must be finite and >= 2, got {p}")
     if not (t > 0 and C > 0):
         raise DomainError("t and C must be > 0")
     a = params.H / 2.0

@@ -28,6 +28,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -290,13 +291,20 @@ def _load_config(path: str | None) -> dict:
 
 
 def _cast(opt: Option, value):
-    """The value read by the option's type: the one place a value is cast."""
+    """The value read by the option's type: the one place a value is cast.
+
+    A float, alone or in a list, must be finite: nan and +-inf are bad values.
+    """
     if value is REQUIRED:
         raise ValidationError(f"missing required option: {opt.key}")
     if value is None and opt.default is None:
         return None
     try:
-        return opt.type(value)
+        cast = opt.type(value)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (cast if isinstance(cast, list) else [cast])):
+            raise ValueError("not a finite number")
+        return cast
     except (TypeError, ValueError, KeyError, ArithmeticError) as exc:
         raise ValidationError(f"bad value for {opt.key}: {value!r} ({exc})") from exc
 

@@ -212,27 +212,35 @@ def check_cond_mu0(
     return CondMu0Report(True, None, tuple(values))
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
+
+
 def measure_from_config(cfg: dict) -> InitialMeasure:
     """Build a measure from its JSON form, e.g. {"type": "dirac", "x0": 0.0}.
 
-    Raises ValidationError for a non-object or a non-numeric field.
+    Raises ValidationError for a non-object or a non-numeric or non-finite
+    field.
     """
     if not isinstance(cfg, dict):
         raise ValidationError(f"measure must be a JSON object, got {cfg!r}")
     kind = cfg.get("type")
     try:
         if kind == "dirac":
-            return DiracAt(float(cfg.get("x0", 0.0)))
+            return DiracAt(_finite(cfg.get("x0", 0.0)))
         if kind == "lebesgue":
-            return LebesgueConstant(float(cfg.get("c", 1.0)))
+            return LebesgueConstant(_finite(cfg.get("c", 1.0)))
         if kind == "polynomial":
             return PolynomialDensity()
         if kind == "gaussian":
             return GaussianDensity(
-                float(cfg.get("mean", 0.0)), float(cfg.get("variance", 1.0))
+                _finite(cfg.get("mean", 0.0)), _finite(cfg.get("variance", 1.0))
             )
         if kind == "atoms":
-            return FiniteAtoms(tuple((x, m) for x, m in cfg["atoms"]))
+            return FiniteAtoms(tuple((_finite(x), _finite(m)) for x, m in cfg["atoms"]))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad field in measure {cfg!r} ({exc})") from exc
     raise ValidationError(f"unknown measure type {kind!r}")

@@ -45,6 +45,22 @@ Everything is estimated by importance sampling with explicit densities:
     exp(r |xi|^2 - xi^T (S_t + S_s) xi / 2) stays bounded by
     exp(-r |xi|^2) and the estimator has finite variance.
 
+The smallest eigenvalue that sets the rate is computed by `_lambda_min`.
+For n = 1 it is the single entry.  For n = 2 it repeats, in numpy, the
+arithmetic LAPACK does for a 2x2 symmetric matrix on the path that
+``np.linalg.eigvalsh`` takes (``dsyevd``, whose tridiagonal reduction
+leaves a 2x2 matrix as it is, then ``dsterf``): ``dsterf``'s two split
+tests, after which the eigenvalues are the diagonal, and otherwise
+``dlae2`` on the squared and re-rooted off-diagonal entry.  Each step is
+the same correctly rounded IEEE operation on the same operands, in the
+same order, so the result is LAPACK's bit for bit, as long as LAPACK is
+built without fused multiply-adds there (the tests compare it with
+``eigvalsh`` on the sampler's own matrices).  Blocks whose largest entry lies outside
+[2^-405, 2^485], where ``dsyevd`` or ``dsterf`` would rescale, and larger n
+go to ``eigvalsh`` itself.  The sorts, row sums and the quadratic form are
+likewise written as the short column operations that give numpy's bits
+for n <= 2.
+
 Reproducibility: a single integer seed is expanded through
 ``SeedSequence(seed).spawn(workers)`` into independent Philox streams, one
 per worker; the per-worker batches are always accumulated in worker order,
@@ -53,6 +69,7 @@ so the result depends only on (seed, workers, samples), never on timing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,8 +119,8 @@ def _check_inputs(n: int, t: float, params: FractionalParams) -> None:
         raise DomainError(f"n must be a positive integer, got {n}")
     if n > MAX_MC_N:
         raise SizeError(f"n={n} exceeds the Monte-Carlo limit {MAX_MC_N}")
-    if not (t > 0):
-        raise DomainError(f"t must be > 0, got {t}")
+    if not (0 < t < math.inf):
+        raise DomainError(f"t must be finite and > 0, got {t}")
     if not isinstance(params, FractionalParams):
         raise ValidationError("params must be a FractionalParams instance")
 
@@ -120,10 +137,10 @@ def kernel_fourier_gaussian(
     if tau.ndim != 2:
         raise ValidationError("sorted_times must be a 2-d array")
     m, n = tau.shape
-    lo = tau[:, :, None]
-    hi = tau[:, None, :]
-    tmin = np.minimum(lo, hi)
-    tmax = np.maximum(lo, hi)
+    # rows are sorted, so min(tau_j, tau_k) = tau_min(j, k): gathers, no compares
+    ar = np.arange(n)
+    tmin = tau[:, np.minimum.outer(ar, ar)]
+    tmax = tau[:, np.maximum.outer(ar, ar)]
     if isinstance(measure, DiracAt):
         amp = np.full(m, measure.j0(t, x))
         mean = measure.x0 + (x - measure.x0) * tau / t
@@ -171,8 +188,77 @@ def _spectral_xi(rng, rate: np.ndarray, n: int, H: float) -> np.ndarray:
     return sign * np.sqrt(g / rate[:, None])
 
 
+def _sort_rows(x: np.ndarray) -> np.ndarray:
+    """np.sort(x, axis=1); a 2-wide row takes one compare-exchange."""
+    if x.shape[1] != 2:
+        return np.sort(x, axis=1)
+    a, b = x[:, 0], x[:, 1]
+    return np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums folded left to right over the columns (np.sum's bits, n <= 2)."""
+    return functools.reduce(np.add, x.T)
+
+
 def _quadform(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ijk,ik->i", vec, mat, vec)
+    """vec_i^T mat_i vec_i per row, summed over (j, k) in row-major order.
+
+    The terms (v_j M_jk) v_k and their order are einsum's, so for n <= 2
+    the result is np.einsum("ij,ijk,ik->i", vec, mat, vec) bit for bit.
+    """
+    n = vec.shape[1]
+    return functools.reduce(np.add, (vec[:, j] * mat[:, j, k] * vec[:, k]
+                                     for j in range(n) for k in range(n)))
+
+
+# LAPACK's dlamch('E'): the unit roundoff 2^-53
+_EPS = 2.0**-53
+# dsyevd rescales a matrix whose largest entry is outside [2^-485, 2^485],
+# dsterf a 2x2 block outside [2^-405, 2^511 / 3]
+_UNSCALED = (2.0**-405, 2.0**485)
+
+
+def _lambda_min(mats: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric (n, n) matrix in the batch.
+
+    Bit for bit np.linalg.eigvalsh(mats)[:, 0]: see the module docstring.
+    The lower triangle is read, as eigvalsh does.
+    """
+    n = mats.shape[1]
+    if n == 1:
+        return mats[:, 0, 0]
+    if n > 2:
+        return np.linalg.eigvalsh(mats)[:, 0]
+    a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+    abs_a, abs_c = np.abs(a), np.abs(c)
+    anorm = np.maximum(np.maximum(abs_a, np.abs(b)), abs_c)
+    # a 0 / 0 below falls on a split block (b = 0) or on a row out of range
+    # (zero, huge, nan), which eigvalsh recomputes
+    with np.errstate(all="ignore"):
+        # dsterf: off-diagonal negligible before, or after squaring it
+        e = b * b
+        split = (np.abs(b) <= np.sqrt(abs_a) * np.sqrt(abs_c) * _EPS) | (
+            e <= _EPS**2 * np.abs(a * c)
+        )
+        # dlae2(a, sqrt(e), c), its arguments swapped when |c| < |a|
+        rte = np.sqrt(e)
+        sm = a + c
+        adf = np.abs(a - c)
+        ab = np.abs(rte + rte)
+        big, small = np.maximum(adf, ab), np.minimum(adf, ab)
+        rt = big * np.sqrt(1.0 + (small / big) ** 2)
+        rt1 = np.where(sm < 0.0, 0.5 * (sm - rt), 0.5 * (sm + rt))
+        a_first = abs_a > abs_c
+        acmx, acmn = np.where(a_first, a, c), np.where(a_first, c, a)
+        rt2 = np.where(
+            sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (rte / rt1) * rte
+        )
+        lam = np.where(split, np.minimum(a, c), np.minimum(rt1, rt2))
+    rescaled = ~((anorm >= _UNSCALED[0]) & (anorm <= _UNSCALED[1]))
+    if rescaled.any():
+        lam[rescaled] = np.linalg.eigvalsh(mats[rescaled])[:, 0]
+    return lam
 
 
 def _spawn_streams(seed: int, workers: int) -> list:
@@ -224,23 +310,22 @@ def chaos_norm_estimate(
             continue
         tt = rng.uniform(0.0, t, size=(m, n))
         ss, z = _draw_rough_times(rng, tt, t, q)
-        gt = kernel_fourier_gaussian(np.sort(tt, axis=1), t, x, measure)
-        gs = kernel_fourier_gaussian(np.sort(ss, axis=1), t, x, measure)
+        gt = kernel_fourier_gaussian(_sort_rows(tt), t, x, measure)
+        gs = kernel_fourier_gaussian(_sort_rows(ss), t, x, measure)
         big_s = gt.cov + gs.cov
-        lam_min = np.linalg.eigvalsh(big_s)[:, 0]
-        rate = np.maximum(0.25 * lam_min, 1e-300)
+        rate = np.maximum(0.25 * _lambda_min(big_s), 1e-300)
         xi = _spectral_xi(rng, rate, n, h)
         dmean = gt.mean - gs.mean
         log_weight = (
-            np.sum(np.log(z), axis=1)
+            _row_sum(np.log(z))
             + n * (h - 1.0) * np.log(rate)
-            + rate * np.sum(xi**2, axis=1)
+            + rate * _row_sum(xi**2)
             - 0.5 * _quadform(big_s, xi)
         )
         vals = (
             gt.amp
             * gs.amp
-            * np.cos(np.sum(xi * dmean, axis=1))
+            * np.cos(_row_sum(xi * dmean))
             * np.exp(log_const + log_weight)
         )
         total += float(np.sum(vals))
@@ -339,9 +424,7 @@ def verify_lemma32(
     gk = kernel_fourier_gaussian(tau, t, x, measure)
     rform = _majorant_form(tau, t)
     j0sq = measure.j0(t, x) ** 2
-    lam = np.minimum(
-        np.linalg.eigvalsh(2.0 * gk.cov)[:, 0], np.linalg.eigvalsh(2.0 * rform)[:, 0]
-    )
+    lam = np.minimum(_lambda_min(2.0 * gk.cov), _lambda_min(2.0 * rform))
     rate = np.maximum(0.25 * lam, 1e-300)
     log_norm = n * (math.log(params.c_H) + math.lgamma(1.0 - h)) + n * (
         h - 1.0

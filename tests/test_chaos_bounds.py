@@ -380,3 +380,9 @@ def test_inputs_beyond_the_float_range_raise_library_errors():
     with pytest.raises(SizeError):
         admissible_param_grid(-1)
     assert admissible_param_grid(0) == []
+    # non-finite inputs are domain errors, not overflows deep in the series
+    for p in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="p must be"):
+            log_chaos_series(p, 1.0, P_REF, C=4.0)
+        with pytest.raises(ValidationError, match="b_H0"):
+            FractionalParams(0.75, 0.3, p)

@@ -181,6 +181,13 @@ def test_usage_errors_exit_2():
         ["paths", "--n", "abc"],
         ["dirichlet", "--spec", '{"t": 1, "alphas": [1], "betas": [1]}',
          "--oracle", "xx"],
+        ["j0", "--t", "1", "--x", "nan"],
+        ["bound-table", "--H0", "0.75", "--H", "0.3", "--b", "inf"],
+        ["bound-table", "--H0", "0.75", "--H", "0.3", "--p", "2,-inf"],
+        ["mc-verify", "--n", "2", "--t", "inf", "--H0", "0.75", "--H", "0.3"],
+        ["j0", "--t", "1", "--x", "0", "--measure", '{"type": "dirac", "x0": NaN}'],
+        ["mc-verify", "--n", "1", "--t", "1", "--H0", "0.75", "--H", "0.3",
+         "--measure", '{"type": "gaussian", "variance": Infinity}'],
     ],
 )
 def test_malformed_values_exit_2_without_traceback(argv, capsys):
@@ -201,6 +208,9 @@ def test_malformed_values_exit_2_without_traceback(argv, capsys):
         ("gamma-scan", {"n_max": "x"}, "n_max"),
         ("dirichlet", {"spec": {"t": 1, "alphas": [1], "betas": [1]},
                        "oracle": "xx"}, "oracle"),
+        ("j0", {"t": 1, "x": math.nan}, "x"),
+        ("bound-table", {"H0": 0.75, "H": 0.3, "t": [1, math.inf]}, "t"),
+        ("mc-verify", {"n": 2, "t": -math.inf, "H0": 0.75, "H": 0.3}, "t"),
     ],
 )
 def test_config_file_values_are_cast_like_flags(command, cfg, key, tmp_path, capsys):
@@ -239,7 +249,8 @@ _FUZZ_KEYS = {
                   "seed": 7, "workers": 2, "time_samples": 3, "xi_samples": 64},
 }
 _FUZZ_POOL = [
-    None, True, -1, 0, 1, 2, 3, 0.3, 0.75, 2.5, -1.5, math.nan, 1e300,
+    None, True, -1, 0, 1, 2, 3, 0.3, 0.75, 2.5, -1.5, math.nan, math.inf, -math.inf,
+    1e300,
     "", "abc", "2,4", "1/2", "mc", "quadrature", [], [2, 4], ["x"], [[1]], {},
     {"type": "dirac", "x0": 0.0}, {"type": "atoms", "atoms": [[0.0, 1.0]]},
     {"t": 1.0, "alphas": [1.0], "betas": [1.0]},

@@ -248,3 +248,9 @@ def test_degenerate_inputs_give_inf_or_a_library_error():
         with pytest.raises(DomainError):
             verify_lemma32(2, 1.0, 0.0, DiracAt(0.0), P, time_samples=time_samples,
                            xi_samples=xi_samples)
+    # a non-finite horizon is a domain error, not a numpy range error
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="t must be"):
+            chaos_norm_estimate(2, t, 0.0, DiracAt(0.0), P, samples=64)
+        with pytest.raises(DomainError, match="t must be"):
+            verify_lemma32(2, t, 0.0, DiracAt(0.0), P, time_samples=3, xi_samples=64)
