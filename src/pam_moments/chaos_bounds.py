@@ -36,7 +36,6 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize as _optimize
 from scipy import special as _sp
-from scipy.special import logsumexp
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
 from .initial_data import InitialMeasure, j0 as _j0
@@ -286,6 +285,31 @@ class ChaosTermBound:
             )
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-d float array, with the bits of
+    scipy.special.logsumexp (scipy 1.17.1) for real input, without its
+    array-API dispatch.
+
+    It repeats scipy's steps: the max m_a; the mask of entries equal to
+    it and their count m; exp of the other entries shifted by m_a, the
+    tied entries set to -inf; their sum s, divided by m when s != 0; and
+    log1p(s) + log(m) + m_a.  Where that is not finite (an entry +inf,
+    all entries -inf, a nan), scipy returns log(sum(exp(a))) instead, and
+    so does this.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a)
+        tied = a == a_max
+        m = np.float64(np.count_nonzero(tied))
+        s = np.sum(np.exp(np.where(tied, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def _log_term_sum_exact(
     n: int, t: float, params: FractionalParams
 ) -> tuple[float, float]:
@@ -336,7 +360,7 @@ def _log_term_sum_exact(
         - _sp.gammaln(s_ab + n + 1.0)
         + (s_ab + n) * log_t
     )
-    log_total = logsumexp(log_sum[:, 0] + log_last) + n / (2.0 * H0) * math.log(
+    log_total = _logsumexp(log_sum[:, 0] + log_last) + n / (2.0 * H0) * math.log(
         params.c_H
     )
     return float(log_total), float(np.exp(np.max(log_gam[:, 0])))
@@ -485,7 +509,7 @@ def log_chaos_series(
             log_terms = log_terms_from(0)
             peak = float(np.max(log_terms))
         keep = log_terms > peak - 40.0  # 1e-16 relative cutoff
-        return float(logsumexp(log_terms[keep])), n_lo + int(np.argmax(log_terms))
+        return _logsumexp(log_terms[keep]), n_lo + int(np.argmax(log_terms))
     # Laplace approximation for the sum around the saddle
     f_star = n_star * L - a * float(_sp.gammaln(n_star + 1.0))
     curvature = a * float(_sp.polygamma(1, n_star + 1.0))
@@ -555,9 +579,20 @@ def _lowest_vertex(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     tested in one numpy pass (relative feasibility slack 1e-9) and its
     first minimum replaces the best so far only if strictly lower, so the
     result is that of testing the candidates one by one.
+
+    Before the full test, the candidates with C2 >= 0 are tested against
+    three constraints alone: the largest right-hand side and the smallest
+    and largest u, which most infeasible vertices violate.  The pre-test
+    makes the same float comparisons as those columns of the full test,
+    so a candidate it drops fails the full test too, and the survivors,
+    still in block order, get the full test.  On a 15 x 20 (p, t) grid at
+    (H0, H) = (0.75, 0.3), C = 4, it leaves 231 of 44,637 candidates for
+    the full test, 83 of them feasible.
     """
     rhs = v - 1e-9 * np.abs(v)
     mean_u = float(np.mean(u))
+    probe = np.array([np.argmax(rhs), np.argmin(u), np.argmax(u)])
+    u_probe, rhs_probe = u[probe], rhs[probe]
     best = None
     for i in range(len(u)):
         k = np.arange(i + 1, len(u))
@@ -565,14 +600,15 @@ def _lowest_vertex(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
         pair_c2 = (v[i] - v[k]) / (u[i] - u[k])
         c2 = np.concatenate(([0.0, v[i] / u[i] if u[i] > 0 else 0.0], pair_c2))
         c1_log = np.concatenate(([v[i], 0.0], v[i] - pair_c2 * u[i]))
-        obj = c1_log + c2 * mean_u
-        test = c2 >= 0
-        test[test] = np.all(c1_log[test, None] + c2[test, None] * u >= rhs, axis=1)
-        hits = np.flatnonzero(test)
+        hits = np.flatnonzero(c2 >= 0)
+        for cols, bound in ((u_probe, rhs_probe), (u, rhs)):
+            hits = hits[np.all(c1_log[hits, None] + c2[hits, None] * cols >= bound,
+                               axis=1)]
         if hits.size:
-            j = hits[np.argmin(obj[hits])]
+            obj = c1_log[hits] + c2[hits] * mean_u
+            j = np.argmin(obj)
             if best is None or obj[j] < best[0]:
-                best = (obj[j], c1_log[j], c2[j])
+                best = (obj[j], c1_log[hits[j]], c2[hits[j]])
     if best is None:
         raise EstimationError("envelope fit found no feasible witness")
     _, c1_log, c2 = best
@@ -617,7 +653,12 @@ def fit_envelope_constants(
     the vertices of the feasible region, so the envelope is tight
     somewhere on the grid rather than inflated.  The vertex search tests
     one block of candidate vertices per grid point in a single numpy
-    pass, N passes for N grid points.
+    pass, N passes for N grid points.  Each block is first tested against
+    three of the N constraints (the largest log_sum, the smallest and the
+    largest g/p) and only its survivors against all N; the pre-test makes
+    the same float comparisons as those three columns of the full test,
+    so it drops only candidates the full test rejects, and the fit is
+    the one without it, bit for bit.
 
     C1 is ill-conditioned where C2 * mean(g/p) dominates the objective:
     at the README parameters (C = 4) on the default grid C2 * mean(g/p)

@@ -115,10 +115,13 @@ def _identity(o: dict):
 def _gamma_scan(o: dict):
     grid = admissible_param_grid(o["grid_size"])
     ns = range(2, o["n_max"] + 1)
-    astrs = {n: ["".join(map(str, a)) for a in exponent_matrix(n).tolist()] for n in ns}
-    rows = (f"{_fmt(params.H0)},{_fmt(params.H)},{n},{astr},{_fmt(gv)}"
-            for params in grid for n in ns
-            for astr, gv in zip(astrs[n], gamma_n_matrix(n, params)))
+    # "n,a," per vector and "H0,H," per grid point are formatted once
+    n_a = {n: [f"{n},{''.join(map(str, a))}," for a in exponent_matrix(n).tolist()]
+           for n in ns}
+    rows = (h0_h + row + format(gv, ".17g")
+            for params in grid for h0_h in [f"{_fmt(params.H0)},{_fmt(params.H)},"]
+            for n in ns
+            for row, gv in zip(n_a[n], gamma_n_matrix(n, params).tolist()))
     return itertools.chain(["H0,H,n,a,gamma_n"], rows), 0
 
 

@@ -64,6 +64,10 @@ class DiracAt(InitialMeasure):
 
     x0: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.x0):
+            raise ValidationError(f"x0 must be finite, got {self.x0}")
+
     def j0(self, t, x):
         return heat_kernel(t, x - self.x0)
 
@@ -78,8 +82,8 @@ class LebesgueConstant(InitialMeasure):
     c: float = 1.0
 
     def __post_init__(self):
-        if not (self.c > 0):
-            raise ValidationError(f"c must be > 0, got {self.c}")
+        if not (0 < self.c < math.inf):
+            raise ValidationError(f"c must be finite and > 0, got {self.c}")
 
     def j0(self, t, x):
         if not (t > 0):
@@ -115,8 +119,12 @@ class GaussianDensity(InitialMeasure):
     variance: float = 1.0
 
     def __post_init__(self):
-        if not (self.variance > 0):
-            raise ValidationError(f"variance must be > 0, got {self.variance}")
+        if not math.isfinite(self.mean):
+            raise ValidationError(f"mean must be finite, got {self.mean}")
+        if not (0 < self.variance < math.inf):
+            raise ValidationError(
+                f"variance must be finite and > 0, got {self.variance}"
+            )
 
     def j0(self, t, x):
         return heat_kernel(t + self.variance, x - self.mean)
@@ -130,7 +138,8 @@ class GaussianDensity(InitialMeasure):
 
 @dataclass(frozen=True)
 class FiniteAtoms(InitialMeasure):
-    """Finite sum of point masses (location, mass), masses > 0."""
+    """Finite sum of point masses (location, mass): finite locations,
+    finite masses > 0."""
 
     atoms: tuple[tuple[float, float], ...]
 
@@ -142,8 +151,10 @@ class FiniteAtoms(InitialMeasure):
         )
         if not self.atoms:
             raise ValidationError("FiniteAtoms needs at least one atom")
-        if any(m <= 0 for _, m in self.atoms):
-            raise ValidationError("all masses must be > 0")
+        if not all(math.isfinite(x) for x, _ in self.atoms):
+            raise ValidationError("all locations must be finite")
+        if not all(0 < m < math.inf for _, m in self.atoms):
+            raise ValidationError("all masses must be finite and > 0")
 
     def j0(self, t, x):
         return sum(m * heat_kernel(t, x - y) for y, m in self.atoms)
@@ -212,35 +223,28 @@ def check_cond_mu0(
     return CondMu0Report(True, None, tuple(values))
 
 
-def _finite(value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{value!r} is not a finite number")
-    return x
-
-
 def measure_from_config(cfg: dict) -> InitialMeasure:
     """Build a measure from its JSON form, e.g. {"type": "dirac", "x0": 0.0}.
 
-    Raises ValidationError for a non-object or a non-numeric or non-finite
-    field.
+    Raises ValidationError for a non-object, a non-numeric field, or a
+    value the measure's constructor rejects (a non-finite one, say).
     """
     if not isinstance(cfg, dict):
         raise ValidationError(f"measure must be a JSON object, got {cfg!r}")
     kind = cfg.get("type")
     try:
         if kind == "dirac":
-            return DiracAt(_finite(cfg.get("x0", 0.0)))
+            return DiracAt(float(cfg.get("x0", 0.0)))
         if kind == "lebesgue":
-            return LebesgueConstant(_finite(cfg.get("c", 1.0)))
+            return LebesgueConstant(float(cfg.get("c", 1.0)))
         if kind == "polynomial":
             return PolynomialDensity()
         if kind == "gaussian":
             return GaussianDensity(
-                _finite(cfg.get("mean", 0.0)), _finite(cfg.get("variance", 1.0))
+                float(cfg.get("mean", 0.0)), float(cfg.get("variance", 1.0))
             )
         if kind == "atoms":
-            return FiniteAtoms(tuple((_finite(x), _finite(m)) for x, m in cfg["atoms"]))
+            return FiniteAtoms(tuple((float(x), float(m)) for x, m in cfg["atoms"]))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad field in measure {cfg!r} ({exc})") from exc
     raise ValidationError(f"unknown measure type {kind!r}")

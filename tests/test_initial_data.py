@@ -128,3 +128,20 @@ def test_measure_from_config_round_trip():
     assert m.x0 == -1.0
     with pytest.raises(ValidationError):
         measure_from_config({"type": "unknown"})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measure_constructors_reject_non_finite_fields(bad):
+    for make in (
+        lambda: DiracAt(bad),
+        lambda: LebesgueConstant(bad),
+        lambda: GaussianDensity(bad, 1.0),
+        lambda: GaussianDensity(0.0, bad),
+        lambda: FiniteAtoms(((bad, 1.0),)),
+        lambda: FiniteAtoms(((0.0, 1.0), (1.0, bad))),
+    ):
+        with pytest.raises(ValidationError):
+            make()
+    # the config reader has no check of its own: the constructors reject
+    with pytest.raises(ValidationError, match="bad field in measure"):
+        measure_from_config({"type": "gaussian", "variance": bad})

@@ -1,7 +1,8 @@
-"""The windowed moment series and the block vertex search against the
-straightforward computations they replace, kept here as test-only oracles.
+"""The windowed moment series, the inline log-sum-exp and the block vertex
+search against the straightforward computations they replace, kept here as
+test-only oracles.
 
-Both rewrites keep every arithmetic operation that decides the result, so
+Each rewrite keeps every arithmetic operation that decides the result, so
 the comparisons are exact (``==``), not within a tolerance.
 """
 
@@ -23,7 +24,7 @@ from pam_moments.chaos_bounds import (
     fit_envelope_constants,
     log_chaos_series,
 )
-from pam_moments.chaos_bounds import _envelope_exponent, _lowest_vertex
+from pam_moments.chaos_bounds import _envelope_exponent, _logsumexp, _lowest_vertex
 from pam_moments.errors import EstimationError
 
 P_REF = FractionalParams(0.75, 0.3)
@@ -85,6 +86,32 @@ def _lowest_vertex_one_by_one(u, v):
         obj = c1_log + c2 * mean_u
         if best is None or obj < best[0]:
             best = (obj, c1_log, c2)
+    if best is None:
+        raise EstimationError("envelope fit found no feasible witness")
+    _, c1_log, c2 = best
+    c1_log += 1e-9 * (1.0 + abs(c1_log))
+    return float(c1_log), float(c2)
+
+
+def _lowest_vertex_block_by_block(u, v):
+    """The block vertex search without the three-constraint pre-test."""
+    rhs = v - 1e-9 * np.abs(v)
+    mean_u = float(np.mean(u))
+    best = None
+    for i in range(len(u)):
+        k = np.arange(i + 1, len(u))
+        k = k[~(np.abs(u[i] - u[k]) < 1e-12)]
+        pair_c2 = (v[i] - v[k]) / (u[i] - u[k])
+        c2 = np.concatenate(([0.0, v[i] / u[i] if u[i] > 0 else 0.0], pair_c2))
+        c1_log = np.concatenate(([v[i], 0.0], v[i] - pair_c2 * u[i]))
+        obj = c1_log + c2 * mean_u
+        test = c2 >= 0
+        test[test] = np.all(c1_log[test, None] + c2[test, None] * u >= rhs, axis=1)
+        hits = np.flatnonzero(test)
+        if hits.size:
+            j = hits[np.argmin(obj[hits])]
+            if best is None or obj[j] < best[0]:
+                best = (obj[j], c1_log[j], c2[j])
     if best is None:
         raise EstimationError("envelope fit found no feasible witness")
     _, c1_log, c2 = best
@@ -180,6 +207,44 @@ def test_fit_equals_one_by_one_search_on_default_grids():
                 with pytest.raises(EstimationError):
                     fit_envelope_constants(params, C)
     assert 0 < raised < 44
+
+
+# values drawn from a few fixed ones repeat the maximum often
+_lse_values = st.one_of(
+    st.sampled_from([-1e3, -1.0, 0.0, 1.0, 37.5, 1e6]),
+    st.floats(-1e3, 1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_lse_values, min_size=1, max_size=400))
+@example([5.0])
+@example([2.0, 2.0, 2.0, -1e3])
+def test_inline_logsumexp_equals_scipy(values):
+    a = np.array(values)
+    assert _logsumexp(a) == logsumexp(a)
+
+
+def test_inline_logsumexp_equals_scipy_off_the_finite_range():
+    # where scipy's shifted sum is not finite it falls back to
+    # log(sum(exp(a))); the helper does the same
+    with np.errstate(invalid="ignore"):
+        for values in ([-np.inf], [-np.inf, -np.inf], [np.inf, 1.0], [1e308, 1e308],
+                       [np.nan, 1.0], [-np.inf, 3.0]):
+            a = np.array(values)
+            want, got = logsumexp(a), _logsumexp(a)
+            assert got == want or (math.isnan(got) and math.isnan(want)), values
+
+
+@pytest.mark.parametrize("H0, H", [(0.75, 0.3), (0.85, 0.2), (0.94, 0.45)])
+@pytest.mark.parametrize("C", [1.0, 4.0])
+def test_pretested_vertex_search_equals_block_search_on_dense_grid(H0, H, C):
+    # the 15 x 20 grid of the benchmark, where the pre-test drops all but
+    # a few hundred of the ~44,000 candidates with C2 >= 0
+    p_grid = tuple(float(v) for v in np.geomspace(2.0, 32.0, 15))
+    t_grid = tuple(float(v) for v in np.logspace(0.0, 2.0, 20))
+    u, v = _grid_lines(FractionalParams(H0, H), C, p_grid, t_grid)
+    assert _outcome(_lowest_vertex, u, v) == _outcome(_lowest_vertex_block_by_block, u, v)
 
 
 def test_fit_raises_where_c1_leaves_the_float_range():
