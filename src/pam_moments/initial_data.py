@@ -41,7 +41,9 @@ def heat_kernel(t: float, x) -> float | np.ndarray:
     if not (t > 0):
         raise DomainError(f"t must be > 0, got {t}")
     x = np.asarray(x, dtype=float)
-    out = np.exp(-(x**2) / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+    # far out x**2 / (2 t) overflows to inf, and exp(-inf) = 0 is the value
+    with np.errstate(over="ignore"):
+        out = np.exp(-(x**2) / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
     return float(out) if out.ndim == 0 else out
 
 

@@ -61,6 +61,21 @@ go to ``eigvalsh`` itself.  The sorts, row sums and the quadratic form are
 likewise written as the short column operations that give numpy's bits
 for n <= 2.
 
+Draws first, then fixed chunks: each worker stream first draws all its
+blocks, in the order the stream has always used them: the uniform times,
+the side and distance uniforms of the rough times, the Gamma(1 - H) block
+and the sign uniforms.  No draw depends on a computed value (the rate
+only rescales the gamma draws afterwards), so the stream is unchanged.
+The arithmetic then runs over chunks of a fixed `_CHUNK_ROWS` rows, each
+writing its values into one array per worker, which is summed once.
+Every step in between acts row by row (ufuncs, the column folds above,
+`_lambda_min`), so a row's value has the same bits in whatever chunk it
+falls, and ``np.sum`` sees the same array: no result depends on the
+chunking.  ``np.einsum`` itself would not do here; it was seen to round
+differently on batches of one or two rows, which a last chunk can be.
+Memory is the five (samples, n) draw blocks and the value array, so
+O(samples * n), plus a chunk working set of about 1.3 MiB at n = 2.
+
 Reproducibility: a single integer seed is expanded through
 ``SeedSequence(seed).spawn(workers)`` into independent Philox streams, one
 per worker; the per-worker batches are always accumulated in worker order,
@@ -162,29 +177,37 @@ def kernel_fourier_gaussian(
     return KernelGaussian(amp=amp, mean=mean, cov=cov)
 
 
-def _draw_rough_times(rng, t_cols: np.ndarray, t: float, q: float) -> tuple:
-    """Draw s ~ |t_j - s|^{q-1} / Z on (0, t), columnwise; return (s, Z).
+def _rough_times(
+    t_cols: np.ndarray, side_u: np.ndarray, dist_u: np.ndarray, t: float, q: float
+) -> tuple:
+    """s ~ |t_j - s|^{q-1} / Z on (0, t), entrywise; return (s, Z).
 
-    q = 2 H0 - 1 in (0, 1); Z is the normalizing constant per entry, the
-    weight needed to unbias integrals of |t_j - s|^{q-1} against uniform.
+    side_u and dist_u are uniform blocks shaped like t_cols: the first picks
+    the side of t_j, the second the distance by inverse CDF.  q = 2 H0 - 1
+    in (0, 1); Z is the normalizing constant per entry, the weight needed to
+    unbias integrals of |t_j - s|^{q-1} against uniform.
     """
     left_mass = t_cols**q
     right_mass = (t - t_cols) ** q
     z = (left_mass + right_mass) / q
-    go_left = rng.random(t_cols.shape) * (left_mass + right_mass) < left_mass
-    u = rng.random(t_cols.shape)
-    dist = u ** (1.0 / q)
+    go_left = side_u * (left_mass + right_mass) < left_mass
+    dist = dist_u ** (1.0 / q)
     s = np.where(go_left, t_cols * (1.0 - dist), t_cols + (t - t_cols) * dist)
     return s, z
 
 
-def _spectral_xi(rng, rate: np.ndarray, n: int, H: float) -> np.ndarray:
+def _spectral_draws(rng, m: int, n: int, H: float) -> tuple:
+    """The Gamma(1 - H) block and the sign uniforms behind m rows of xi."""
+    return rng.gamma(shape=1.0 - H, scale=1.0, size=(m, n)), rng.random((m, n))
+
+
+def _spectral_xi(g: np.ndarray, sign_u: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """xi with density |xi|^{1-2H} e^{-r xi^2} / (Gamma(1-H) r^{H-1}), batched.
 
-    rate: (m,) per-row proposal rate r.
+    g, sign_u: (m, n) blocks from `_spectral_draws`; rate: (m,) per-row
+    proposal rate r, which only rescales the gamma draws.
     """
-    g = rng.gamma(shape=1.0 - H, scale=1.0, size=(rate.size, n))
-    sign = np.where(rng.random((rate.size, n)) < 0.5, -1.0, 1.0)
+    sign = np.where(sign_u < 0.5, -1.0, 1.0)
     return sign * np.sqrt(g / rate[:, None])
 
 
@@ -275,6 +298,44 @@ def _worker_counts(samples: int, workers: int) -> list:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
+# rows per chunk of the per-sample arithmetic (about 1.3 MiB of temporaries
+# at n = 2); every step is row by row, so the chunking cannot change a bit
+_CHUNK_ROWS = 4096
+
+
+def _sample_values(
+    tt, side_u, dist_u, g, sign_u, t, x, measure, q, h, log_const
+) -> np.ndarray:
+    """The weighted integrand of `chaos_norm_estimate` at the rows drawn.
+
+    Near the top of the float range (t or x about 1e300) a kernel entry or
+    a weight overflows to inf, and inf - inf or inf * 0 downstream gives
+    nan.  Such a row's value is inf or nan, which the accumulator check
+    reports, or the exact limit exp(-inf) = 0; numpy's overflow and
+    invalid flags are therefore silenced here.
+    """
+    n = tt.shape[1]
+    ss, z = _rough_times(tt, side_u, dist_u, t, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gt = kernel_fourier_gaussian(_sort_rows(tt), t, x, measure)
+        gs = kernel_fourier_gaussian(_sort_rows(ss), t, x, measure)
+        big_s = gt.cov + gs.cov
+        rate = np.maximum(0.25 * _lambda_min(big_s), 1e-300)
+        xi = _spectral_xi(g, sign_u, rate)
+        log_weight = (
+            _row_sum(np.log(z))
+            + n * (h - 1.0) * np.log(rate)
+            + rate * _row_sum(xi**2)
+            - 0.5 * _quadform(big_s, xi)
+        )
+        return (
+            gt.amp
+            * gs.amp
+            * np.cos(_row_sum(xi * (gt.mean - gs.mean)))
+            * np.exp(log_const + log_weight)
+        )
+
+
 def chaos_norm_estimate(
     n: int,
     t: float,
@@ -308,34 +369,31 @@ def chaos_norm_estimate(
     for rng, m in zip(_spawn_streams(seed, workers), _worker_counts(samples, workers)):
         if m == 0:
             continue
-        tt = rng.uniform(0.0, t, size=(m, n))
-        ss, z = _draw_rough_times(rng, tt, t, q)
-        gt = kernel_fourier_gaussian(_sort_rows(tt), t, x, measure)
-        gs = kernel_fourier_gaussian(_sort_rows(ss), t, x, measure)
-        big_s = gt.cov + gs.cov
-        rate = np.maximum(0.25 * _lambda_min(big_s), 1e-300)
-        xi = _spectral_xi(rng, rate, n, h)
-        dmean = gt.mean - gs.mean
-        log_weight = (
-            _row_sum(np.log(z))
-            + n * (h - 1.0) * np.log(rate)
-            + rate * _row_sum(xi**2)
-            - 0.5 * _quadform(big_s, xi)
+        # every draw first, in the stream's order: no draw depends on a value
+        draws = (
+            rng.uniform(0.0, t, size=(m, n)),  # the times
+            rng.random((m, n)),  # the side and distance of each rough time
+            rng.random((m, n)),
+            *_spectral_draws(rng, m, n, h),
         )
-        vals = (
-            gt.amp
-            * gs.amp
-            * np.cos(_row_sum(xi * dmean))
-            * np.exp(log_const + log_weight)
-        )
+        vals = np.empty(m)
+        for lo in range(0, m, _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            vals[rows] = _sample_values(
+                *(d[rows] for d in draws), t, x, measure, q, h, log_const
+            )
+        del draws  # freed before the next stream draws its blocks
         total += float(np.sum(vals))
-        total_sq += float(np.sum(vals**2))
+        with np.errstate(over="ignore"):
+            total_sq += float(np.sum(vals**2))
         count += m
     mean = total / count
+    # with both sums finite, mean**2 (at most about total_sq / count, and
+    # count >= 2) cannot overflow
+    if not math.isfinite(mean) or not math.isfinite(total_sq):
+        raise EstimationError("non-finite Monte-Carlo accumulator")
     var = max(total_sq / count - mean**2, 0.0)
     stderr = math.sqrt(var / count)
-    if not math.isfinite(mean) or not math.isfinite(stderr):
-        raise EstimationError("non-finite Monte-Carlo accumulator")
     return EstimatorResult(mean, stderr, count, int(seed), int(workers))
 
 
@@ -439,7 +497,7 @@ def verify_lemma32(
         if m == 0:
             continue
         for i in range(time_samples):
-            xi = _spectral_xi(rng, np.full(m, rate[i]), n, h)
+            xi = _spectral_xi(*_spectral_draws(rng, m, n, h), np.full(m, rate[i]))
             base = np.exp(log_norm[i] + rate[i] * np.sum(xi**2, axis=1))
             a = gk.amp[i] ** 2 * base * np.exp(
                 -np.einsum("ij,jk,ik->i", xi, gk.cov[i], xi)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -110,6 +111,23 @@ def test_estimation_error_exits_2_without_traceback(capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].startswith("estimation error: ")
         assert not any("Traceback" in line for line in err)
+
+
+def test_values_near_the_float_range_raise_no_numpy_warning(capsys):
+    dirac = '{"type": "dirac", "x0": 0.0}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the kernel overflows at t = 1e300; at n = 1 this once ended in an
+        # OverflowError traceback
+        for n in ("1", "2"):
+            code = cli.run(["mc-verify", "--n", n, "--t", "1e300", "--H0", "0.75",
+                            "--H", "0.3", "--samples", "64"], stdout=io.StringIO())
+            err = capsys.readouterr().err.strip().splitlines()
+            assert code == 2
+            assert err[1:] == ["estimation error: non-finite Monte-Carlo accumulator"]
+        # x^2 overflows far from the point mass, where J0 is exactly 0
+        code, out = run_cli("j0", "--t", "1", "--x", "1e300", "--measure", dirac)
+    assert code == 0 and json.loads(out)["j0"] == 0.0
 
 
 def test_gamma_scan_csv():

@@ -3,10 +3,12 @@ kept here as test-only oracles, and the sampler's floats pinned.
 
 `_lambda_min`, the gathered kernel, the 2-wide sort and the column folds
 each repeat the operations of the call they replace in the same order, so
-the comparisons are exact (``==``), not within a tolerance.
+the comparisons are exact (``==``), not within a tolerance.  The same holds
+for the chunked estimator against the whole-array one it replaced.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -16,12 +18,15 @@ from pam_moments.acceptance import check_09_mc_oracle_bounds
 from pam_moments.chaos_bounds import FractionalParams
 from pam_moments.initial_data import DiracAt, GaussianDensity, LebesgueConstant
 from pam_moments.mc_verifier import (
-    _draw_rough_times,
+    _CHUNK_ROWS,
     _lambda_min,
     _majorant_form,
     _quadform,
+    _rough_times,
     _row_sum,
     _sort_rows,
+    _spawn_streams,
+    _worker_counts,
     chaos_norm_estimate,
     kernel_fourier_gaussian,
     verify_lemma32,
@@ -60,12 +65,80 @@ def _sampler_matrices(rng, measure, t, h0, m=10_000):
     `chaos_norm_estimate`, and 2 cov and 2 R of `verify_lemma32`."""
     tt = rng.uniform(0.0, t, size=(m, 2))
     tt[::4, 1] = tt[::4, 0]
-    ss, _ = _draw_rough_times(rng, tt, t, 2.0 * h0 - 1.0)
+    side_u, dist_u = rng.random(tt.shape), rng.random(tt.shape)
+    ss, _ = _rough_times(tt, side_u, dist_u, t, 2.0 * h0 - 1.0)
     ss[1::4, 1] = ss[1::4, 0]
     tau, sig = np.sort(tt, axis=1), np.sort(ss, axis=1)
     cov_t = _kernel_cov_broadcast(tau, t, measure)
     cov_s = _kernel_cov_broadcast(sig, t, measure)
     return np.concatenate([cov_t + cov_s, 2.0 * cov_t, 2.0 * _majorant_form(tau, t)])
+
+
+def _whole_array_estimate(n, t, x, measure, params, samples, seed, workers):
+    """(value, stderr) of `chaos_norm_estimate` as it was before the chunks:
+    each worker's draws interleaved with the arithmetic on all its rows,
+    which runs through the same column helpers."""
+    h, q = params.H, 2.0 * params.H0 - 1.0
+    log_const = n * (
+        math.log(params.alpha_H0)
+        + math.log(params.c_H)
+        + math.lgamma(1.0 - h)
+        + math.log(t)
+    ) - math.lgamma(n + 1.0)
+    total = total_sq = 0.0
+    count = 0
+    for rng, m in zip(_spawn_streams(seed, workers), _worker_counts(samples, workers)):
+        if m == 0:
+            continue
+        tt = rng.uniform(0.0, t, size=(m, n))
+        left_mass, right_mass = tt**q, (t - tt) ** q
+        z = (left_mass + right_mass) / q
+        go_left = rng.random(tt.shape) * (left_mass + right_mass) < left_mass
+        dist = rng.random(tt.shape) ** (1.0 / q)
+        ss = np.where(go_left, tt * (1.0 - dist), tt + (t - tt) * dist)
+        gt = kernel_fourier_gaussian(_sort_rows(tt), t, x, measure)
+        gs = kernel_fourier_gaussian(_sort_rows(ss), t, x, measure)
+        big_s = gt.cov + gs.cov
+        rate = np.maximum(0.25 * _lambda_min(big_s), 1e-300)
+        g = rng.gamma(shape=1.0 - h, scale=1.0, size=(m, n))
+        sign = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
+        xi = sign * np.sqrt(g / rate[:, None])
+        log_weight = (
+            _row_sum(np.log(z))
+            + n * (h - 1.0) * np.log(rate)
+            + rate * _row_sum(xi**2)
+            - 0.5 * _quadform(big_s, xi)
+        )
+        vals = (
+            gt.amp
+            * gs.amp
+            * np.cos(_row_sum(xi * (gt.mean - gs.mean)))
+            * np.exp(log_const + log_weight)
+        )
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals**2))
+        count += m
+    mean = total / count
+    return mean, math.sqrt(max(total_sq / count - mean**2, 0.0) / count)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("kind", sorted(MEASURES))
+@pytest.mark.parametrize("n", [1, 2])
+def test_chunked_estimate_is_the_whole_array_estimate(n, kind, workers):
+    """Same bits on either side of a chunk boundary: two rows, a chunk less
+    one, one chunk, one more, and a ragged last chunk."""
+    args = (n, 0.8, 0.2, MEASURES[kind], FractionalParams(0.75, 0.3))
+    for samples in (2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 17):
+        est = chaos_norm_estimate(*args, samples=samples, seed=9, workers=workers)
+        want = _whole_array_estimate(*args, samples, 9, workers)
+        assert (est.value, est.stderr) == want, samples
+
+
+def test_chunked_estimate_at_the_cli_size_is_the_whole_array_estimate():
+    args = (2, 1.0, 0.0, DiracAt(0.0), FractionalParams(0.75, 0.3))
+    est = chaos_norm_estimate(*args, samples=200_000, seed=7, workers=2)
+    assert (est.value, est.stderr) == _whole_array_estimate(*args, 200_000, 7, 2)
 
 
 @pytest.mark.parametrize("kind", sorted(MEASURES))

@@ -1,4 +1,7 @@
+import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +116,32 @@ def test_determinism_bit_identical_across_runs():
     a = chaos_norm_estimate(*args, samples=40_000, seed=3, workers=4)
     b = chaos_norm_estimate(*args, samples=40_000, seed=3, workers=4)
     assert a == b
+
+
+def test_estimate_memory_is_linear_in_the_draws():
+    """The draws are held whole, the arithmetic runs in fixed chunks: the
+    traced peak stays within 10 (samples, n) float blocks, where the
+    whole-array arithmetic took about 21."""
+    samples, n = 400_000, 2
+    tracemalloc.start()
+    try:
+        chaos_norm_estimate(n, 1.0, 0.0, DiracAt(0.0), P, samples=samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * samples * n * 8, peak / (samples * n * 8)
+
+
+def test_estimates_past_the_float_range_are_estimation_errors():
+    """t or x near 1e300 overflows the kernel: a non-finite accumulator,
+    raised without a numpy warning (at n = 1 once an OverflowError)."""
+    measures = (DiracAt(0.0), LebesgueConstant(1.0), GaussianDensity(0.0, 0.5))
+    for n, measure, (t, x) in itertools.product(
+            (1, 2), measures, ((1e300, 0.0), (1e300, 1e300), (1e200, 1e150))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EstimationError, match="non-finite"):
+                chaos_norm_estimate(n, t, x, measure, P, samples=64)
 
 
 def test_worker_split_changes_stream_but_not_scale():
