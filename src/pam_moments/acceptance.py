@@ -23,20 +23,20 @@ import numpy as np
 from scipy import integrate
 
 from .chaos_bounds import (
+    DEFAULT_P_GRID,
+    DEFAULT_T_GRID,
     FractionalParams,
     admissible_param_grid,
-    fit_envelope_constants,
     fit_p_exponent,
     fit_time_exponent,
     gamma_n,
     gamma_n_matrix,
-    log_chaos_series,
     spatial_exponents,
     stirling_lb_check,
     term_bound,
     verify_ab_condition,
 )
-from .chaos_bounds import _envelope_exponent, _tilde_matrix
+from .chaos_bounds import _envelope_exponent, _fit_log_envelope, _tilde_matrix
 from .errors import EstimationError
 from .initial_data import (
     DiracAt,
@@ -207,7 +207,7 @@ def check_07_gamma_ratio_monotone() -> CheckResult:
     z = np.linspace(0.1, 50.0, 500)
     worst = 0.0
     for a in (0.05, 0.5, 2.0):
-        vals = np.array([gamma_ratio(zi, a) for zi in z])
+        vals = gamma_ratio(z, a)
         worst = max(worst, float(np.max(vals[:-1] - vals[1:])))
     ok = worst <= 1e-12
     return CheckResult(
@@ -284,11 +284,15 @@ def check_10_growth_rates() -> CheckResult:
         p_fit = fit_p_exponent(params)
         t_err = abs(t_fit - t_target) / t_target
         p_err = abs(p_fit - p_target) / p_target
-        c1, c2 = fit_envelope_constants(params, C=4.0)
+        # the fit returns the 45 series values it was fitted to
+        c1_log, c2, log_sums = _fit_log_envelope(
+            params, 4.0, DEFAULT_P_GRID, DEFAULT_T_GRID
+        )
+        c1 = math.exp(c1_log)
         env_ok = True
-        for p in (2.0, 4.0, 8.0, 16.0, 32.0):
-            for t in np.logspace(0.0, 2.0, 9):
-                ls, _ = log_chaos_series(p, float(t), params, C=4.0)
+        for i, p in enumerate(DEFAULT_P_GRID):
+            for j, t in enumerate(DEFAULT_T_GRID):
+                ls = float(log_sums[i, j])
                 env = math.log(c1) + c2 * _envelope_exponent(p, float(t), params) / p
                 env_ok = env_ok and env >= ls - 1e-8 * (1.0 + abs(ls))
         ok = ok and t_err <= 0.05 and p_err <= 0.10 and env_ok

@@ -428,16 +428,21 @@ def _majorant_form(sorted_times: np.ndarray, t: float) -> np.ndarray:
     """Quadratic form R with sum_k w_k |sum_{j<=k} tau_j xi_j|^2 = xi^T R xi,
 
     w_k = (tau_{k+1} - tau_k) / (tau_{k+1} tau_k), tau_{n+1} = t.
-    Batched over rows of sorted_times.
+    Batched over rows of sorted_times.  Raises EstimationError where R is
+    not finite, as when tau_{k+1} tau_k underflows to 0 at tiny t.
     """
     tau = np.asarray(sorted_times, dtype=float)
     m, n = tau.shape
     nxt = np.concatenate([tau[:, 1:], np.full((m, 1), t)], axis=1)
-    w = (nxt - tau) / (nxt * tau)
-    # R_jl = tau_j tau_l * sum_{k >= max(j, l)} w_k
-    wtail = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
     idx = np.maximum(np.arange(n)[:, None], np.arange(n)[None, :])
-    return tau[:, :, None] * tau[:, None, :] * wtail[:, idx]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = (nxt - tau) / (nxt * tau)
+        # R_jl = tau_j tau_l * sum_{k >= max(j, l)} w_k
+        wtail = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+        form = tau[:, :, None] * tau[:, None, :] * wtail[:, idx]
+    if not np.all(np.isfinite(form)):
+        raise EstimationError(f"spectral majorant form is not finite at t={t!r}")
+    return form
 
 
 def verify_lemma32(

@@ -183,14 +183,13 @@ def expand_and_verify_identity(
     for k in range(1, n):
         lhs *= xs[k] + xs[k - 1]
     D = math.lcm(*(x.denominator for x in xs))
-    powers = []  # powers[j][e] = X_j^e for the exponents e in {0, 1, 2}
-    for x in xs:
+    powers = np.empty((n, 3), dtype=object)  # powers[j, e] = X_j^e, e in {0, 1, 2}
+    for j, x in enumerate(xs):
         X = x.numerator * (D // x.denominator)
-        powers.append((1, X, X * X))
-    total = 0
-    for row in exponent_matrix(n).tolist():
-        total += math.prod(p[e] for p, e in zip(powers, row))
-    return lhs, Fraction(total, D**n)
+        powers[j] = (1, X, X * X)
+    # one row of exact Python-int powers per member of A_n
+    monomials = powers[np.arange(n), exponent_matrix(n)].prod(axis=1)
+    return lhs, Fraction(monomials.sum(), D**n)
 
 
 def path_of(a: ExponentVector | Sequence[int]) -> LatticePath:

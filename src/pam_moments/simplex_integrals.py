@@ -19,6 +19,7 @@ gamma-function closed form.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +39,9 @@ __all__ = [
     "brute_force",
     "BruteForceResult",
 ]
+
+# the rounding allowance per quadrature level, relative (4 ulps)
+_ROUNDING_EPS = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -154,6 +158,33 @@ class BruteForceResult:
     evaluations: int = 0
 
 
+def _one(s: float) -> float:
+    """The constant integrand 1: at level 1 the residual factor I_0(s) / s**0
+    is exactly 1, and against any weight it integrates to the weight's mass."""
+    return 1.0
+
+
+def _weighted_constant(
+    upper: float, wvar: tuple[float, float], rtol: float
+) -> tuple[float, float, int]:
+    """(int_0^upper s^wvar[0] (upper - s)^wvar[1] ds, |error estimate|,
+    evaluations) by one QUADPACK QAWS call on the constant integrand."""
+    value, err, info, *message = _integrate.quad(
+        _one,
+        0.0,
+        upper,
+        weight="alg",
+        wvar=wvar,
+        epsabs=0.0,
+        epsrel=rtol,
+        limit=200,
+        full_output=1,
+    )
+    if message:
+        warnings.warn(message[0], _integrate.IntegrationWarning, stacklevel=3)
+    return value, abs(err), info["neval"]
+
+
 def _nested_quadrature(spec: SimplexIntegralSpec, rtol: float):
     """Recursive 1-D quadrature, innermost variable first.
 
@@ -161,16 +192,34 @@ def _nested_quadrature(spec: SimplexIntegralSpec, rtol: float):
     level-(k-1) integral.  The inner integral scales like
     t_k^{e_{k-1}} with e_{k-1} = sum_{i<k}(alpha_i+beta_i) + (k-1)
     (plain change of variables); that power is folded into the algebraic
-    quadrature weight so each level sees a smooth residual factor.
+    quadrature weight so each level sees a smooth residual factor.  At
+    level 1 that factor is exactly 1, so the level is one QAWS call on
+    `_one`.  The evaluation count is that of the residual factors, levels
+    1..n; the weight-mass calls below are not counted.
+
+    Error bound of level k, added over three sources:
+      - QUADPACK's estimate for integrating the computed residual factor;
+      - at k >= 2, the inner error: the factor f(s) = I_{k-1}(s) /
+        s^{e_{k-1}} is off by at most err_{k-1}(s) / s^{e_{k-1}}, whose
+        sup over the probed s, times the weight's mass int_0^T w, bounds
+        its integral; the mass is one QAWS call on `_one` with the same
+        weight, so no gamma function enters and the oracle stays
+        independent of the closed form;
+      - 4 eps |I_k| for rounding, which QUADPACK's estimate leaves out:
+        at n = 1, on 3000 seeded specs, the error against a 40-digit
+        reference reached 3.2 eps relative where the estimate was 0.94 eps.
     """
     a, b = spec.alphas, spec.betas
     evals = [0]
 
     def level(k: int, upper: float) -> tuple[float, float]:
-        # returns (value of I_k(upper), accumulated abs error estimate)
-        if k == 0:
-            return 1.0, 0.0
+        # returns (value of I_k(upper), accumulated abs error bound)
+        if k == 1:
+            val, err, neval = _weighted_constant(upper, (a[0], b[0]), rtol)
+            evals[0] += neval
+            return val, err + _ROUNDING_EPS * abs(val)
         e_prev = sum(a[i] + b[i] for i in range(k - 1)) + (k - 1)
+        wvar = (a[k - 1] + e_prev, b[k - 1])
         err_inner = [0.0]
 
         def smooth_part(s: float) -> float:
@@ -187,13 +236,13 @@ def _nested_quadrature(spec: SimplexIntegralSpec, rtol: float):
             0.0,
             upper,
             weight="alg",
-            wvar=(a[k - 1] + e_prev, b[k - 1]),
+            wvar=wvar,
             epsabs=0.0,
             epsrel=rtol,
             limit=200,
         )
-        # crude but conservative: inner relative error propagates linearly
-        return val, abs(err) + err_inner[0] * abs(upper)
+        mass = _weighted_constant(upper, wvar, rtol)[0]
+        return val, abs(err) + err_inner[0] * mass + _ROUNDING_EPS * abs(val)
 
     value, err = level(spec.n, spec.t)
     return value, err, evals[0]
@@ -251,6 +300,12 @@ def brute_force(
     bound misses the target is returned as-is (the error_bound field is
     the contract), never silently tightened.  The seed must be a
     nonnegative integer and quadrature's rtol above 50 machine epsilons.
+
+    error_bound is, for ``nested-quadrature``, an absolute bound on the
+    error of the estimate, assembled level by level as `_nested_quadrature`
+    states; on 900 seeded specs with n <= 3 it stayed below 1e-12 relative
+    and above the error against a 40-digit evaluation of the closed form.
+    For ``monte-carlo`` it is three standard errors.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")

@@ -6,6 +6,8 @@ from scipy import special as _sp
 from scipy.special import logsumexp
 
 from pam_moments.chaos_bounds import (
+    DEFAULT_P_GRID,
+    DEFAULT_T_GRID,
     FractionalParams,
     admissible_param_grid,
     fit_envelope_constants,
@@ -359,6 +361,16 @@ def test_envelope_dominates_series_on_grid():
             assert env >= ls - 1e-8 * (1.0 + abs(ls))
             tight = min(tight, (env - ls) / (1.0 + abs(ls)))
     assert tight <= 1e-6  # the witness pair is tight somewhere
+
+
+def test_fit_returns_the_series_values_it_was_fitted_to():
+    # check_10 reads these in place of calling the series again per point
+    _, _, log_sums = _fit_log_envelope(P_REF, 4.0, DEFAULT_P_GRID, DEFAULT_T_GRID)
+    want = [
+        [log_chaos_series(p, float(t), P_REF, C=4.0)[0] for t in np.logspace(0.0, 2.0, 9)]
+        for p in (2.0, 4.0, 8.0, 16.0, 32.0)
+    ]
+    assert np.array_equal(log_sums, want)
 
 
 def test_moment_bound_composition():

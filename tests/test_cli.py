@@ -130,6 +130,22 @@ def test_values_near_the_float_range_raise_no_numpy_warning(capsys):
     assert code == 0 and json.loads(out)["j0"] == 0.0
 
 
+def test_mc_verify_at_a_tiny_horizon_is_an_estimation_error(capsys):
+    # tau_{k+1} tau_k underflows to 0 at t = 1e-300, so the spectral
+    # majorant's weights divide by zero; this once printed "nan" margins
+    # and exited 1 as a verification failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n in ("1", "2"):
+            code, out = run_cli("mc-verify", "--n", n, "--t", "1e-300", "--H0", "0.75",
+                                "--H", "0.3", "--samples", "64")
+            err = capsys.readouterr().err.strip().splitlines()
+            assert code == 2 and out == ""
+            assert err[1:] == [
+                "estimation error: spectral majorant form is not finite at t=1e-300"
+            ]
+
+
 def test_gamma_scan_csv():
     code, out = run_cli("gamma-scan", "--n-max", "3", "--grid-size", "3")
     assert code == 0

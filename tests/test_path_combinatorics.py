@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -187,6 +188,32 @@ def test_identity_rhs_matches_fraction_monomial_sum():
                     term *= x**e
                 want += term
             assert expand_and_verify_identity(xs)[1] == want
+
+
+def _per_row_identity_rhs(xs):
+    """Reference for expand_and_verify_identity's rhs: the monomial sum
+    over the integers X_j = D x_j, one math.prod per row of A_n, divided
+    by D^n."""
+    n = len(xs)
+    D = math.lcm(*(x.denominator for x in xs))
+    powers = []
+    for x in xs:
+        X = x.numerator * (D // x.denominator)
+        powers.append((1, X, X * X))
+    total = 0
+    for row in exponent_matrix(n).tolist():
+        total += math.prod(p[e] for p, e in zip(powers, row))
+    return Fraction(total, D**n)
+
+
+def test_identity_rhs_equals_the_per_row_sum():
+    rng = random.Random(2024)
+    for n in range(2, 17):
+        for _ in range(2):
+            xs = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(n)]
+            rhs = expand_and_verify_identity(xs)[1]
+            assert rhs == _per_row_identity_rhs(xs)
+            assert type(rhs.numerator) is int
 
 
 def test_exponent_matrix_matches_inductive_enumeration():

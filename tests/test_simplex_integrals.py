@@ -4,6 +4,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 from pam_moments.errors import DomainError, SizeError, ValidationError
 from pam_moments.simplex_integrals import (
@@ -14,8 +15,6 @@ from pam_moments.simplex_integrals import (
     gaussian_spectral_integral,
     log_closed_form,
 )
-
-mpmath.mp.dps = 30
 
 
 def _random_valid_spec(rng, n, lo=-0.8, hi=1.5):
@@ -34,7 +33,8 @@ def test_beta_base_case():
     val = closed_form(SimplexIntegralSpec(1.0, (1.0,), (1.0,)))
     assert abs(val - 1.0 / 6.0) <= 1e-12
     val2 = closed_form(SimplexIntegralSpec(2.0, (0.5,), (-0.5,)))
-    ref = 2.0 ** (0.5 - 0.5 + 1) * float(mpmath.beta(1.5, 0.5))
+    with mpmath.workdps(20):
+        ref = 2.0 ** (0.5 - 0.5 + 1) * float(mpmath.beta(1.5, 0.5))
     assert val2 == pytest.approx(ref, rel=1e-13)
 
 
@@ -66,19 +66,82 @@ def test_closed_form_vs_nested_quadrature():
         assert res.estimate == pytest.approx(closed_form(spec), rel=1e-6)
 
 
+def _recursive_nested_quadrature(spec, rtol):
+    """Reference for the nested-quadrature oracle: level 1 recurses to a
+    level 0 of (1.0, 0.0) through a counted residual-factor callback, where
+    the library makes one QAWS call on the constant 1.  The error bound is
+    assembled as in the library."""
+    a, b = spec.alphas, spec.betas
+    evals = [0]
+    rounding = 4.0 * np.finfo(float).eps
+
+    def level(k, upper):
+        if k == 0:
+            return 1.0, 0.0
+        e_prev = sum(a[i] + b[i] for i in range(k - 1)) + (k - 1)
+        wvar = (a[k - 1] + e_prev, b[k - 1])
+        err_inner = [0.0]
+
+        def smooth_part(s):
+            evals[0] += 1
+            s = max(s, 1e-12 * upper)
+            val, err = level(k - 1, s)
+            err_inner[0] = max(err_inner[0], err / max(s**e_prev, 1e-300))
+            return val / s**e_prev
+
+        quad = dict(weight="alg", wvar=wvar, epsabs=0.0, epsrel=rtol, limit=200)
+        val, err = integrate.quad(smooth_part, 0.0, upper, **quad)
+        inner = 0.0
+        if k > 1:
+            inner = err_inner[0] * integrate.quad(lambda s: 1.0, 0.0, upper, **quad)[0]
+        return val, abs(err) + inner + rounding * abs(val)
+
+    value, err = level(spec.n, spec.t)
+    return value, err, evals[0]
+
+
+def test_nested_quadrature_equals_the_recursive_level_one():
+    rng = random.Random(17)
+    for n in (1, 2, 3):
+        for rtol in (1e-8, 1e-10):
+            spec = _random_valid_spec(rng, n)
+            res = brute_force(spec, method="nested-quadrature", rtol=rtol)
+            assert (res.estimate, res.error_bound, res.evaluations) == (
+                _recursive_nested_quadrature(spec, rtol)
+            )
+
+
+def test_nested_quadrature_error_bound_covers_the_error():
+    # the old bound scaled the inner error by the upper limit, not the
+    # weight's mass, and reached 1e15 at n = 3; at n = 1 it could be 0.0
+    rng = random.Random(23)
+    for n in (1, 2, 3):
+        for _ in range(12):
+            spec = _random_valid_spec(rng, n)
+            res = brute_force(spec, method="nested-quadrature")
+            exact = closed_form(spec)
+            assert res.error_bound <= 1e-9 * abs(exact)
+            assert res.error_bound >= abs(res.estimate - exact) - 1e-14 * abs(exact)
+    res = brute_force(SimplexIntegralSpec(1.0, (1.0,), (1.0,)))
+    assert res.error_bound > 0.0
+
+
 def test_closed_form_vs_mpmath_n2():
     spec = SimplexIntegralSpec(1.0, (0.3, -0.4), (-0.6, 0.8))
     a1, a2 = spec.alphas
     b1, b2 = spec.betas
-    ref = float(
-        mpmath.quad(
-            lambda t2: mpmath.quad(
-                lambda t1: t1**a1 * (t2 - t1) ** b1 * t2**a2, [0, t2]
+    # at 21 digits the nested tanh-sinh reference is within 4e-13 relative
+    # of its 40-digit value, under 1% of the tolerance below
+    with mpmath.workdps(21):
+        ref = float(
+            mpmath.quad(
+                lambda t2: mpmath.quad(
+                    lambda t1: t1**a1 * (t2 - t1) ** b1 * t2**a2, [0, t2]
+                )
+                * (1 - t2) ** b2,
+                [0, 1],
             )
-            * (1 - t2) ** b2,
-            [0, 1],
         )
-    )
     assert closed_form(spec) == pytest.approx(ref, rel=1e-10)
 
 
@@ -147,13 +210,15 @@ def test_gaussian_spectral_integral_formula():
             # substitute xi = w^{1/(1+alpha)} on [0, 1] so the endpoint
             # singularity disappears; the tail piece is smooth as-is
             p = 1.0 + alpha
-            sing = mpmath.quad(
-                lambda w: mpmath.e ** (-t * w ** (2.0 / p)) / p, [0, 1]
-            )
-            tail = mpmath.quad(
-                lambda xi: xi**alpha * mpmath.e ** (-t * xi * xi), [1, mpmath.inf]
-            )
-            ref = float(2 * (sing + tail))
+            with mpmath.workdps(20):
+                sing = mpmath.quad(
+                    lambda w: mpmath.e ** (-t * w ** (2.0 / p)) / p, [0, 1]
+                )
+                tail = mpmath.quad(
+                    lambda xi: xi**alpha * mpmath.e ** (-t * xi * xi),
+                    [1, mpmath.inf],
+                )
+                ref = float(2 * (sing + tail))
             assert gaussian_spectral_integral(alpha, t) == pytest.approx(
                 ref, rel=1e-10
             )

@@ -16,8 +16,6 @@ from pam_moments.special_functions import (
     log_gamma_ratio,
 )
 
-mpmath.mp.dps = 40
-
 
 def euler_gamma() -> float:
     """The Euler-Mascheroni constant (= -psi(1))."""
@@ -64,13 +62,15 @@ def stirling_log_gamma(x: float) -> float:
 
 def test_log_gamma_against_mpmath():
     for x in np.geomspace(1e-3, 1e5, 60):
-        ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
+        with mpmath.workdps(20):
+            ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
         assert log_gamma(float(x)) == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
 def test_digamma_against_mpmath():
     for x in np.geomspace(1e-2, 1e4, 50):
-        ref = float(mpmath.digamma(mpmath.mpf(float(x))))
+        with mpmath.workdps(20):
+            ref = float(mpmath.digamma(mpmath.mpf(float(x))))
         assert digamma(float(x)) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -111,6 +111,13 @@ def test_gamma_ratio_monotone_in_z():
     for a in (0.05, 0.5, 2.0):
         vals = np.array([gamma_ratio(zi, a) for zi in z])
         assert np.all(np.diff(vals) >= -1e-12)
+
+
+def test_gamma_ratio_on_an_array_equals_the_scalar_loop():
+    # check_07 makes one array call per a in place of 500 scalar calls
+    z = np.linspace(0.1, 50.0, 500)
+    for a in (0.05, 0.5, 2.0):
+        assert np.array_equal(gamma_ratio(z, a), [gamma_ratio(zi, a) for zi in z])
 
 
 def test_digamma_nondecreasing():
