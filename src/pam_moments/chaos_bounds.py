@@ -310,11 +310,9 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(out)
 
 
-def _log_term_sum_exact(
-    n: int, t: float, params: FractionalParams
-) -> tuple[float, float]:
+def _log_term_sum_exact(n: int, params: FractionalParams) -> tuple[float, float]:
     """log of the sum over A_n inside the per-order bound (before the 2H0
-    power), and the largest gamma_n over A_n.
+    power) at t = 1, and the largest gamma_n over A_n.
 
     Written in the offsets d_k of a (see path_combinatorics), with
     c = (1-2H)/(4H0), the summand of a is a product of factors that each
@@ -324,14 +322,16 @@ def _log_term_sum_exact(
       - gamma factor k < n: Gamma(theta_k + c (d_{k+1} - d_{k-1})) /
         Gamma(theta_k), theta_k depending on d_{k-1} only (the table);
       - |alpha~| + |beta~| = (2n(H-1) - 1 - alpha_n) / (4H0), so
-        Gamma(|alpha~|+|beta~|+n+1) and the powers of t depend on a_n only.
+        Gamma(|alpha~|+|beta~|+n+1) depends on a_n only.
+    The two powers of t, t^{(alpha_n+1)/(4H0)} and t^{|alpha~|+|beta~|+n},
+    multiply to t^{n(2H0+H-1)/(2H0)} for every a, so they leave the sum
+    and `term_bound` adds the one power.
     One forward pass over the states (d_{k-1}, d_k) then sums all
     2^{n-1} summands by log-sum-exp and maximizes the gamma factors alone
     by max-plus, in O(n) work.
     """
     H, H0 = params.H, params.H0
     q = 4.0 * H0
-    log_t = math.log(t)
     d = np.array([0.0, 1.0])
     alpha = spatial_exponents(1.0 + d[None, :] - d[:, None], params)  # [d_{k-1}, d_k]
     log_entry = (
@@ -355,11 +355,7 @@ def _log_term_sum_exact(
     # d_n = 0, so a_n = 1 - d_{n-1}
     alpha_n = spatial_exponents(1.0 - d, params)
     s_ab = (2.0 * n * (H - 1.0) - 1.0 - alpha_n) / q  # |alpha~| + |beta~|
-    log_last = (
-        (alpha_n + 1.0) / q * log_t
-        - _sp.gammaln(s_ab + n + 1.0)
-        + (s_ab + n) * log_t
-    )
+    log_last = -_sp.gammaln(s_ab + n + 1.0)
     log_total = _logsumexp(log_sum[:, 0] + log_last) + n / (2.0 * H0) * math.log(
         params.c_H
     )
@@ -403,11 +399,12 @@ def term_bound(
         raise SizeError(
             f"exact-constants mode supports n <= {MAX_EXACT_N}, got {n}"
         )
-    log_sum, max_gamma = _log_term_sum_exact(n, t, params)
+    log_sum, max_gamma = _log_term_sum_exact(n, params)
     log_b = (
         n * math.log(params.b_H0)
         + (2.0 * params.H0 - 1.0) * _sp.gammaln(n + 1.0)
         + 2.0 * params.H0 * log_sum
+        + time_exp * math.log(t)
     )
     return ChaosTermBound(n, max_gamma, float(log_b), time_exp, mode)
 

@@ -350,6 +350,8 @@ def chaos_norm_estimate(
 
     One spectral draw per time sample; see the module docstring for the
     densities and weights.  Deterministic in (seed, workers, samples).
+    The ``workers`` streams run one after another in this process, so
+    ``workers`` changes the result, not the speed.
     """
     _check_inputs(n, t, params)
     if samples < 2:

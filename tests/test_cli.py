@@ -40,15 +40,23 @@ def test_identity_subcommand():
 
 
 def test_dirichlet_subcommand_with_oracle():
-    code, out = run_cli(
-        "dirichlet",
-        "--spec", '{"t": 1.0, "alphas": [1.0], "betas": [1.0]}',
-        "--oracle", "quadrature",
-    )
+    spec = '{"t": 1.0, "alphas": [1.0], "betas": [1.0]}'
+    code, out = run_cli("dirichlet", "--spec", spec, "--oracle", "quadrature")
     assert code == 0
     rec = json.loads(out)
     assert rec["closed_form"] == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert rec["rel_diff"] <= 1e-6
+    # the README's line, byte for byte: at n = 1 the oracle is one QAWS
+    # call, its bound QUADPACK's estimate plus 4 eps of the value
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        assert f"pam-moments dirichlet --spec '{spec}' --oracle quadrature" in fh.read()
+    assert out == (
+        '{"t": 1.0, "alphas": [1.0], "betas": [1.0], '
+        '"closed_form": 0.16666666666666669, "oracle": "quadrature", '
+        '"oracle_estimate": 0.16666666666666669, '
+        '"oracle_error_bound": 1.4802973661668756e-16, "rel_diff": 0.0}\n'
+    )
 
 
 def test_j0_subcommand():

@@ -51,16 +51,26 @@ def _xi_integral_by_quad(s, m, params):
     return 2.0 * val
 
 
+def _scalar_kernel(tau, t, x, measure):
+    """(amplitude, mean, variance) of the n = 1 Fourier kernel at time tau,
+    written out for a point mass (a Brownian bridge from x0 to x) and for
+    a constant density (Brownian motion back from x)."""
+    if isinstance(measure, DiracAt):
+        dx = x - measure.x0
+        amp = float(np.exp(-(dx * dx) / (2.0 * t))) / math.sqrt(2.0 * math.pi * t)
+        return amp, measure.x0 + dx * tau / t, tau * (t - tau) / t
+    assert isinstance(measure, LebesgueConstant)
+    return measure.c, x, t - tau
+
+
 def _norm1_by_quadrature(t, x, measure, params):
     """Exact (quadrature) value of the first chaos norm, for cross-checks."""
     h0 = params.H0
 
     def psi(t1, s1):
-        g1 = kernel_fourier_gaussian(np.array([[t1]]), t, x, measure)
-        g2 = kernel_fourier_gaussian(np.array([[s1]]), t, x, measure)
-        ss = float(g1.cov[0, 0, 0] + g2.cov[0, 0, 0])
-        dm = float(g1.mean[0, 0] - g2.mean[0, 0])
-        return float(g1.amp[0] * g2.amp[0]) * _xi_integral(ss, dm, params)
+        amp1, m1, v1 = _scalar_kernel(t1, t, x, measure)
+        amp2, m2, v2 = _scalar_kernel(s1, t, x, measure)
+        return amp1 * amp2 * _xi_integral(v1 + v2, m1 - m2, params)
 
     def inner(t1):
         left = (

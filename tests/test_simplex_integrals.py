@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from pam_moments import simplex_integrals
 from pam_moments.errors import DomainError, SizeError, ValidationError
 from pam_moments.simplex_integrals import (
     SimplexIntegralSpec,
@@ -67,10 +68,11 @@ def test_closed_form_vs_nested_quadrature():
 
 
 def _recursive_nested_quadrature(spec, rtol):
-    """Reference for the nested-quadrature oracle: level 1 recurses to a
-    level 0 of (1.0, 0.0) through a counted residual-factor callback, where
-    the library makes one QAWS call on the constant 1.  The error bound is
-    assembled as in the library."""
+    """Brute-force reference for the nested-quadrature oracle: the recursion
+    it replaced.  Level k integrates the residual factor I_{k-1}(s) /
+    s^{e_{k-1}} by QAWS through a counted callback, down to a level 0 of
+    (1.0, 0.0).  Its error bound adds QUADPACK's estimate, the inner bound
+    times the weight's mass and 4 eps of the value."""
     a, b = spec.alphas, spec.betas
     evals = [0]
     rounding = 4.0 * np.finfo(float).eps
@@ -100,15 +102,40 @@ def _recursive_nested_quadrature(spec, rtol):
     return value, err, evals[0]
 
 
-def test_nested_quadrature_equals_the_recursive_level_one():
+def test_nested_quadrature_agrees_with_the_recursion():
+    """The product of n one-dimensional integrals against the recursion it
+    replaced: within the sum of the two error bounds, and the same single
+    QAWS call, so the same bits, at n = 1."""
     rng = random.Random(17)
+    eps = np.finfo(float).eps
     for n in (1, 2, 3):
         for rtol in (1e-8, 1e-10):
             spec = _random_valid_spec(rng, n)
             res = brute_force(spec, method="nested-quadrature", rtol=rtol)
-            assert (res.estimate, res.error_bound, res.evaluations) == (
-                _recursive_nested_quadrature(spec, rtol)
-            )
+            value, err, evals = _recursive_nested_quadrature(spec, rtol)
+            assert abs(res.estimate - value) <= res.error_bound + err
+            # each factor's 4 eps rounding allowance carries into the product
+            assert res.error_bound >= 0.99 * n * 4.0 * eps * res.estimate
+            if n == 1:
+                assert (res.estimate, res.error_bound, res.evaluations) == (
+                    value, err, evals
+                )
+
+
+def test_nested_quadrature_makes_no_gamma_call(monkeypatch):
+    """The oracle stays independent of the gamma closed form it checks."""
+
+    def no_gamma(*args):
+        raise AssertionError("the quadrature oracle called log_gamma")
+
+    monkeypatch.setattr(simplex_integrals, "log_gamma", no_gamma)
+    rng = random.Random(29)
+    for n in (1, 2, 3):
+        spec = _random_valid_spec(rng, n)
+        res = brute_force(spec, method="nested-quadrature")
+        assert res.estimate > 0 and res.error_bound > 0
+    with pytest.raises(AssertionError, match="log_gamma"):
+        closed_form(spec)
 
 
 def test_nested_quadrature_error_bound_covers_the_error():
@@ -184,6 +211,15 @@ def test_condition_diagnostics_name_the_clause():
     bad_beta = SimplexIntegralSpec(1.0, (0.0,), (-1.5,))
     rep2 = check_conditions(bad_beta)
     assert not rep2 and "beta" in rep2.clause
+    # the first failing cumulative margin, its k and its value
+    for k, a, b in ((1, (0.5, -3.0, -3.0), (0.1, 0.0, 0.3)),
+                    (2, (0.5, 0.2, -4.5), (0.1, 0.3, 0.0))):
+        rep3 = check_conditions(SimplexIntegralSpec(1.0, a, b))
+        assert (rep3.ok, rep3.k) == (False, k)
+        assert rep3.clause == (
+            f"cumulative condition fails at k={k}: "
+            "sum_(i<=k)(alpha_i+beta_i)+k+1+alpha_(k+1) = -0.4 <= 0"
+        )
 
 
 def test_log_closed_form_handles_large_n():
