@@ -92,7 +92,8 @@ def check_conditions(spec: SimplexIntegralSpec) -> ConditionReport:
             return ConditionReport(
                 False, f"beta_{i + 1} > -1 fails (beta_{i + 1}={bi})", i + 1
             )
-    margins = _sigma(spec)[:-1] + a[1:]  # sigma_k + alpha_(k+1), k < n
+    with np.errstate(over="ignore"):  # a margin past the floats is +-inf
+        margins = _sigma(spec)[:-1] + a[1:]  # sigma_k + alpha_(k+1), k < n
     bad = np.flatnonzero(margins <= 0)
     if bad.size:
         k = int(bad[0]) + 1
@@ -107,11 +108,20 @@ def check_conditions(spec: SimplexIntegralSpec) -> ConditionReport:
 
 
 def _sigma(spec: SimplexIntegralSpec) -> np.ndarray:
-    """sigma_k = sum_{i<=k}(alpha_i+beta_i) + k + 1 for k = 1..n."""
+    """sigma_k = sum_{i<=k}(alpha_i+beta_i) + k + 1 for k = 1..n; raises
+    DomainError where a sum leaves the finite floats."""
     a = np.asarray(spec.alphas)
     b = np.asarray(spec.betas)
     k = np.arange(1, spec.n + 1)
-    return np.cumsum(a + b) + k + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.cumsum(a + b) + k + 1
+    bad = np.flatnonzero(~np.isfinite(sigma))
+    if bad.size:
+        raise DomainError(
+            f"alphas and betas must have finite partial sums: "
+            f"sum_(i<=k)(alpha_i+beta_i) is {sigma[bad[0]]} at k={bad[0] + 1}"
+        )
+    return sigma
 
 
 def log_closed_form(spec: SimplexIntegralSpec) -> float:
@@ -123,19 +133,33 @@ def log_closed_form(spec: SimplexIntegralSpec) -> float:
     b = np.asarray(spec.betas)
     sigma = _sigma(spec)
     total_exp = float(sigma[-1] - 1)  # |alpha| + |beta| + n
-    val = log_gamma(a[0] + 1.0) + float(np.sum(log_gamma(b + 1.0)))
-    val -= log_gamma(total_exp + 1.0)
-    if spec.n > 1:
-        val += float(
-            np.sum(log_gamma(sigma[:-1] + a[1:]) - log_gamma(sigma[:-1]))
-        )
+    # ln Gamma is inf past about 2.5e305, and inf - inf is nan
+    with np.errstate(invalid="ignore"):
+        val = log_gamma(a[0] + 1.0) + float(np.sum(log_gamma(b + 1.0)))
+        val -= log_gamma(total_exp + 1.0)
+        if spec.n > 1:
+            val += float(
+                np.sum(log_gamma(sigma[:-1] + a[1:]) - log_gamma(sigma[:-1]))
+            )
     val += total_exp * math.log(spec.t)
+    if not math.isfinite(val):
+        raise EstimationError(
+            f"log I_n is not finite ({val}): an exponent is past the range "
+            "of ln Gamma"
+        )
     return val
 
 
 def closed_form(spec: SimplexIntegralSpec) -> float:
-    """I_n(t, alpha, beta); see log_closed_form."""
-    return math.exp(log_closed_form(spec))
+    """I_n(t, alpha, beta); see log_closed_form.  Raises EstimationError
+    where I_n exceeds the float range."""
+    log_value = log_closed_form(spec)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise EstimationError(
+            f"I_n = exp({log_value}) exceeds the float range"
+        ) from None
 
 
 def gaussian_spectral_integral(alpha: float, t: float) -> float:

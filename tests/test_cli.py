@@ -154,6 +154,37 @@ def test_mc_verify_at_a_tiny_horizon_is_an_estimation_error(capsys):
             ]
 
 
+def test_dirichlet_beyond_the_float_range_names_its_input(capsys):
+    # a partial sum of alphas and betas overflowing once leaked numpy's
+    # overflow warning and blamed an input `x` the spec does not have; a
+    # later margin past the floats (here k = 2), ln Gamma past the floats
+    # and I_n past the floats once leaked a warning or ended in an
+    # OverflowError traceback
+    cases = [
+        ('{"t": 1.0, "alphas": [1e308, 1e308], "betas": [1e308, 0.0]}',
+         "usage error: alphas and betas must have finite partial sums: "
+         "sum_(i<=k)(alpha_i+beta_i) is inf at k=1"),
+        ('{"t": 1.0, "alphas": [0.5, 1e308], "betas": [1.7e308, 1.0]}',
+         "usage error: alphas and betas must have finite partial sums: "
+         "sum_(i<=k)(alpha_i+beta_i) is inf at k=2"),
+        ('{"t": 1.0, "alphas": [0.0, -1e308, -1e308], "betas": [1.0, 1e300, 5e307]}',
+         "usage error: cumulative condition fails at k=1: "
+         "sum_(i<=k)(alpha_i+beta_i)+k+1+alpha_(k+1) = -1e+308 <= 0"),
+        ('{"t": 1.0, "alphas": [1e308, 0.0], "betas": [5e307, 1e300]}',
+         "estimation error: log I_n is not finite (nan): an exponent is past "
+         "the range of ln Gamma"),
+        ('{"t": 1e300, "alphas": [1.0], "betas": [1.0]}',
+         "estimation error: I_n = exp(2070.534824225413) exceeds the float range"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for spec, message in cases:
+            code, out = run_cli("dirichlet", "--spec", spec)
+            err = capsys.readouterr().err.strip().splitlines()
+            assert code == 2 and out == ""
+            assert err[1:] == [message], spec
+
+
 def test_gamma_scan_csv():
     code, out = run_cli("gamma-scan", "--n-max", "3", "--grid-size", "3")
     assert code == 0

@@ -1,13 +1,17 @@
-"""The windowed moment series, the inline log-sum-exp and the block vertex
-search against the straightforward computations they replace, kept here as
-test-only oracles.
+"""The moment series' trapezoid rule, the inline log-sum-exp and the block
+vertex search against the straightforward computations they replace, kept
+here as test-only oracles.
 
-Each rewrite keeps every arithmetic operation that decides the result, so
-the comparisons are exact (``==``), not within a tolerance.
+The log-sum-exp and the vertex search keep every arithmetic operation that
+decides the result, so those comparisons are exact (``==``).  The moment
+series samples its terms on a coarser grid than the integer one, so its
+value is compared within a stated number of ulps, and against a 30-digit
+mpmath sum; its peak index and its integer-sum fallback stay exact.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,12 +34,23 @@ from pam_moments.errors import EstimationError
 P_REF = FractionalParams(0.75, 0.3)
 
 
-def _log_chaos_series_full_range(p, t, params, C=1.0, max_terms=2_000_000):
-    """log_chaos_series with the direct sum over every n in [0, n_hi]."""
+_true_gammaln = _sp.gammaln
+
+
+def _series_rate(p, t, params, C):
+    """(a, L): the terms of the moment series are exp(n L - a ln n!)."""
     a = params.H / 2.0
     L = 0.5 * math.log(max(p - 1.0, 1e-300) * C) + (
         params.time_growth_exponent / 2.0
     ) * math.log(t)
+    return a, L
+
+
+def _log_chaos_series_full_range(p, t, params, C=1.0, max_terms=2_000_000):
+    """log_chaos_series with the direct sum over every n in [0, n_end],
+    n_end doubled from n* + 9 widths + 50 until its term lies below the
+    e^-40 cutoff."""
+    a, L = _series_rate(p, t, params, C)
     n_star = math.exp(L / a) if L / a < 700 else float("inf")
     if math.isfinite(n_star) and n_star > 2:
         try:
@@ -53,9 +68,14 @@ def _log_chaos_series_full_range(p, t, params, C=1.0, max_terms=2_000_000):
     width = math.sqrt(max(n_star, 1.0) / a)
     n_hi = n_star + 9.0 * width + 50.0
     if n_hi <= max_terms:
-        ns = np.arange(0.0, n_hi + 1.0)
-        log_terms = ns * L - a * _sp.gammaln(ns + 1.0)
-        peak = float(np.max(log_terms))
+        n_end = n_hi
+        while True:
+            ns = np.arange(0.0, n_end + 1.0)
+            log_terms = ns * L - a * _sp.gammaln(ns + 1.0)
+            peak = float(np.max(log_terms))
+            if log_terms[-1] <= peak - 40.0:
+                break
+            n_end *= 2.0
         keep = log_terms > peak - 40.0
         return float(logsumexp(log_terms[keep])), int(np.argmax(log_terms))
     f_star = n_star * L - a * float(_sp.gammaln(n_star + 1.0))
@@ -135,37 +155,156 @@ def _grid_lines(params, C, p_grid=DEFAULT_P_GRID, t_grid=DEFAULT_T_GRID):
     return np.asarray(u), np.asarray(v)
 
 
-def test_windowed_series_equals_full_range_sum():
-    # 22 params x 5 p x 11 t x 2 C = 2420 cases, every 2nd one checked
-    # (all of them take about 4 s); about 500 of them take the Laplace
-    # branch and about 260 sum a window far from n = 0
-    cases = [
+def _series_cases(n_t):
+    # 22 params x 5 p x n_t t in [1e-2, 1e3] x 2 C
+    return [
         (p, float(t), params, C)
         for params in admissible_param_grid()
         for p in (2.0, 3.0, 8.0, 32.0, 100.0)
-        for t in np.logspace(-2.0, 3.0, 11)
+        for t in np.logspace(-2.0, 3.0, n_t)
         for C in (1.0, 4.0)
-    ][::2]
-    for case in cases:
-        assert log_chaos_series(*case) == _log_chaos_series_full_range(*case), case
+    ]
+
+
+def test_windowed_series_equals_full_range_sum():
+    # 2420 cases, every 2nd one checked (all of them take about 4 s); about
+    # 500 of them take the Laplace branch, where both sides are the same
+    # code.  The node values n L and a ln n! are about ln n* times larger
+    # than log S and each is rounded, so the trapezoid rule and the integer
+    # sum may differ in the last few bits: 12 ulps at most over all 2420
+    # cases, 389 of which differ at all.  The peak index is exact.  At
+    # small H the terms near n = 0 fall slower than the width says, and
+    # the integer sum doubles its right edge (twice at H = 0.05, p = 2,
+    # t = 1, C = 1, seven times at H = 1e-5)
+    small_h = [(2.0, 1.0, FractionalParams(0.8, H), 1.0) for H in (1e-3, 1e-4, 1e-5)]
+    for case in _series_cases(11)[::2] + small_h:
+        got, want = log_chaos_series(*case), _log_chaos_series_full_range(*case)
+        assert got[1] == want[1], case
+        assert abs(got[0] - want[0]) <= 16 * math.ulp(want[0]), case
 
 
 def test_windowed_series_falls_back_to_full_range(monkeypatch):
-    # a saddle estimate three times too large puts the window's left edge
-    # right of the peak, inside the kept terms; the sum must then run over
-    # the full range.  The direct sum reports the true peak index (about
-    # 650 and 45000), not the inflated saddle.
+    # a saddle estimate three times too large puts the left edge right of
+    # the peak, and one three times too small puts the right edge left of
+    # it, inside the kept terms; the sum must then run over the full range
+    # as the integer sum.  It reports the true peak index (about 650 and
+    # 45000), not the wrong saddle.
     true_brentq = _optimize.brentq
-    monkeypatch.setattr(
-        _optimize, "brentq", lambda *args, **kw: 3.0 * true_brentq(*args, **kw)
-    )
-    for case, peak in [
-        ((2.0, 2.0, P_REF, 4.0), 650),
-        ((3.0, 5.0, FractionalParams(0.85, 0.2), 1.0), 45_000),
-    ]:
-        want = _log_chaos_series_full_range(*case)
-        assert abs(want[1] - peak) < 0.05 * peak
-        assert log_chaos_series(*case) == want
+    for factor in (3.0, 1.0 / 3.0):
+        monkeypatch.setattr(
+            _optimize, "brentq", lambda *args, **kw: factor * true_brentq(*args, **kw)
+        )
+        for case, peak in [
+            ((2.0, 2.0, P_REF, 4.0), 650),
+            ((3.0, 5.0, FractionalParams(0.85, 0.2), 1.0), 45_000),
+        ]:
+            want = _log_chaos_series_full_range(*case)
+            assert abs(want[1] - peak) < 0.05 * peak
+            assert log_chaos_series(*case) == want, (factor, case)
+
+
+def test_series_outlasting_the_term_budget_raises():
+    # at H = 1e-6 the terms stay within e^-40 of the first one up to
+    # n ~ 1e7, past max_terms = 2e6; the integer sum once stopped at
+    # n* + 9 widths + 50 and returned a value short by orders of magnitude
+    with pytest.raises(EstimationError, match="max_terms"):
+        log_chaos_series(2.0, 1.0, FractionalParams(0.8, 1e-6), 1.0)
+
+
+def _log_series_mpmath(p, t, params, C):
+    """log S to 30 digits for the float L the library computes: the terms
+    exp(n L - a ln n!) summed over n* -+ 14 widths, by the recurrence
+    f(n) = f(n - 1) + L - a ln n."""
+    a, L = _series_rate(p, t, params, C)
+    with mpmath.workdps(30):
+        am, Lm = mpmath.mpf(a), mpmath.mpf(L)
+        q = math.exp(L / a)
+        width = math.sqrt(q / a)
+        lo, hi = max(0, int(q - 14.0 * width)), int(q + 14.0 * width)
+        f = [lo * Lm - am * mpmath.loggamma(lo + 1)]
+        for n in range(lo + 1, hi + 1):
+            f.append(f[-1] + Lm - am * mpmath.log(n))
+        peak = max(f)
+        return peak + mpmath.log(mpmath.fsum(mpmath.exp(v - peak) for v in f))
+
+
+@pytest.mark.parametrize("H0, H, n_peak", [
+    (0.75, 0.3, 2e3), (0.75, 0.3, 2e4), (0.75, 0.3, 4.5e4),
+    (0.85, 0.2, 1.2e3), (0.85, 0.2, 3e4), (0.6, 0.4, 9e3), (0.94, 0.05, 5e3),
+])
+def test_trapezoid_series_against_mpmath(H0, H, n_peak):
+    # t puts the saddle near n_peak; the rounding of L sets the error floor
+    # of both sums (d log S / dL = n*), so the trapezoid rule must be as
+    # accurate as the integer sum up to 4 ulps of log S
+    params = FractionalParams(H0, H)
+    a = H / 2.0
+    t = math.exp(2.0 * a * math.log(n_peak + 0.5) / params.time_growth_exponent)
+    case = (2.0, t, params, 1.0)
+    got, peak_index = log_chaos_series(*case)
+    integer_sum, want_index = _log_chaos_series_full_range(*case)
+    assert peak_index == want_index and abs(peak_index - n_peak) < 0.01 * n_peak
+    ref = _log_series_mpmath(*case)
+    ulp = math.ulp(integer_sum)
+    assert abs(float(got - ref)) <= abs(float(integer_sum - ref)) + 4 * ulp
+
+
+@pytest.fixture
+def gammaln_calls(monkeypatch):
+    """The arguments of every scipy.special.gammaln call, in order."""
+    calls = []
+
+    def spy(x):
+        calls.append(np.array(x, dtype=float))
+        return _true_gammaln(x)
+
+    monkeypatch.setattr(_sp, "gammaln", spy)
+    return calls
+
+
+def test_series_edges_lie_past_the_cutoff(gammaln_calls):
+    # 17820 cases (81 t).  In each direct sum the last node, and on the
+    # trapezoid path also the first, lies at least e^-40 below the largest
+    # node, so the cutoff alone decides which terms count.  No trapezoid
+    # case falls back to the integer sum (it would evaluate a second grid
+    # instead of the two-point peak index); the integer sum may double its
+    # right edge
+    on_saddle = 0
+    for case in _series_cases(81):
+        gammaln_calls.clear()
+        log_chaos_series(*case)
+        grids = [call - 1.0 for call in gammaln_calls]
+        if grids[0].ndim == 0:  # the Laplace branch
+            continue
+        a, L = _series_rate(*case)
+        if grids[0][0] == 0.0 and grids[0][1] == 1.0:  # the integer sum
+            f = grids[-1] * L - a * _true_gammaln(grids[-1] + 1.0)
+            assert f[-1] <= f.max() - 40.0, case
+            continue
+        on_saddle += 1
+        f = grids[0] * L - a * _true_gammaln(grids[0] + 1.0)
+        assert f[0] <= f.max() - 40.0 and f[-1] <= f.max() - 40.0, case
+        assert len(grids) == 2 and grids[1].shape == (2,), case
+    assert on_saddle == 3948
+
+
+def test_trapezoid_evaluates_at_most_128_nodes(gammaln_calls):
+    # saddles n* from where the left tail leaves the cutoff (n* > 9 widths
+    # + 50) up to the end of the direct branch (n* + 9 widths + 50 =
+    # 2e6), on every admissible (H0, H)
+    for params in admissible_param_grid():
+        a = params.H / 2.0
+
+        def edge(n, sign):
+            return n + sign * (9.0 * math.sqrt(n / a) + 50.0)
+
+        n_lo = _optimize.brentq(edge, 1.0, 2e6, args=(-1.0,))
+        n_hi = _optimize.brentq(lambda n: edge(n, 1.0) - 2e6, 1.0, 2e6)
+        for n_peak in np.geomspace(1.01 * n_lo, 0.999 * n_hi, 40):
+            t = math.exp(2.0 * a * math.log(n_peak + 0.5) / params.time_growth_exponent)
+            gammaln_calls.clear()
+            log_chaos_series(2.0, t, params, 1.0)
+            sizes = [call.size for call in gammaln_calls]
+            assert sizes[0] > 2 and sum(sizes) <= 128, (params, n_peak, sizes)
 
 
 # a small pool makes duplicate u, tied objectives and slopes near the
