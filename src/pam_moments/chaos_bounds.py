@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 MAX_EXACT_N = 30
+MAX_SERIES_TERMS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -448,42 +449,37 @@ def log_chaos_series(
     t: float,
     params: FractionalParams,
     C: float = 1.0,
-    max_terms: int = 2_000_000,
 ) -> tuple[float, int]:
     """log of sum_{n>=0} (p-1)^{n/2} C^{n/2} (n!)^{-H/2} t^{n(2H0+H-1)/2}.
 
     Terms have the form exp(f(n)), f(x) = x L - a ln Gamma(x+1), a = H/2,
     a log-concave bump around the saddle n* (f'(n*) = 0) of width
-    w = sqrt(n*/a).  While n* + 9w + 50 fits the term budget `max_terms`
-    the sum is evaluated directly, keeping the terms within e^-40 (about
-    1e-16) of the largest; past it, by Laplace's method around the saddle,
-    whose relative error is O(1/n*) and far below the fit tolerances it
-    feeds.  Returns (log_sum, peak_index), the peak index being the
-    integer n of the largest term.
-
-    The direct sum runs over a node grid from a left edge n* - 9w - 50 to
-    a right edge n* + 12w + 50.
-      - Left edge > 0: the trapezoid rule on the nodes n* + j h, h = w/4,
-        from the first node past the left edge (or the last one >= 0) to
-        the first past the right edge, 86 to 95 nodes:
-        log S = logsumexp(f(nodes)) + log h.  By Poisson summation the
-        integer sum equals the integral to within e^{-2 pi^2 w^2}
-        (w >= 40 here), and the trapezoid rule gets the integral to
-        within about e^{-2 pi^2 (w/h)^2} = e^{-316}.  The peak index is
-        the larger of f at floor(n*) and floor(n*) + 1.
-      - Left edge <= 0: the integer sum over n = 0, 1, ... to the first
-        integer past the right edge (step h = 1, so log h = 0).
-    Where the left edge is > 0, both edges lie past the e^-40 cutoff.
-    Left of n*, f' >= a (n* - x)/(n* + 1) (psi is concave, psi' > 1/x),
-    so f falls by 40 within 8.95 widths.  Right of q = n* + 1, f falls by
-    at least a q phi(x/q), phi(r) = r ln r - r + 1 >= (r-1)^2/(r+1),
-    which reaches 40 within 11.45 widths, as a left edge > 0 means
-    a w > 9.  Nearer n = 0 the terms can fall slower than the width says,
-    so while the integer sum's last term is within the cutoff its right
-    edge is doubled, up to `max_terms` (EstimationError past it, as at
-    H = 1e-6, p = 2, t = 1, C = 1).  Should an edge of the trapezoid grid
-    lie within the cutoff (a poor saddle estimate), the sum falls back to
-    the integer sum.
+    w = sqrt(max(n*, 1)/a).  Returns (log_sum, peak_index), the peak index
+    being the integer n of the largest term.  The sums keep the terms
+    within e^-40 (about 1e-16) of the largest.  Where the bump lies
+    decides the rule, with edges n* - 9w - 50 (left) and n* + 12w + 50:
+      - Left edge <= 0: the integer sum from n = 0 to the first integer
+        past the right edge.  Near n = 0 the terms can fall slower than
+        the width says, so while the last term is within the cutoff the
+        right edge is doubled, up to `MAX_SERIES_TERMS` (EstimationError
+        past it, as at H = 1e-6, p = 2, t = 1, C = 1).
+      - Left edge > 0 and n* + 9w + 50 <= `MAX_SERIES_TERMS`: the
+        trapezoid rule on the nodes n* + j h, h = w/4, from the first node
+        past the left edge (or the last one >= 0) to the first past the
+        right edge, 86 to 95 nodes: log S = logsumexp(f(nodes)) + log h.
+        By Poisson summation the integer sum equals the integral to within
+        e^{-2 pi^2 w^2} (w >= 40 here), and the trapezoid rule gets the
+        integral to within about e^{-2 pi^2 (w/h)^2} = e^{-316}.  The peak
+        index is the larger of f at floor(n*) and floor(n*) + 1.  Both
+        edges lie past the cutoff: left of n*, f' >= a (n* - x)/(n* + 1)
+        (psi is concave, psi' > 1/x), so f falls by 40 within 8.95 widths;
+        right of q = n* + 1, f falls by at least a q phi(x/q),
+        phi(r) = r ln r - r + 1 >= (r-1)^2/(r+1), which reaches 40 within
+        11.45 widths, as a left edge > 0 means a w > 9.  An edge within
+        the cutoff (a poor saddle estimate) raises EstimationError.
+      - Left edge > 0 beyond that: Laplace's method around the saddle,
+        whose relative error is O(1/n*) and far below the fit tolerances
+        it feeds.
     What remains is rounding: the node values n L and a ln n! are about
     ln n* times larger than log S, and log S moves by n* ulp(L) with the
     rounding of L (d log S / dL = n*).  Against a 30-digit sum both rules
@@ -495,71 +491,61 @@ def log_chaos_series(
     if not (t > 0 and C > 0):
         raise DomainError("t and C must be > 0")
     a = params.H / 2.0
-    L = 0.5 * math.log(max(p - 1.0, 1e-300) * C) + (
+    L = 0.5 * math.log((p - 1.0) * C) + (
         params.time_growth_exponent / 2.0
     ) * math.log(t)
-    # saddle: L = a * psi(n+1)
+    # saddle: L = a psi(n+1).  For n* = e^{L/a} > 2 the bracket changes
+    # sign: L > a ln 2 > a psi(1 + 1e-9), and at its upper end v >= 4 n*,
+    # psi(v+1) > ln(v + 1/2) > L/a
     n_star = math.exp(L / a) if L / a < 700 else float("inf")
-    if math.isfinite(n_star) and n_star > 2:
-        try:
-            n_star = float(
-                _optimize.brentq(
-                    lambda v: L - a * _sp.psi(v + 1.0),
-                    1e-9,
-                    max(4.0 * n_star, 10.0),
-                )
-            )
-        except ValueError:
-            pass
     if not math.isfinite(n_star):
         raise EstimationError("series peak location overflows; t or p too large")
+    if n_star > 2:
+        n_star = float(
+            _optimize.brentq(
+                lambda v: L - a * _sp.psi(v + 1.0),
+                1e-9,
+                max(4.0 * n_star, 10.0),
+            )
+        )
     width = math.sqrt(max(n_star, 1.0) / a)
-    if n_star + 9.0 * width + 50.0 <= max_terms:
-        left = n_star - 9.0 * width - 50.0
-        right = n_star + 12.0 * width + 50.0
-        # nodes x0, x0 + h, ... up to the first one past the right edge:
-        # where the left tail lies below the cutoff, the trapezoid rule with
-        # step width / 4 through n*, from the first node past the left edge
-        # (or the last one >= 0); else the integer sum from n = 0
-        on_saddle = left > 0
-        if on_saddle:
-            h = width / 4.0
-            steps = min(math.ceil((n_star - left) / h), math.floor(n_star / h))
-            x0 = n_star - h * steps
-        else:
-            x0, h = 0.0, 1.0
+    left = n_star - 9.0 * width - 50.0
+    right = n_star + 12.0 * width + 50.0
+    if left <= 0:
+        right = min(right, float(MAX_SERIES_TERMS))
         while True:
-            xs = x0 + h * np.arange(math.ceil((right - x0) / h) + 1.0)
-            log_terms = xs * L - a * _sp.gammaln(xs + 1.0)
+            ns = np.arange(math.ceil(right) + 1.0)
+            log_terms = ns * L - a * _sp.gammaln(ns + 1.0)
             peak = float(np.max(log_terms))
-            left_kept = on_saddle and log_terms[0] > peak - 40.0
-            right_kept = log_terms[-1] > peak - 40.0
-            if not (left_kept or right_kept):
+            if log_terms[-1] <= peak - 40.0:
                 break
-            if right_kept and right >= max_terms:
+            if right >= MAX_SERIES_TERMS:
                 raise EstimationError(
                     f"the series terms stay within e^-40 of the peak past "
-                    f"max_terms = {max_terms}; H too small"
-                )
-            # the integer sum from n = 0: after a poor saddle estimate, or
-            # where the terms fall slower than the width says (small n*)
-            on_saddle, x0, h = False, 0.0, 1.0
-            if right_kept:
-                right = min(2.0 * right, float(max_terms))
+                    f"{MAX_SERIES_TERMS} terms; H too small")
+            right = min(2.0 * right, float(MAX_SERIES_TERMS))
         keep = log_terms > peak - 40.0  # 1e-16 relative cutoff
-        if on_saddle:
-            ms = np.array([math.floor(n_star), math.floor(n_star) + 1.0])
-            peak_index = int(ms[np.argmax(ms * L - a * _sp.gammaln(ms + 1.0))])
-        else:
-            peak_index = int(np.argmax(log_terms))
-        return _logsumexp(log_terms[keep]) + math.log(h), peak_index
-    # Laplace approximation for the sum around the saddle
-    f_star = n_star * L - a * float(_sp.gammaln(n_star + 1.0))
-    curvature = a * float(_sp.polygamma(1, n_star + 1.0))
-    return (
-        f_star + 0.5 * math.log(2.0 * math.pi / curvature),
-        int(n_star),
-    )
+        return _logsumexp(log_terms[keep]), int(np.argmax(log_terms))
+    if n_star + 9.0 * width + 50.0 > MAX_SERIES_TERMS:
+        # Laplace approximation for the sum around the saddle
+        f_star = n_star * L - a * float(_sp.gammaln(n_star + 1.0))
+        curvature = a * float(_sp.polygamma(1, n_star + 1.0))
+        return f_star + 0.5 * math.log(2.0 * math.pi / curvature), int(n_star)
+    # nodes x0, x0 + h, ... through n*, from the first node past the left
+    # edge (or the last one >= 0) up to the first one past the right edge
+    h = width / 4.0
+    steps = min(math.ceil((n_star - left) / h), math.floor(n_star / h))
+    x0 = n_star - h * steps
+    xs = x0 + h * np.arange(math.ceil((right - x0) / h) + 1.0)
+    log_terms = xs * L - a * _sp.gammaln(xs + 1.0)
+    peak = float(np.max(log_terms))
+    if max(log_terms[0], log_terms[-1]) > peak - 40.0:
+        raise EstimationError("a trapezoid edge of the moment series lies within "
+                              "e^-40 of the peak; the saddle estimate is off")
+    keep = log_terms > peak - 40.0  # 1e-16 relative cutoff
+    ms = np.array([math.floor(n_star), math.floor(n_star) + 1.0])
+    peak_index = int(ms[np.argmax(ms * L - a * _sp.gammaln(ms + 1.0))])
+    return _logsumexp(log_terms[keep]) + math.log(h), peak_index
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,9 @@ def _dirichlet(o: dict):
               "closed_form": float(_fmt(value))}
     code = 0
     if oracle:
+        if value < sys.float_info.min:
+            raise EstimationError(f"I_n = {_fmt(value)} is below the normal floats; "
+                                  "an oracle needs a normal value to compare against")
         method = {"quadrature": "nested-quadrature", "mc": "monte-carlo"}[oracle]
         res = brute_force(spec, method=method, rtol=rtol, seed=o["seed"])
         rel = abs(res.estimate - value) / abs(value)

@@ -19,7 +19,6 @@ gamma-function closed form.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +190,9 @@ def _weighted_constant(
     upper: float, wvar: tuple[float, float], rtol: float
 ) -> tuple[float, float, int]:
     """(int_0^upper s^wvar[0] (upper - s)^wvar[1] ds, |error estimate|,
-    evaluations) by one QUADPACK QAWS call on the constant integrand."""
+    evaluations) by one QUADPACK QAWS call on the constant integrand.
+    A QUADPACK message (roundoff, subdivision limit, bad integrand) says
+    the error estimate cannot be trusted, so it raises EstimationError."""
     value, err, info, *message = _integrate.quad(
         _one,
         0.0,
@@ -204,7 +205,7 @@ def _weighted_constant(
         full_output=1,
     )
     if message:
-        warnings.warn(message[0], _integrate.IntegrationWarning, stacklevel=3)
+        raise EstimationError("QUADPACK: " + " ".join(message[0].split()))
     return value, abs(err), info["neval"]
 
 
@@ -265,9 +266,11 @@ def _monte_carlo(spec: SimplexIntegralSpec, samples: int, seed: int):
     log_norm = float(np.sum(betaln(p_prop, q_prop)))
     total_exp = float(np.sum(a) + np.sum(b) + n)
     scale = total_exp * math.log(spec.t) + log_norm
-    w = np.exp(log_w + scale)
-    est = float(np.mean(w))
-    stderr = float(np.std(w, ddof=1) / math.sqrt(samples))
+    # a weight or square past the floats is inf or nan; brute_force raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(log_w + scale)
+        est = float(np.mean(w))
+        stderr = float(np.std(w, ddof=1) / math.sqrt(samples))
     return est, stderr
 
 
@@ -291,7 +294,10 @@ def brute_force(
     `_nested_quadrature` states; on 600 seeded specs with n <= 3 (rtol
     1e-8 to 1e-10) it stayed below 7.5e-13 relative and above the error
     against a 40-digit product of Beta functions, which reached 1.5e-15
-    relative.  For ``monte-carlo`` it is three standard errors.
+    relative.  For ``monte-carlo`` it is three standard errors.  Where
+    QUADPACK reports a failure, or the estimate or its error bound leaves
+    the float range (a weight or its square past it), it raises
+    EstimationError.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
@@ -303,13 +309,17 @@ def brute_force(
             raise SizeError("nested-quadrature supports n <= 3")
         if not rtol > 50 * np.finfo(float).eps:
             raise ValidationError(f"rtol must exceed 50 machine epsilons, got {rtol}")
-        value, err, evals = _nested_quadrature(spec, rtol)
-        return BruteForceResult(value, err, method, evals)
-    if method == "monte-carlo":
+        est, err, evals = _nested_quadrature(spec, rtol)
+    elif method == "monte-carlo":
         if spec.n > 5:
             raise SizeError("monte-carlo supports n <= 5")
         if budget < 2:
             raise EstimationError("monte-carlo budget must be >= 2")
         est, stderr = _monte_carlo(spec, budget, seed)
-        return BruteForceResult(est, 3.0 * stderr, method, budget)
-    raise DomainError(f"unknown method {method!r}")
+        err, evals = 3.0 * stderr, budget
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    if not (math.isfinite(est) and math.isfinite(err)):
+        raise EstimationError(f"{method} estimate or error bound leaves the "
+                              f"float range: {est}, {err}")
+    return BruteForceResult(est, err, method, evals)

@@ -5,6 +5,7 @@ import pytest
 from scipy import special as _sp
 from scipy.special import logsumexp
 
+from pam_moments import chaos_bounds
 from pam_moments.chaos_bounds import (
     DEFAULT_P_GRID,
     DEFAULT_T_GRID,
@@ -323,13 +324,16 @@ def test_stirling_bound_search():
         stirling_lb_check(a, 0.0, 50.0, range(1, 501))
 
 
-def test_series_direct_vs_laplace_agree_at_crossover():
+def test_series_direct_vs_laplace_agree_at_crossover(monkeypatch):
     # moderately sized peaks can be summed directly; the saddle-point
-    # branch must agree there to a fraction of a percent
+    # branch, taken under a term budget of 1, must agree there to a
+    # fraction of a percent
     p = P_REF
     for pp, t in [(2.0, 30.0), (4.0, 20.0)]:
         direct, peak = log_chaos_series(pp, t, p, C=4.0)
-        lap, _ = log_chaos_series(pp, t, p, C=4.0, max_terms=1)
+        monkeypatch.setattr(chaos_bounds, "MAX_SERIES_TERMS", 1)
+        lap, _ = log_chaos_series(pp, t, p, C=4.0)
+        monkeypatch.undo()
         assert peak > 100
         assert lap == pytest.approx(direct, rel=2e-3)
 

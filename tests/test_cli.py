@@ -185,6 +185,38 @@ def test_dirichlet_beyond_the_float_range_names_its_input(capsys):
             assert err[1:] == [message], spec
 
 
+def test_dirichlet_oracle_at_extreme_t_is_an_estimation_error(capsys):
+    # a closed form underflowing to 0 once ended the oracle comparison in a
+    # ZeroDivisionError traceback (the second spec after a leaked QUADPACK
+    # warning); Monte-Carlo weights squared past the floats leaked numpy's
+    # overflow warning and printed the bare token Infinity with exit 0; and
+    # a QUADPACK roundoff message leaked as a warning beside an error bound
+    # 1e33 times the value
+    tiny = '{"t": 1e-300, "alphas": [0.0], "betas": [2.0]}'
+    underflow = ("estimation error: I_n = 0 is below the normal floats; an "
+                 "oracle needs a normal value to compare against")
+    cases = [
+        (tiny, "quadrature", underflow),
+        (tiny, "mc", underflow),
+        ('{"t": 1e-300, "alphas": [1e300, 1.0], "betas": [0.5, 400.0]}', "quadrature",
+         underflow),
+        ('{"t": 1e150, "alphas": [0.5], "betas": [0.5]}', "mc",
+         "estimation error: monte-carlo estimate or error bound leaves the float "
+         "range: "),
+        ('{"t": 1.0, "alphas": [49.917667097199136], "betas": [400.0]}', "quadrature",
+         "estimation error: QUADPACK: The occurrence of roundoff error is detected"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, oracle, message in cases:
+            code, out = run_cli("dirichlet", "--spec", spec, "--oracle", oracle)
+            err = capsys.readouterr().err.strip().splitlines()
+            assert code == 2 and out == ""
+            assert len(err) == 2 and err[1].startswith(message), (spec, oracle)
+        code, out = run_cli("dirichlet", "--spec", tiny)
+    assert code == 0 and json.loads(out)["closed_form"] == 0.0
+
+
 def test_gamma_scan_csv():
     code, out = run_cli("gamma-scan", "--n-max", "3", "--grid-size", "3")
     assert code == 0

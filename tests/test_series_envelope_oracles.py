@@ -6,7 +6,7 @@ The log-sum-exp and the vertex search keep every arithmetic operation that
 decides the result, so those comparisons are exact (``==``).  The moment
 series samples its terms on a coarser grid than the integer one, so its
 value is compared within a stated number of ulps, and against a 30-digit
-mpmath sum; its peak index and its integer-sum fallback stay exact.
+mpmath sum; its peak index and its integer sum from n = 0 stay exact.
 """
 
 import math
@@ -183,32 +183,59 @@ def test_windowed_series_equals_full_range_sum():
         assert abs(got[0] - want[0]) <= 16 * math.ulp(want[0]), case
 
 
-def test_windowed_series_falls_back_to_full_range(monkeypatch):
+def test_poor_saddle_estimate_raises_or_sums_from_zero(monkeypatch):
     # a saddle estimate three times too large puts the left edge right of
     # the peak, and one three times too small puts the right edge left of
-    # it, inside the kept terms; the sum must then run over the full range
-    # as the integer sum.  It reports the true peak index (about 650 and
-    # 45000), not the wrong saddle.
+    # it, inside the kept terms; the trapezoid rule must then raise rather
+    # than return a short sum.  Where the wrong estimate moves the left
+    # edge below 0 (650 / 3 at H = 0.3), the integer sum from n = 0 runs
+    # and must still equal the full-range sum.  The true peaks lie at
+    # about 650 and 45000
     true_brentq = _optimize.brentq
-    for factor in (3.0, 1.0 / 3.0):
+    small, large = (2.0, 2.0, P_REF, 4.0), (3.0, 5.0, FractionalParams(0.85, 0.2), 1.0)
+    for case, peak in [(small, 650), (large, 45_000)]:
+        assert abs(_log_chaos_series_full_range(*case)[1] - peak) < 0.05 * peak
+    for factor, case, raises in [
+        (3.0, small, True), (3.0, large, True), (1.0 / 3.0, small, False),
+        (1.0 / 3.0, large, True),
+    ]:
         monkeypatch.setattr(
             _optimize, "brentq", lambda *args, **kw: factor * true_brentq(*args, **kw)
         )
-        for case, peak in [
-            ((2.0, 2.0, P_REF, 4.0), 650),
-            ((3.0, 5.0, FractionalParams(0.85, 0.2), 1.0), 45_000),
-        ]:
-            want = _log_chaos_series_full_range(*case)
-            assert abs(want[1] - peak) < 0.05 * peak
-            assert log_chaos_series(*case) == want, (factor, case)
+        if raises:
+            with pytest.raises(EstimationError, match="trapezoid edge"):
+                log_chaos_series(*case)
+        else:
+            assert log_chaos_series(*case) == _log_chaos_series_full_range(*case)
 
 
 def test_series_outlasting_the_term_budget_raises():
     # at H = 1e-6 the terms stay within e^-40 of the first one up to
-    # n ~ 1e7, past max_terms = 2e6; the integer sum once stopped at
+    # n ~ 1e7, past MAX_SERIES_TERMS = 2e6; the integer sum once stopped at
     # n* + 9 widths + 50 and returned a value short by orders of magnitude
-    with pytest.raises(EstimationError, match="max_terms"):
+    with pytest.raises(EstimationError, match="2000000 terms"):
         log_chaos_series(2.0, 1.0, FractionalParams(0.8, 1e-6), 1.0)
+
+
+@pytest.mark.parametrize("H", [1e-12, 1e-6, 1e-4, 1e-3])
+def test_tiny_h_series_below_the_geometric_bound(H):
+    # with L = ln(C)/2 < 0 (p = 2, t = 1) every term is at most e^{n L},
+    # so log S <= -ln(1 - e^L).  At H = 1e-12 the bump sits at n = 0 with
+    # a width past the term budget; Laplace's formula once answered 14.83
+    # there
+    params = FractionalParams(0.8, H)
+    L = 0.5 * math.log(0.5)
+    got, peak_index = log_chaos_series(2.0, 1.0, params, 0.5)
+    assert peak_index == 0
+    assert 0.0 < got <= -math.log1p(-math.exp(L))
+
+
+def test_tiny_h_series_with_flat_terms_raises():
+    # with C = 1 (L = 0) every term up to the budget is within e^-40 of
+    # the first, as at H = 1e-6 above, but the width alone passes the
+    # budget; Laplace's formula once answered (15.30, 1)
+    with pytest.raises(EstimationError, match="2000000 terms"):
+        log_chaos_series(2.0, 1.0, FractionalParams(0.8, 1e-12), 1.0)
 
 
 def _log_series_mpmath(p, t, params, C):
@@ -264,10 +291,9 @@ def gammaln_calls(monkeypatch):
 def test_series_edges_lie_past_the_cutoff(gammaln_calls):
     # 17820 cases (81 t).  In each direct sum the last node, and on the
     # trapezoid path also the first, lies at least e^-40 below the largest
-    # node, so the cutoff alone decides which terms count.  No trapezoid
-    # case falls back to the integer sum (it would evaluate a second grid
-    # instead of the two-point peak index); the integer sum may double its
-    # right edge
+    # node, so the cutoff alone decides which terms count and no trapezoid
+    # case raises; the trapezoid evaluates its grid and the two-point peak
+    # index only, and the integer sum may double its right edge
     on_saddle = 0
     for case in _series_cases(81):
         gammaln_calls.clear()
