@@ -39,7 +39,8 @@ from scipy import special as _sp
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
 from .initial_data import InitialMeasure, j0 as _j0
-from .path_combinatorics import ExponentVector, _offset_matrix, _offsets
+from .path_combinatorics import ExponentVector, _offset_matrix
+from .simplex_integrals import _sigma
 
 __all__ = [
     "FractionalParams",
@@ -170,6 +171,8 @@ def tilde_exponents(alpha, params: FractionalParams) -> TildeExponents:
     """alpha~_1 = (4H-3+alpha_1)/(4H0), alpha~_j = (4H-2+alpha_{j-1}+alpha_j)/(4H0),
     beta~_j = -(alpha_j+1)/(4H0)."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if alpha.ndim != 1 or not alpha.size:
+        raise ValidationError(f"alpha must be a nonempty vector, got shape {alpha.shape}")
     at, bt = _tilde_matrix(alpha, params)
     return TildeExponents(tuple(at.tolist()), tuple(bt.tolist()))
 
@@ -179,19 +182,21 @@ def verify_ab_condition(
     beta_tilde: Sequence[float],
     alpha: Sequence[float],
 ) -> bool | np.ndarray:
-    """sum_{i<=k}(alpha~_i + beta~_i) + k + 1 + alpha_{k+1} > 0 for all k < n.
+    """sigma_k + alpha_{k+1} > 0 for all k < n, with sigma_k =
+    sum_{i<=k}(alpha~_i + beta~_i) + k + 1 (`simplex_integrals._sigma`).
 
     Vectors run along the last axis: one vector gives a bool, an (m, n)
-    batch gives a bool array of shape (m,).
+    batch gives a bool array of shape (m,).  A partial sum of the tilde
+    exponents that is not finite raises DomainError.
     """
     at = np.atleast_1d(np.asarray(alpha_tilde, dtype=float))
     bt = np.atleast_1d(np.asarray(beta_tilde, dtype=float))
     al = np.atleast_1d(np.asarray(alpha, dtype=float))
     if bt.shape != at.shape or al.shape != at.shape:
         raise ValidationError("inconsistent lengths")
-    k = np.arange(1, at.shape[-1])
-    lhs = np.cumsum(at + bt, axis=-1)[..., :-1] + k + 1 + al[..., 1:]
-    ok = np.all(lhs > 0, axis=-1)
+    with np.errstate(over="ignore"):  # a margin past the floats is +-inf
+        margins = _sigma(at, bt)[..., :-1] + al[..., 1:]
+    ok = np.all(margins > 0, axis=-1)
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -249,8 +254,7 @@ def gamma_n(a, params: FractionalParams) -> float:
     """
     if not isinstance(a, ExponentVector):
         a = ExponentVector(tuple(a))
-    d = np.array([[0] + _offsets(a.a)])
-    return float(np.exp(_log_gamma_n(d, params))[0])
+    return float(np.exp(_log_gamma_n(np.array([a.d]), params))[0])
 
 
 def gamma_n_matrix(n: int, params: FractionalParams) -> np.ndarray:
@@ -277,7 +281,8 @@ class ChaosTermBound:
 
     @property
     def bound(self) -> float:
-        return math.exp(self.log_bound)
+        """exp(log_bound), inf where that exceeds the float range."""
+        return _exp_or_inf(self.log_bound)
 
     def __post_init__(self):
         if not (self.gamma_n > 0.0):
@@ -335,13 +340,12 @@ def _log_term_sum_exact(n: int, params: FractionalParams) -> tuple[float, float]
     q = 4.0 * H0
     d = np.array([0.0, 1.0])
     alpha = spatial_exponents(1.0 + d[None, :] - d[:, None], params)  # [d_{k-1}, d_k]
-    log_entry = (
-        _sp.gammaln(1.0 - (alpha + 1.0) / q)
-        + _sp.gammaln((1.0 + alpha) / 2.0) / (2.0 * H0)
-    )
+    # each state's alpha as a vector of length 1: its alpha~_1 and beta~
+    at, bt = (x[..., 0] for x in _tilde_matrix(alpha[..., None], params))
+    log_entry = _sp.gammaln(bt + 1.0) + _sp.gammaln((1.0 + alpha) / 2.0) / (2.0 * H0)
     # state arrays are indexed [d_{k-1}, d_k]; after k = 1, d_0 = 0
     log_sum = np.full((2, 2), -np.inf)
-    log_sum[0] = _sp.gammaln((4.0 * H - 3.0 + alpha[0]) / q + 1.0) + log_entry[0]
+    log_sum[0] = _sp.gammaln(at[0] + 1.0) + log_entry[0]
     log_gam = np.full((2, 2), -np.inf)
     log_gam[0] = 0.0
     for g_k in _gamma_factor_table(n, params):
@@ -380,14 +384,16 @@ def term_bound(
     asymptotic mode returns C^n (n!)^{-H} t^{n(2H0+H-1)} with the
     caller-supplied constant C.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise SizeError(f"n must be >= 1, got {n}")
-    if not (t > 0):
-        raise DomainError(f"t must be > 0, got {t}")
+    if not (0 < t < math.inf):
+        raise DomainError(f"t must be finite and > 0, got {t}")
     time_exp = n * params.time_growth_exponent
     if mode == "asymptotic":
-        if not (C > 0):
-            raise DomainError(f"C must be > 0, got {C}")
+        if not (0 < C < math.inf):
+            raise DomainError(f"C must be finite and > 0, got {C}")
         log_b = (
             n * math.log(C)
             - params.H * _sp.gammaln(n + 1.0)
@@ -494,6 +500,10 @@ def log_chaos_series(
     L = 0.5 * math.log((p - 1.0) * C) + (
         params.time_growth_exponent / 2.0
     ) * math.log(t)
+
+    def f(x):
+        return x * L - a * _sp.gammaln(x + 1.0)
+
     # saddle: L = a psi(n+1).  For n* = e^{L/a} > 2 the bracket changes
     # sign: L > a ln 2 > a psi(1 + 1e-9), and at its upper end v >= 4 n*,
     # psi(v+1) > ln(v + 1/2) > L/a
@@ -515,7 +525,7 @@ def log_chaos_series(
         right = min(right, float(MAX_SERIES_TERMS))
         while True:
             ns = np.arange(math.ceil(right) + 1.0)
-            log_terms = ns * L - a * _sp.gammaln(ns + 1.0)
+            log_terms = f(ns)
             peak = float(np.max(log_terms))
             if log_terms[-1] <= peak - 40.0:
                 break
@@ -528,7 +538,7 @@ def log_chaos_series(
         return _logsumexp(log_terms[keep]), int(np.argmax(log_terms))
     if n_star + 9.0 * width + 50.0 > MAX_SERIES_TERMS:
         # Laplace approximation for the sum around the saddle
-        f_star = n_star * L - a * float(_sp.gammaln(n_star + 1.0))
+        f_star = float(f(n_star))
         curvature = a * float(_sp.polygamma(1, n_star + 1.0))
         return f_star + 0.5 * math.log(2.0 * math.pi / curvature), int(n_star)
     # nodes x0, x0 + h, ... through n*, from the first node past the left
@@ -537,14 +547,14 @@ def log_chaos_series(
     steps = min(math.ceil((n_star - left) / h), math.floor(n_star / h))
     x0 = n_star - h * steps
     xs = x0 + h * np.arange(math.ceil((right - x0) / h) + 1.0)
-    log_terms = xs * L - a * _sp.gammaln(xs + 1.0)
+    log_terms = f(xs)
     peak = float(np.max(log_terms))
     if max(log_terms[0], log_terms[-1]) > peak - 40.0:
         raise EstimationError("a trapezoid edge of the moment series lies within "
                               "e^-40 of the peak; the saddle estimate is off")
     keep = log_terms > peak - 40.0  # 1e-16 relative cutoff
     ms = np.array([math.floor(n_star), math.floor(n_star) + 1.0])
-    peak_index = int(ms[np.argmax(ms * L - a * _sp.gammaln(ms + 1.0))])
+    peak_index = int(ms[np.argmax(f(ms))])
     return _logsumexp(log_terms[keep]) + math.log(h), peak_index
 
 
@@ -652,21 +662,26 @@ def _fit_log_envelope(
     C: float,
     p_grid: Sequence[float],
     t_grid: Sequence[float],
-) -> tuple[float, float, np.ndarray]:
-    """(ln C1, C2) of the envelope witnesses (see `fit_envelope_constants`)
-    and the log series values they were fitted to, shape (len(p_grid),
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(ln C1, C2) of the envelope witnesses (see `fit_envelope_constants`),
+    the log series values they were fitted to and the log envelope
+    ln C1 + C2 * g(p, t) / p, each grid of shape (len(p_grid),
     len(t_grid)).  Raises ValidationError for an empty grid."""
     if not (len(p_grid) and len(t_grid)):
         raise ValidationError("p_grid and t_grid must be nonempty")
-    u, v = [], []
+    g, v = [], []
     for p in p_grid:
         for t in t_grid:
             log_sum, _ = log_chaos_series(p, t, params, C)
-            u.append(_envelope_exponent(p, t, params) / p)
+            g.append(_envelope_exponent(p, t, params))
             v.append(log_sum)
-    v = np.asarray(v)
-    c1_log, c2 = _lowest_vertex(np.asarray(u), v)
-    return c1_log, c2, v.reshape(len(p_grid), len(t_grid))
+    shape = (len(p_grid), len(t_grid))
+    g, v = np.reshape(g, shape), np.reshape(v, shape)
+    p_col = np.asarray(p_grid, dtype=float)[:, None]
+    c1_log, c2 = _lowest_vertex((g / p_col).ravel(), v.ravel())
+    with np.errstate(over="ignore"):  # an envelope past the floats is inf
+        log_env = c1_log + c2 * g / p_col
+    return c1_log, c2, v, log_env
 
 
 def fit_envelope_constants(
@@ -697,7 +712,7 @@ def fit_envelope_constants(
     EstimationError where no vertex is feasible or C1 leaves the range
     of positive floats.
     """
-    c1_log, c2, _ = _fit_log_envelope(params, C, p_grid, t_grid)
+    c1_log, c2, _, _ = _fit_log_envelope(params, C, p_grid, t_grid)
     c1 = _exp_or_inf(c1_log)
     if not 0.0 < c1 < math.inf:
         raise EstimationError(
@@ -719,13 +734,15 @@ def moment_bound(
 
     series_value = [J0(t,x) * sum_n ((p-1)C)^{n/2} (n!)^{-H/2}
     t^{n(2H0+H-1)/2}]^p; the envelope is C1^p J0^p exp(C2 p^{(H+1)/H}
-    t^{(2H0+H-1)/H}) with (C1, C2) either supplied or fitted on the
-    default evaluation grid.
+    t^{(2H0+H-1)/H}) with (C1, C2) either supplied (C1 finite and > 0,
+    C2 finite) or fitted on the default evaluation grid.
     """
     log_sum, trunc = log_chaos_series(p, t, params, C)
     if constants is None:
         constants = fit_envelope_constants(params, C)
     C1, C2 = constants
+    if not (0 < C1 < math.inf and math.isfinite(C2)):
+        raise DomainError(f"constants must be C1 finite and > 0, C2 finite; got {constants}")
     j0_val = _j0(t, x, measure)
     if not (j0_val > 0):
         raise DomainError("J0(t, x) must be positive for the bound")
@@ -735,6 +752,19 @@ def moment_bound(
         p, t, params
     )
     return MomentBoundResult(p, t, x, log_series, log_env, trunc, C1, C2)
+
+
+def _log_log_slope(xs: np.ndarray, ys: Sequence[float]) -> float:
+    """Least-squares slope of ln ys against ln xs.  Raises ValidationError
+    for fewer than two distinct xs and EstimationError where a y is not
+    positive."""
+    ys = np.asarray(ys, dtype=float)
+    if np.unique(xs).size < 2:
+        raise ValidationError("the slope fit needs at least two distinct grid values")
+    if np.any(ys <= 0):
+        raise EstimationError("series log-values must be positive for the slope fit")
+    slope, _ = np.polyfit(np.log(xs), np.log(ys), 1)
+    return float(slope)
 
 
 def fit_time_exponent(
@@ -749,11 +779,7 @@ def fit_time_exponent(
     (2H0+H-1)/H, the t-exponent inside the exponential envelope.
     """
     ts = np.asarray(t_grid, dtype=float)
-    ys = np.array([log_chaos_series(p, t, params, C)[0] for t in ts])
-    if np.any(ys <= 0):
-        raise EstimationError("log-series must be positive for the slope fit")
-    slope, _ = np.polyfit(np.log(ts), np.log(ys), 1)
-    return float(slope)
+    return _log_log_slope(ts, [log_chaos_series(p, t, params, C)[0] for t in ts])
 
 
 def fit_p_exponent(
@@ -770,10 +796,6 @@ def fit_p_exponent(
     the final power p is taken.
     """
     ps = np.asarray(p_grid, dtype=float)
-    ys = np.array(
-        [p * log_chaos_series(p, t, params, C)[0] for p in ps]
+    return _log_log_slope(
+        ps - 1.0, [p * log_chaos_series(p, t, params, C)[0] for p in ps]
     )
-    if np.any(ys <= 0):
-        raise EstimationError("series log-values must be positive for the fit")
-    slope, _ = np.polyfit(np.log(ps - 1.0), np.log(ys), 1)
-    return float(slope)

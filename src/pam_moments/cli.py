@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
 from .chaos_bounds import FractionalParams, admissible_param_grid, gamma_n_matrix
-from .chaos_bounds import _envelope_exponent, _exp_or_inf, _fit_log_envelope
+from .chaos_bounds import _exp_or_inf, _fit_log_envelope
 from .initial_data import InitialMeasure, check_cond_mu0, j0 as eval_j0
 from .initial_data import measure_from_config
 from .mc_verifier import verify_lemma32, verify_term_bound
@@ -129,7 +129,7 @@ def _dirichlet(o: dict):
     spec, oracle, rtol = o["spec"], o["oracle"], o["rtol"]
     value = closed_form(spec)
     record = {"t": spec.t, "alphas": list(spec.alphas), "betas": list(spec.betas),
-              "closed_form": float(_fmt(value))}
+              "closed_form": value}
     code = 0
     if oracle:
         if value < sys.float_info.min:
@@ -138,9 +138,8 @@ def _dirichlet(o: dict):
         method = {"quadrature": "nested-quadrature", "mc": "monte-carlo"}[oracle]
         res = brute_force(spec, method=method, rtol=rtol, seed=o["seed"])
         rel = abs(res.estimate - value) / abs(value)
-        record.update(oracle=oracle, oracle_estimate=float(_fmt(res.estimate)),
-                      oracle_error_bound=float(_fmt(res.error_bound)),
-                      rel_diff=float(_fmt(rel)))
+        record.update(oracle=oracle, oracle_estimate=res.estimate,
+                      oracle_error_bound=res.error_bound, rel_diff=rel)
         tol = rtol if oracle == "quadrature" else max(
             rtol, 5.0 * res.error_bound / abs(value))
         code = int(rel > tol)
@@ -150,23 +149,20 @@ def _dirichlet(o: dict):
 def _j0(o: dict):
     t, x, measure = o["t"], o["x"], o["measure"].measure
     rep = check_cond_mu0(measure)
-    record = {"t": t, "x": x, "j0": float(_fmt(eval_j0(t, x, measure))),
-              "cond_mu0_ok": rep.ok,
-              "cond_mu0_values": [float(_fmt(v)) for v in rep.values]}
+    record = {"t": t, "x": x, "j0": eval_j0(t, x, measure), "cond_mu0_ok": rep.ok,
+              "cond_mu0_values": rep.values}
     return [json.dumps(record)], 0 if rep.ok else 1
 
 
 def _bound_table(o: dict):
     params = FractionalParams(o["H0"], o["H"], o["b"])
     ps, ts = o["p"], o["t"]
-    c1_log, c2, log_sums = _fit_log_envelope(params, o["C"], ps, ts)
+    c1_log, c2, log_sums, log_env = _fit_log_envelope(params, o["C"], ps, ts)
     lines = ["t,p,series_value,envelope_value,C1,C2"]
     for j, t in enumerate(ts):
         for i, p in enumerate(ps):
-            ls = float(log_sums[i, j])
-            env = c1_log + c2 * _envelope_exponent(p, t, params) / p
-            lines.append(f"{_fmt(t)},{_fmt(p)},{_fmt(_exp_or_inf(ls))},"
-                         f"{_fmt(_exp_or_inf(env))},"
+            lines.append(f"{_fmt(t)},{_fmt(p)},{_fmt(_exp_or_inf(log_sums[i, j]))},"
+                         f"{_fmt(_exp_or_inf(log_env[i, j]))},"
                          f"{_fmt(_exp_or_inf(c1_log))},{_fmt(c2)}")
     return lines, 0
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate as _integrate
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, EstimationError, ValidationError
 
 __all__ = [
     "InitialMeasure",
@@ -45,6 +45,22 @@ def heat_kernel(t: float, x) -> float | np.ndarray:
     with np.errstate(over="ignore"):
         out = np.exp(-(x**2) / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
     return float(out) if out.ndim == 0 else out
+
+
+def _in_float_range(value: float, what: str) -> float:
+    """value, or EstimationError where a closed form passes the float range."""
+    if not math.isfinite(value):
+        raise EstimationError(f"{what} exceeds the float range")
+    return value
+
+
+def _gaussian_weight(a: float, y: float, s: float = 1.0) -> float:
+    """exp(-a y^2 / s) for a, s > 0, as exp(-a * y**2 / s); where y**2
+    passes the floats, as exp(-a |y| / s |y|), which is 0 unless a is tiny."""
+    try:
+        return math.exp(-a * y**2 / s)
+    except OverflowError:
+        return math.exp(-a * abs(y) / s * abs(y))
 
 
 class InitialMeasure:
@@ -74,7 +90,7 @@ class DiracAt(InitialMeasure):
         return heat_kernel(t, x - self.x0)
 
     def gaussian_integral(self, a):
-        return math.exp(-a * self.x0**2)
+        return _gaussian_weight(a, self.x0)
 
 
 @dataclass(frozen=True)
@@ -93,7 +109,7 @@ class LebesgueConstant(InitialMeasure):
         return self.c
 
     def gaussian_integral(self, a):
-        return self.c * math.sqrt(math.pi / a)
+        return _in_float_range(self.c * math.sqrt(math.pi / a), "c sqrt(pi / a)")
 
 
 @dataclass(frozen=True)
@@ -107,10 +123,19 @@ class PolynomialDensity(InitialMeasure):
     def j0(self, t, x):
         if not (t > 0):
             raise DomainError(f"t must be > 0, got {t}")
-        return x**2 + t
+        try:
+            value = x**2 + t
+        except OverflowError:
+            value = math.inf
+        return _in_float_range(value, "J0 = x^2 + t")
 
     def gaussian_integral(self, a):
-        return math.sqrt(math.pi) / (2.0 * a**1.5)
+        try:
+            a_pow = a**1.5
+        except OverflowError:  # the integral is below the floats
+            return 0.0
+        value = math.sqrt(math.pi) / (2.0 * a_pow) if a_pow else math.inf
+        return _in_float_range(value, "sqrt(pi) / (2 a^(3/2))")
 
 
 @dataclass(frozen=True)
@@ -132,10 +157,10 @@ class GaussianDensity(InitialMeasure):
         return heat_kernel(t + self.variance, x - self.mean)
 
     def gaussian_integral(self, a):
-        v = self.variance
-        return math.exp(-a * self.mean**2 / (1.0 + 2.0 * a * v)) / math.sqrt(
-            1.0 + 2.0 * a * v
-        )
+        s = 1.0 + 2.0 * a * self.variance
+        if s == math.inf:  # the value, below exp(0) / sqrt(s), is 0
+            return 0.0
+        return _gaussian_weight(a, self.mean, s) / math.sqrt(s)
 
 
 @dataclass(frozen=True)
@@ -162,7 +187,7 @@ class FiniteAtoms(InitialMeasure):
         return sum(m * heat_kernel(t, x - y) for y, m in self.atoms)
 
     def gaussian_integral(self, a):
-        return sum(m * math.exp(-a * y**2) for y, m in self.atoms)
+        return sum(m * _gaussian_weight(a, y) for y, m in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -210,14 +235,16 @@ def check_cond_mu0(
     measure: InitialMeasure,
     a_grid: Sequence[float] = (0.01, 0.1, 1.0, 10.0),
 ) -> CondMu0Report:
-    """Evaluate int exp(-a x^2) mu0(dx) over a grid of a > 0.
+    """Evaluate int exp(-a x^2) mu0(dx) over a grid of finite a > 0.
 
     All values finite -> ok; otherwise reports the first offending a.
+    A closed form past the float range raises EstimationError instead, as
+    the measure is admissible; only a quadrature value can be non-finite.
     """
     values = []
     for a in a_grid:
-        if not (a > 0):
-            raise DomainError(f"grid values must be > 0, got {a}")
+        if not (0 < a < math.inf):
+            raise DomainError(f"grid values must be finite and > 0, got {a}")
         v = measure.gaussian_integral(a)
         values.append(v)
         if not math.isfinite(v):
@@ -228,8 +255,9 @@ def check_cond_mu0(
 def measure_from_config(cfg: dict) -> InitialMeasure:
     """Build a measure from its JSON form, e.g. {"type": "dirac", "x0": 0.0}.
 
-    Raises ValidationError for a non-object, a non-numeric field, or a
-    value the measure's constructor rejects (a non-finite one, say).
+    Raises ValidationError for a non-object, a missing or non-numeric
+    field, or a value the measure's constructor rejects (a non-finite one,
+    say).
     """
     if not isinstance(cfg, dict):
         raise ValidationError(f"measure must be a JSON object, got {cfg!r}")
@@ -247,6 +275,6 @@ def measure_from_config(cfg: dict) -> InitialMeasure:
             )
         if kind == "atoms":
             return FiniteAtoms(tuple((float(x), float(m)) for x, m in cfg["atoms"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise ValidationError(f"bad field in measure {cfg!r} ({exc})") from exc
     raise ValidationError(f"unknown measure type {kind!r}")

@@ -565,7 +565,7 @@ def verify_term_bound(
     log_b1 = term_bound(
         n, t, FractionalParams(params.H0, params.H, 1.0), mode="exact-constants"
     ).log_bound
-    bound = _exp_or_inf(term_bound(n, t, params, mode="exact-constants").log_bound)
+    bound = term_bound(n, t, params, mode="exact-constants").bound
     minimal_b = _exp_or_inf((math.log(max(ratio, 1e-300)) - log_b1) / n)
     passed = ratio - 3.0 * ratio_err <= bound
     return TermBoundCheck(n, est, bound, minimal_b, passed)

@@ -17,8 +17,9 @@ offsets
     d_k = (a_1 + ... + a_k) - k in {0, 1},  k = 1..n-1,  d_0 = d_n = 0,
 
 with a_k = 1 + d_k - d_{k-1}; every choice of the n-1 bits gives a member
-of A_n.  Validation checks just these offsets (the entry ranges and pair
-sums of the definition follow from them), the path heights are
+of A_n.  `ExponentVector` computes these offsets once, keeps them as its
+`d` and validates just them (the entry ranges and pair sums of the
+definition follow from them); the path heights are
 h_k = k - d_{k-1}, a diagonal touch point i is a position with d_i = 0,
 and `move_down` sets that bit to 1.  Lexicographic order on a is the
 binary order of d_1...d_{n-1} read with d_1 as the most significant bit,
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -57,41 +58,31 @@ __all__ = [
 MAX_ENUM_N = 20
 
 
-def _offsets(a: Sequence[int]) -> list[int]:
-    """The offsets d_1..d_n of a, d_k = (a_1 + ... + a_k) - k."""
-    return [s - k for k, s in enumerate(itertools.accumulate(a), start=1)]
-
-
-def _validate_exponents(a: Sequence[int]) -> None:
-    """Check a in A_n by its offsets; raise naming the first bad one.
-
-    a is in A_n exactly when d_k in {0, 1} for k < n and d_n = 0 (the
-    total is n).  The entry ranges and pair sums of the definition follow
-    from a_k = 1 + d_k - d_{k-1} with d_0 = 0.
-    """
-    n = len(a)
-    if n < 1:
-        raise ValidationError("exponent vector must have length >= 1")
-    d = _offsets(a)
-    for k in range(1, n):
-        if d[k - 1] not in (0, 1):
-            raise ValidationError(
-                f"partial sum a_1+...+a_{k} must be in "
-                f"{{{k},{k + 1}}}, got {d[k - 1] + k}"
-            )
-    if d[-1] != 0:
-        raise ValidationError(f"total sum must equal n={n}, got {d[-1] + n}")
-
-
 @dataclass(frozen=True, order=True)
 class ExponentVector:
-    """An element of A_n, validated at construction."""
+    """An element of A_n, validated at construction by its offsets d_0..d_n,
+    which it keeps in `d`; a bad vector raises ValidationError naming its
+    first bad offset."""
 
     a: tuple[int, ...]
+    d: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-        _validate_exponents(self.a)
+        a = tuple(int(v) for v in self.a)
+        object.__setattr__(self, "a", a)
+        n = len(a)
+        if n < 1:
+            raise ValidationError("exponent vector must have length >= 1")
+        d = (0, *(s - k for k, s in enumerate(itertools.accumulate(a), start=1)))
+        for k in range(1, n):
+            if d[k] not in (0, 1):
+                raise ValidationError(
+                    f"partial sum a_1+...+a_{k} must be in "
+                    f"{{{k},{k + 1}}}, got {d[k] + k}"
+                )
+        if d[n] != 0:
+            raise ValidationError(f"total sum must equal n={n}, got {d[n] + n}")
+        object.__setattr__(self, "d", d)
 
     @property
     def n(self) -> int:
@@ -196,8 +187,7 @@ def path_of(a: ExponentVector | Sequence[int]) -> LatticePath:
     """The lattice path of a: heights h_k = k - d_{k-1}, d_0 = 0."""
     if not isinstance(a, ExponentVector):
         a = ExponentVector(tuple(a))
-    d = [0] + _offsets(a)
-    return LatticePath(tuple(k - d[k - 1] for k in range(1, a.n + 1)))
+    return LatticePath(tuple(k - a.d[k - 1] for k in range(1, a.n + 1)))
 
 
 def exponent_of(path: LatticePath | Sequence[int]) -> ExponentVector:
@@ -217,8 +207,7 @@ def diagonal_touch_points(a: ExponentVector | Sequence[int]) -> list[int]:
     """
     if not isinstance(a, ExponentVector):
         a = ExponentVector(tuple(a))
-    d = _offsets(a)
-    return [i for i in range(1, a.n) if d[i - 1] == 0]
+    return [i for i in range(1, a.n) if a.d[i] == 0]
 
 
 def move_down(a: ExponentVector | Sequence[int], i: int) -> ExponentVector:

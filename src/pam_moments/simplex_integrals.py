@@ -92,7 +92,7 @@ def check_conditions(spec: SimplexIntegralSpec) -> ConditionReport:
                 False, f"beta_{i + 1} > -1 fails (beta_{i + 1}={bi})", i + 1
             )
     with np.errstate(over="ignore"):  # a margin past the floats is +-inf
-        margins = _sigma(spec)[:-1] + a[1:]  # sigma_k + alpha_(k+1), k < n
+        margins = _sigma(a, b)[:-1] + a[1:]  # sigma_k + alpha_(k+1), k < n
     bad = np.flatnonzero(margins <= 0)
     if bad.size:
         k = int(bad[0]) + 1
@@ -106,19 +106,22 @@ def check_conditions(spec: SimplexIntegralSpec) -> ConditionReport:
     return ConditionReport(True)
 
 
-def _sigma(spec: SimplexIntegralSpec) -> np.ndarray:
-    """sigma_k = sum_{i<=k}(alpha_i+beta_i) + k + 1 for k = 1..n; raises
-    DomainError where a sum leaves the finite floats."""
-    a = np.asarray(spec.alphas)
-    b = np.asarray(spec.betas)
-    k = np.arange(1, spec.n + 1)
+def _sigma(alphas, betas) -> np.ndarray:
+    """sigma_k = sum_{i<=k}(alpha_i+beta_i) + k + 1, k = 1..n, along the
+    last axis of the (alphas, betas) arrays; raises DomainError where a
+    sum leaves the finite floats."""
+    a = np.asarray(alphas, dtype=float)
+    b = np.asarray(betas, dtype=float)
+    k = np.arange(1, a.shape[-1] + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = np.cumsum(a + b) + k + 1
-    bad = np.flatnonzero(~np.isfinite(sigma))
-    if bad.size:
+        sigma = np.cumsum(a + b, axis=-1) + k + 1
+    # a partial sum past the floats leaves every later one inf or nan, so
+    # the last one tells whether any is
+    if not np.isfinite(sigma[..., -1]).all():
+        bad = tuple(np.argwhere(~np.isfinite(sigma))[0])
         raise DomainError(
             f"alphas and betas must have finite partial sums: "
-            f"sum_(i<=k)(alpha_i+beta_i) is {sigma[bad[0]]} at k={bad[0] + 1}"
+            f"sum_(i<=k)(alpha_i+beta_i) is {sigma[bad]} at k={bad[-1] + 1}"
         )
     return sigma
 
@@ -130,7 +133,7 @@ def log_closed_form(spec: SimplexIntegralSpec) -> float:
         raise ValidationError(report.clause)
     a = np.asarray(spec.alphas)
     b = np.asarray(spec.betas)
-    sigma = _sigma(spec)
+    sigma = _sigma(a, b)
     total_exp = float(sigma[-1] - 1)  # |alpha| + |beta| + n
     # ln Gamma is inf past about 2.5e305, and inf - inf is nan
     with np.errstate(invalid="ignore"):
@@ -149,26 +152,36 @@ def log_closed_form(spec: SimplexIntegralSpec) -> float:
     return val
 
 
+def _exp_in_range(log_value: float, name: str) -> float:
+    """exp(log_value); raises EstimationError where that is not a finite
+    float (log_value past about 709.78, inf or nan)."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise EstimationError(f"{name} = exp({log_value}) exceeds the float range")
+    return value
+
+
 def closed_form(spec: SimplexIntegralSpec) -> float:
     """I_n(t, alpha, beta); see log_closed_form.  Raises EstimationError
     where I_n exceeds the float range."""
-    log_value = log_closed_form(spec)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise EstimationError(
-            f"I_n = exp({log_value}) exceeds the float range"
-        ) from None
+    return _exp_in_range(log_closed_form(spec), "I_n")
 
 
 def gaussian_spectral_integral(alpha: float, t: float) -> float:
-    """int_R e^{-t xi^2} |xi|^alpha dxi = Gamma((1+alpha)/2) t^{-(1+alpha)/2}."""
+    """int_R e^{-t xi^2} |xi|^alpha dxi = Gamma((1+alpha)/2) t^{-(1+alpha)/2}.
+
+    Raises EstimationError where the value exceeds the float range.
+    """
     if not (alpha > -1):
         raise DomainError(f"alpha must be > -1, got {alpha}")
-    if not (t > 0):
-        raise DomainError(f"t must be > 0, got {t}")
-    return math.exp(
-        log_gamma((1.0 + alpha) / 2.0) - (1.0 + alpha) / 2.0 * math.log(t)
+    if not (0 < t < math.inf):
+        raise DomainError(f"t must be finite and > 0, got {t}")
+    return _exp_in_range(
+        log_gamma((1.0 + alpha) / 2.0) - (1.0 + alpha) / 2.0 * math.log(t),
+        "the spectral integral",
     )
 
 

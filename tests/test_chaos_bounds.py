@@ -8,6 +8,7 @@ from scipy.special import logsumexp
 from pam_moments import chaos_bounds
 from pam_moments.chaos_bounds import (
     DEFAULT_P_GRID,
+    MomentBoundResult,
     DEFAULT_T_GRID,
     FractionalParams,
     admissible_param_grid,
@@ -371,13 +372,20 @@ def test_envelope_dominates_series_on_grid():
 
 
 def test_fit_returns_the_series_values_it_was_fitted_to():
-    # check_10 reads these in place of calling the series again per point
-    _, _, log_sums = _fit_log_envelope(P_REF, 4.0, DEFAULT_P_GRID, DEFAULT_T_GRID)
-    want = [
-        [log_chaos_series(p, float(t), P_REF, C=4.0)[0] for t in np.logspace(0.0, 2.0, 9)]
-        for p in (2.0, 4.0, 8.0, 16.0, 32.0)
-    ]
+    # check_10 and bound-table read these in place of calling the series
+    # and the envelope exponent again per point
+    c1_log, c2, log_sums, log_env = _fit_log_envelope(
+        P_REF, 4.0, DEFAULT_P_GRID, DEFAULT_T_GRID
+    )
+    ts = np.logspace(0.0, 2.0, 9)
+    ps = (2.0, 4.0, 8.0, 16.0, 32.0)
+    want = [[log_chaos_series(p, float(t), P_REF, C=4.0)[0] for t in ts] for p in ps]
     assert np.array_equal(log_sums, want)
+    want_env = [
+        [c1_log + c2 * _envelope_exponent(p, float(t), P_REF) / p for t in ts]
+        for p in ps
+    ]
+    assert np.array_equal(log_env, want_env)
 
 
 def test_moment_bound_composition():
@@ -405,3 +413,52 @@ def test_inputs_beyond_the_float_range_raise_library_errors():
             log_chaos_series(p, 1.0, P_REF, C=4.0)
         with pytest.raises(ValidationError, match="b_H0"):
             FractionalParams(0.75, 0.3, p)
+
+
+def test_bound_and_envelope_past_the_float_range_are_inf():
+    # exp(log_bound) once raised a bare OverflowError
+    tb = term_bound(30, 1e300, FractionalParams(0.75, 0.3))
+    assert math.isfinite(tb.log_bound) and tb.bound == math.inf
+    assert term_bound(4, 2.0, P_REF).bound == math.exp(term_bound(4, 2.0, P_REF).log_bound)
+    res = moment_bound(2.0, 1.0, 0.0, P_REF, LebesgueConstant(1.0), C=1.0)
+    assert res.envelope_value == math.exp(res.log_envelope_value)
+    assert math.isfinite(res.envelope_value) and res.envelope_value >= res.series_value
+    res = moment_bound(4.0, 2.0, 0.0, P_REF, LebesgueConstant(1.0), C=4.0)
+    assert res.log_envelope_value > 710.0 and res.envelope_value == math.inf
+    big = MomentBoundResult(2.0, 1.0, 0.0, 1e4, 2e4, 3, 1.0, 1.0)
+    assert big.series_value == math.inf and big.envelope_value == math.inf
+
+
+def test_inputs_that_once_got_past_validation():
+    with pytest.raises(ValidationError, match="integer"):
+        term_bound(1.5, 1.0, P_REF)
+    with pytest.raises(ValidationError, match="integer"):
+        term_bound(True, 1.0, P_REF)
+    assert term_bound(np.int64(3), 1.0, P_REF) == term_bound(3, 1.0, P_REF)
+    for t in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            term_bound(3, t, P_REF)
+    with pytest.raises(DomainError, match="finite"):
+        term_bound(3, 1.0, P_REF, mode="asymptotic", C=math.inf)
+    for constants in ((0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError, match="constants"):
+            moment_bound(2.0, 1.0, 0.0, P_REF, DiracAt(0.0), constants=constants)
+    for alpha in ([], [[0.5, 0.5]]):
+        with pytest.raises(ValidationError, match="nonempty vector"):
+            tilde_exponents(alpha, P_REF)
+    # polyfit on one point, or on two equal ones, warns instead of fitting
+    for t_grid in ((1.0,), (2.0, 2.0), ()):
+        with pytest.raises(ValidationError, match="two distinct"):
+            fit_time_exponent(P_REF, t_grid=t_grid)
+    with pytest.raises(ValidationError, match="two distinct"):
+        fit_p_exponent(P_REF, p_grid=(4.0,))
+
+
+def test_ab_condition_rejects_non_finite_partial_sums():
+    # a non-finite sum once compared as a margin: [inf] passed as True
+    for at, bt in (([math.inf], [0.0]), ([1e308, 1e308], [0.0, 0.0]),
+                   ([0.0, math.nan], [0.0, 0.0])):
+        with pytest.raises(DomainError, match="finite partial sums"):
+            verify_ab_condition(at, bt, [0.0] * len(at))
+    with pytest.raises(DomainError, match="at k=2"):
+        verify_ab_condition([[0.0, 0.0], [0.0, math.inf]], [[0.0] * 2] * 2, [[0.0] * 2] * 2)

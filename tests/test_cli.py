@@ -217,6 +217,54 @@ def test_dirichlet_oracle_at_extreme_t_is_an_estimation_error(capsys):
     assert code == 0 and json.loads(out)["closed_form"] == 0.0
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_j0_with_closed_forms_past_the_float_range(capsys):
+    # an atom at 1e200 once ended in an OverflowError traceback from x0**2;
+    # a constant density of 1e308 printed [Infinity] with exit 1, which
+    # called an admissible measure inadmissible
+    cases = [
+        ('{"type": "dirac", "x0": 1e200}', "0", 0),
+        ('{"type": "gaussian", "mean": 1e200}', "0", 0),
+        ('{"type": "atoms", "atoms": [[1e200, 1.0], [0.0, 2.0]]}', "0", 0),
+        ('{"type": "lebesgue", "c": 1e308}', "0", 2),
+        ('{"type": "polynomial"}', "1e200", 2),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure, x, want in cases:
+            code, out = run_cli("j0", "--t", "1", "--x", x, "--measure", measure)
+            err = capsys.readouterr().err.strip().splitlines()
+            assert code == want, measure
+            if code == 0:
+                record = _strict_json(out)
+                assert record["cond_mu0_ok"] is True, measure
+                assert all(math.isfinite(v) for v in record["cond_mu0_values"])
+            else:
+                assert out == "" and len(err) == 2, measure
+                assert err[1].startswith("estimation error: ")
+                assert err[1].endswith("exceeds the float range")
+
+
+def test_selfcheck_prints_one_line_per_check_and_exits_by_them(monkeypatch):
+    from pam_moments import acceptance
+
+    cheap = (acceptance.check_02_paths_n4, acceptance.check_07_gamma_ratio_monotone)
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", cheap)
+    code, out = run_cli("selfcheck")
+    assert code == 0
+    assert out.splitlines() == [check().line() for check in cheap]
+    failing = lambda: acceptance.CheckResult(99, "always fails", False, "by design")
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", cheap + (failing,))
+    code, out = run_cli("selfcheck")
+    assert code == 1
+    assert out.splitlines()[-1] == "[FAIL] 99 always fails: by design"
+
+
 def test_gamma_scan_csv():
     code, out = run_cli("gamma-scan", "--n-max", "3", "--grid-size", "3")
     assert code == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pam_moments.errors import DomainError, ValidationError
+from pam_moments.errors import DomainError, EstimationError, ValidationError
 from pam_moments.initial_data import (
     CustomDensity,
     DiracAt,
@@ -145,3 +145,63 @@ def test_measure_constructors_reject_non_finite_fields(bad):
     # the config reader has no check of its own: the constructors reject
     with pytest.raises(ValidationError, match="bad field in measure"):
         measure_from_config({"type": "gaussian", "variance": bad})
+
+
+def test_gaussian_integrals_match_quadrature():
+    v = 0.6
+    cases = [
+        (LebesgueConstant(1.7), lambda y: 1.7),
+        (
+            GaussianDensity(0.4, v),
+            lambda y: math.exp(-((y - 0.4) ** 2) / (2.0 * v)) / math.sqrt(2.0 * math.pi * v),
+        ),
+        (CustomDensity(lambda y: math.exp(-abs(y))), lambda y: math.exp(-abs(y))),
+    ]
+    for a in (0.01, 0.3, 2.0):
+        for measure, density in cases:
+            ref, _ = integrate.quad(
+                lambda y: math.exp(-a * y * y) * density(y), -np.inf, np.inf,
+                epsabs=0.0, epsrel=1e-11,
+            )
+            assert measure.gaussian_integral(a) == pytest.approx(ref, rel=1e-9), measure
+        # point masses have no density: the integral is the weighted sum of
+        # exp(-a y^2) over the atoms
+        atoms = FiniteAtoms(((0.3, 2.0), (-1.2, 0.5)))
+        want = 2.0 * math.exp(-a * 0.09) + 0.5 * math.exp(-a * 1.44)
+        assert atoms.gaussian_integral(a) == pytest.approx(want, rel=1e-14)
+
+
+def test_measure_from_config_reads_atoms():
+    m = measure_from_config({"type": "atoms", "atoms": [[0.3, 2.0], [-1.2, 0.5]]})
+    assert m == FiniteAtoms(((0.3, 2.0), (-1.2, 0.5)))
+    for bad in ({"type": "atoms"}, {"type": "atoms", "atoms": [[0.3]]},
+                {"type": "atoms", "atoms": []}):
+        with pytest.raises(ValidationError):
+            measure_from_config(bad)
+
+
+def test_closed_forms_past_the_float_range():
+    # y**2 past the floats once raised OverflowError: the weight is 0 there,
+    # or exp(-a |y| |y|) where a is tiny
+    assert DiracAt(1e200).gaussian_integral(1.0) == 0.0
+    assert DiracAt(1e155).gaussian_integral(1e-310) == pytest.approx(
+        math.exp(-1.0), rel=1e-9
+    )
+    assert GaussianDensity(1e200, 1.0).gaussian_integral(1.0) == 0.0
+    assert FiniteAtoms(((1e200, 1.0), (0.0, 2.0))).gaussian_integral(1.0) == 2.0
+    # a m^2 and 1 + 2 a v both past the floats once gave inf / inf = nan
+    assert GaussianDensity(1e154, 1e308).gaussian_integral(10.0) == 0.0
+    # a^1.5 past the floats: the integral is below them
+    assert PolynomialDensity().gaussian_integral(1e300) == 0.0
+    # a value past the floats is an estimation error, not a verdict on the
+    # measure (a^1.5 underflowing to 0 once raised ZeroDivisionError)
+    for value in (
+        lambda: PolynomialDensity().gaussian_integral(1e-300),
+        lambda: LebesgueConstant(1e308).gaussian_integral(0.01),
+        lambda: check_cond_mu0(LebesgueConstant(1e308)),
+        lambda: PolynomialDensity().j0(1.0, 1e200),
+    ):
+        with pytest.raises(EstimationError, match="exceeds the float range"):
+            value()
+    with pytest.raises(DomainError):
+        check_cond_mu0(DiracAt(0.0), a_grid=(math.inf,))

@@ -326,3 +326,18 @@ def test_bit_set_move_equals_move_down():
                 else:
                     assert i in touch
                     assert tuple(move_down(a, i)) == rows[r | bit]
+
+
+def test_offsets_are_kept_and_ignored_by_comparison():
+    a = ExponentVector((2, 0, 1, 1))
+    assert a.d == (0, 1, 0, 0, 0)
+    assert repr(a) == "ExponentVector(a=(2, 0, 1, 1))"
+    b = ExponentVector([2.0, 0, 1, 1])
+    assert a == b and hash(a) == hash(b) and not a < b
+    with pytest.raises(TypeError):
+        ExponentVector((1,), (0, 0))
+    # the offsets are the rows of the offset matrix behind exponent_matrix
+    for n in range(1, 8):
+        d = [ExponentVector(tuple(r)).d for r in exponent_matrix(n).tolist()]
+        assert d == [tuple(r) for r in np.cumsum(
+            np.pad(exponent_matrix(n) - 1, ((0, 0), (1, 0))), axis=1).tolist()]

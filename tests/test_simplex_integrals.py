@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from pam_moments import simplex_integrals
-from pam_moments.errors import DomainError, SizeError, ValidationError
+from pam_moments.errors import DomainError, EstimationError, SizeError, ValidationError
 from pam_moments.simplex_integrals import (
     SimplexIntegralSpec,
     brute_force,
@@ -275,3 +275,15 @@ def test_oracle_rejects_bad_seed_and_rtol():
     for rtol in (0.0, -1.0, math.nan):
         with pytest.raises(ValidationError):
             brute_force(spec, method="nested-quadrature", rtol=rtol)
+
+
+def test_spectral_integral_past_the_float_range_is_an_estimation_error():
+    # exp of the log value once raised a bare OverflowError, and at
+    # alpha = 1e306, where ln Gamma((1 + alpha) / 2) = inf, gave inf or nan
+    for alpha, t in ((1e300, 1.0), (1e3, 1e-300), (1e306, 1.0), (1e306, 2.0)):
+        with pytest.raises(EstimationError, match="exceeds the float range"):
+            gaussian_spectral_integral(alpha, t)
+    for t in (math.inf, math.nan, 0.0):
+        with pytest.raises(DomainError, match="finite"):
+            gaussian_spectral_integral(0.5, t)
+    assert gaussian_spectral_integral(1e3, 1e300) == 0.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam_moments.errors import DomainError
+from pam_moments.errors import DomainError, EstimationError
 from pam_moments.special_functions import (
     _check_positive,
     digamma,
@@ -172,3 +172,17 @@ def test_gamma_ratio_functional_equation(z, a):
     lhs = gamma_ratio(z, a + 1.0)
     rhs = (z + a) * gamma_ratio(z, a)
     assert lhs == pytest.approx(rhs, rel=1e-11)
+
+
+def test_gamma_ratio_past_the_float_range_is_an_estimation_error():
+    # np.exp once leaked its overflow RuntimeWarning and returned inf
+    with pytest.raises(EstimationError, match="exceeds the float range"):
+        gamma_ratio(1.0, 1e300)
+    with pytest.raises(EstimationError):
+        gamma_ratio(np.array([1.0, 2.0]), np.array([0.5, 1e300]))
+    assert log_gamma_ratio(1.0, 1e300) > 700.0
+    # z + a past the floats leaked an overflow warning; ln Gamma(z) = inf
+    # at z = 1e306 gave inf - inf = nan with an invalid-value warning
+    for z, a in ((1e308, 1e308), (1e306, 1.0)):
+        with pytest.raises(EstimationError, match="exceeds the float range"):
+            log_gamma_ratio(z, a)
