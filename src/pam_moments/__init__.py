@@ -5,13 +5,7 @@ bounds and their Monte-Carlo cross-checks.
 """
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
-from .special_functions import (
-    digamma,
-    gamma_ratio,
-    log_factorial,
-    log_gamma,
-    log_gamma_ratio,
-)
+from .special_functions import gamma_ratio, log_gamma
 from .path_combinatorics import (
     ExponentVector,
     LatticePath,
@@ -59,8 +53,6 @@ from .chaos_bounds import (
     spatial_exponents,
     stirling_lb_check,
     term_bound,
-    theta,
-    tilde_exponents,
     verify_ab_condition,
 )
 from .mc_verifier import (

@@ -237,7 +237,7 @@ def check_08_ab_condition() -> CheckResult:
     )
 
 
-def check_09_mc_oracle_bounds(samples: int = 120_000, xi_samples: int = 4_000) -> CheckResult:
+def check_09_mc_oracle_bounds() -> CheckResult:
     measures = (DiracAt(0.0), LebesgueConstant(1.0))
     max_b = 0.0
     all_passed = True
@@ -249,7 +249,7 @@ def check_09_mc_oracle_bounds(samples: int = 120_000, xi_samples: int = 4_000) -
                 for n in (1, 2):
                     cfg_i += 1
                     chk = verify_term_bound(
-                        n, t, 0.0, measure, params, samples=samples, seed=1000 + cfg_i
+                        n, t, 0.0, measure, params, samples=120_000, seed=1000 + cfg_i
                     )
                     max_b = max(max_b, chk.minimal_b)
                     all_passed = all_passed and chk.passed
@@ -260,7 +260,7 @@ def check_09_mc_oracle_bounds(samples: int = 120_000, xi_samples: int = 4_000) -
                         measure,
                         params,
                         time_samples=10,
-                        xi_samples=xi_samples,
+                        xi_samples=4_000,
                         seed=2000 + cfg_i,
                     )
                     lemma_ok = lemma_ok and cmp.ok

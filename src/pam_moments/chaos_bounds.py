@@ -11,7 +11,7 @@ chain runs
 
 gamma_n is a product of gamma-function ratios.  It equals 1 exactly at
 the all-ones vector, but vectors whose path leaves the diagonal at the
-right end can exceed 1 by a slowly growing factor, so gamma_n <= 1 and
+right end can exceed 1, so gamma_n <= 1 and
 its monotonicity under downward path moves do not hold over all of A_n
 (acceptance checks 5 and 6 report this).  All products of gamma factors
 are accumulated in log space.
@@ -44,12 +44,9 @@ from .simplex_integrals import _sigma
 
 __all__ = [
     "FractionalParams",
-    "TildeExponents",
     "ChaosTermBound",
     "spatial_exponents",
-    "tilde_exponents",
     "verify_ab_condition",
-    "theta",
     "gamma_n",
     "gamma_n_matrix",
     "term_bound",
@@ -108,7 +105,7 @@ class FractionalParams:
 
     @property
     def time_growth_exponent(self) -> float:
-        """(2 H0 + H - 1), the per-order power of t in the asymptotic bound."""
+        """(2 H0 + H - 1), the per-order power of t in the bound."""
         return 2.0 * self.H0 + self.H - 1.0
 
 
@@ -125,56 +122,23 @@ def admissible_param_grid(size: int = 5) -> list[FractionalParams]:
     return out
 
 
-@dataclass(frozen=True)
-class TildeExponents:
-    """Time-integral exponents derived from the spatial exponents."""
-
-    alpha_tilde: tuple[float, ...]
-    beta_tilde: tuple[float, ...]
-
-    def __post_init__(self):
-        at, bt = self.alpha_tilde, self.beta_tilde
-        if len(at) != len(bt) or not at:
-            raise ValidationError("tilde vectors must be nonempty, equal length")
-        if at[0] <= -1:
-            raise ValidationError(f"alpha~_1 must be > -1, got {at[0]}")
-        for i, b in enumerate(bt):
-            if b <= -1:
-                raise ValidationError(
-                    f"beta~_{i + 1} must be > -1, got {b}; "
-                    "only possible when H0 + H <= 3/4"
-                )
-
-
-def _as_array(a) -> np.ndarray:
-    if isinstance(a, ExponentVector):
-        return np.asarray(a.a, dtype=float)
-    return np.asarray(a, dtype=float)
-
-
 def spatial_exponents(a, params: FractionalParams) -> np.ndarray:
     """alpha_j = (1 - 2H) a_j."""
-    return (1.0 - 2.0 * params.H) * _as_array(a)
+    if isinstance(a, ExponentVector):
+        a = a.a
+    return (1.0 - 2.0 * params.H) * np.asarray(a, dtype=float)
 
 
 def _tilde_matrix(alpha: np.ndarray, params: FractionalParams):
-    """Vectorized tilde exponents for a (m, n) matrix of spatial exponents."""
+    """The tilde exponents (alpha~, beta~) along the last axis of the
+    spatial exponents alpha: alpha~_1 = (4H-3+alpha_1)/(4H0),
+    alpha~_j = (4H-2+alpha_{j-1}+alpha_j)/(4H0), beta~_j = -(alpha_j+1)/(4H0)."""
     H, H0 = params.H, params.H0
     at = np.empty_like(alpha)
     at[..., 0] = (4.0 * H - 3.0 + alpha[..., 0]) / (4.0 * H0)
     at[..., 1:] = (4.0 * H - 2.0 + alpha[..., :-1] + alpha[..., 1:]) / (4.0 * H0)
     bt = -(alpha + 1.0) / (4.0 * H0)
     return at, bt
-
-
-def tilde_exponents(alpha, params: FractionalParams) -> TildeExponents:
-    """alpha~_1 = (4H-3+alpha_1)/(4H0), alpha~_j = (4H-2+alpha_{j-1}+alpha_j)/(4H0),
-    beta~_j = -(alpha_j+1)/(4H0)."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.ndim != 1 or not alpha.size:
-        raise ValidationError(f"alpha must be a nonempty vector, got shape {alpha.shape}")
-    at, bt = _tilde_matrix(alpha, params)
-    return TildeExponents(tuple(at.tolist()), tuple(bt.tolist()))
 
 
 def verify_ab_condition(
@@ -201,23 +165,13 @@ def verify_ab_condition(
 
 
 def _theta(k, d_prev, params: FractionalParams):
-    """theta_k from the offset d_prev = d_{k-1} (k, d_prev may be arrays)."""
+    """theta_k = sum_{i<=k}(alpha~_i + beta~_i) + k + 1 in closed form, from
+    the offset d_prev = d_{k-1} (k, d_prev may be arrays): theta_1 =
+    (H-1)/H0 + 2, and for k >= 2 the increments are (4H0+4H-3)/(4H0) +
+    a_{k-1} (1-2H)/(4H0)."""
     q = 4.0 * params.H0
     c = (1.0 - 2.0 * params.H) / q
     return 1.0 - 1.0 / q + k * (q + 4.0 * params.H - 3.0) / q + c * (k - 1 + d_prev)
-
-
-def theta(k: int, a, params: FractionalParams) -> float:
-    """theta_k = sum_{i<=k}(alpha~_i + beta~_i) + k + 1, in closed form.
-
-    theta_1 = (H-1)/H0 + 2; for k >= 2 the increments are
-    (4H0+4H-3)/(4H0) + a_{k-1} (1-2H)/(4H0).
-    """
-    arr = _as_array(a)
-    n = arr.size
-    if not 1 <= k <= n:
-        raise DomainError(f"k must be in [1, {n}], got {k}")
-    return float(_theta(k, float(np.sum(arr[: k - 1])) - (k - 1), params))
 
 
 def _gamma_factor_table(n: int, params: FractionalParams) -> np.ndarray:
@@ -267,10 +221,10 @@ def gamma_n_matrix(n: int, params: FractionalParams) -> np.ndarray:
 class ChaosTermBound:
     """Bound on E|J_n(t,x)|^2 with the J0^2 prefactor stripped.
 
-    gamma_n records the maximum of the gamma product over A_n (1 in
-    asymptotic mode).  Note the diagonal path gives exactly 1 but paths
-    dropping off the diagonal at the right end can exceed 1 by a slowly
-    growing factor, so this field is only guaranteed positive.
+    gamma_n records the maximum of the gamma product over A_n.  The
+    diagonal path gives exactly 1, but paths dropping off the diagonal at
+    the right end can exceed 1, so this field is only guaranteed positive.
+    mode is "exact-constants", the one mode `term_bound` has.
     """
 
     n: int
@@ -372,17 +326,17 @@ def term_bound(
     t: float,
     params: FractionalParams,
     mode: str = "exact-constants",
-    C: float = 1.0,
 ) -> ChaosTermBound:
     """Per-order bound on E|J_n(t,x)|^2 / J0^2(t,x).
 
-    exact-constants mode sums over all 2^{n-1} members of A_n, carrying
-    every gamma and spectral constant of the chain (n <= 30); the sum is
-    taken by a transfer-matrix recursion over the path offsets in O(n)
-    work, without enumerating A_n, over the gamma factor table behind
-    `gamma_n`; its gamma_n is `gamma_n_matrix(n, params).max()` exactly.
-    asymptotic mode returns C^n (n!)^{-H} t^{n(2H0+H-1)} with the
-    caller-supplied constant C.
+    The bound sums over all 2^{n-1} members of A_n, carrying every gamma
+    and spectral constant of the chain (n <= 30); the sum is taken by a
+    transfer-matrix recursion over the path offsets in O(n) work, without
+    enumerating A_n, over the gamma factor table behind `gamma_n`; its
+    gamma_n is `gamma_n_matrix(n, params).max()` exactly.  mode must be
+    "exact-constants" (DomainError otherwise).  The asymptotic form
+    C^n (n!)^{-H} t^{n(2H0+H-1)} of this bound enters the moment series
+    through its square root, the term that `log_chaos_series` sums.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValidationError(f"n must be an integer, got {n!r}")
@@ -391,15 +345,6 @@ def term_bound(
     if not (0 < t < math.inf):
         raise DomainError(f"t must be finite and > 0, got {t}")
     time_exp = n * params.time_growth_exponent
-    if mode == "asymptotic":
-        if not (0 < C < math.inf):
-            raise DomainError(f"C must be finite and > 0, got {C}")
-        log_b = (
-            n * math.log(C)
-            - params.H * _sp.gammaln(n + 1.0)
-            + time_exp * math.log(t)
-        )
-        return ChaosTermBound(n, 1.0, float(log_b), time_exp, mode)
     if mode != "exact-constants":
         raise DomainError(f"unknown mode {mode!r}")
     if n > MAX_EXACT_N:
@@ -734,15 +679,21 @@ def moment_bound(
 
     series_value = [J0(t,x) * sum_n ((p-1)C)^{n/2} (n!)^{-H/2}
     t^{n(2H0+H-1)/2}]^p; the envelope is C1^p J0^p exp(C2 p^{(H+1)/H}
-    t^{(2H0+H-1)/H}) with (C1, C2) either supplied (C1 finite and > 0,
-    C2 finite) or fitted on the default evaluation grid.
+    t^{(2H0+H-1)/H}) with (C1, C2) either supplied (a pair, C1 finite
+    and > 0, C2 finite; DomainError otherwise) or fitted on the default
+    evaluation grid.
     """
     log_sum, trunc = log_chaos_series(p, t, params, C)
     if constants is None:
         constants = fit_envelope_constants(params, C)
-    C1, C2 = constants
-    if not (0 < C1 < math.inf and math.isfinite(C2)):
-        raise DomainError(f"constants must be C1 finite and > 0, C2 finite; got {constants}")
+    try:
+        C1, C2 = constants
+        ok = 0 < C1 < math.inf and math.isfinite(C2)
+    except (TypeError, ValueError):  # not a pair, or not of numbers
+        ok = False
+    if not ok:
+        raise DomainError("constants must be a pair (C1, C2), C1 finite and > 0, "
+                          f"C2 finite; got {constants}")
     j0_val = _j0(t, x, measure)
     if not (j0_val > 0):
         raise DomainError("J0(t, x) must be positive for the bound")

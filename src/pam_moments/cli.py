@@ -5,10 +5,11 @@ Each subcommand is declared once, in `COMMANDS`: help text, a command
 function `options -> (output lines, exit code)` and its options (key, type,
 default or `REQUIRED`, flag help).  The argparse subparsers are built from
 that table, and `run` is the one pipeline of every subcommand: parse, merge
-the flags over the ``--config`` file (key by key), cast every value through
-its option's type, log the resolved config on stderr, call the command, and
-only then open ``--output`` (a relative path is placed under
-``$PAM_MOMENTS_OUTDIR`` when set; default stdout) and write the lines.
+the flags over the ``--config`` file (key by key; a file key that names no
+option is a usage error), cast every value through its option's type, log
+the resolved config on stderr, call the command, and only then open
+``--output`` (a relative path is placed under ``$PAM_MOMENTS_OUTDIR`` when
+set; default stdout) and write the lines.
 Floats are printed with 17 significant digits, so equal configs and seeds
 produce byte-identical files.  Exit code 0 on success, 1 when a
 verification fails, 2 on usage errors (a missing option, a value its type
@@ -172,8 +173,8 @@ def _mc_verify(o: dict):
     params = FractionalParams(o["H0"], o["H"], o["b"])
     measure = o["measure"].measure
     chk = verify_term_bound(n, t, x, measure, params, o["samples"], seed, workers)
-    cmp = verify_lemma32(n, t, x, measure, params, time_samples=o["time_samples"],
-                         xi_samples=o["xi_samples"], seed=seed, workers=workers)
+    cmp = verify_lemma32(n, t, x, measure, params, time_samples=10, xi_samples=4_000,
+                         seed=seed, workers=workers)
     report = {
         "config": {
             "n": n, "t": _fmt(t), "x": _fmt(x),
@@ -205,7 +206,6 @@ class Option(NamedTuple):
     type: Callable[[Any], Any]
     default: Any = None  # REQUIRED, or None for "not given"
     help: str | None = None
-    flag: bool = True  # False for a key read only from the config file
     metavar: str | None = None
 
 
@@ -262,8 +262,6 @@ COMMANDS = {
         Option("samples", _int, 200_000),
         Option("seed", _int, 0),
         Option("workers", _int, 1),
-        Option("time_samples", _int, 10, flag=False),
-        Option("xi_samples", _int, 4_000, flag=False),
     )),
     "selfcheck": Command("run the full acceptance suite", _selfcheck),
 }
@@ -279,9 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--output", help="output path (default stdout)")
         for opt in command.options:
-            if opt.flag:
-                p.add_argument("--" + opt.key.replace("_", "-"), dest=opt.key,
-                               help=opt.help, metavar=opt.metavar)
+            p.add_argument("--" + opt.key.replace("_", "-"), dest=opt.key,
+                           help=opt.help, metavar=opt.metavar)
     return parser
 
 
@@ -329,6 +326,10 @@ def run(argv=None, stdout=None) -> int:
     command = COMMANDS[args.command]
     try:
         given = _load_config(args.config)
+        unknown = sorted(set(given) - {o.key for o in command.options})
+        if unknown:
+            raise ValidationError(
+                f"config key {unknown[0]!r} names no option of {args.command}")
         given.update((k, v) for k, v in vars(args).items()
                      if k not in ("config", "output") and v is not None)
         opts = {o.key: _cast(o, given.get(o.key, o.default)) for o in command.options}

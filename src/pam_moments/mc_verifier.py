@@ -113,9 +113,6 @@ class EstimatorResult:
     seed: int
     workers: int
 
-    def agrees_with(self, target: float, sigmas: float = 3.0) -> bool:
-        return abs(self.value - target) <= sigmas * self.stderr
-
 
 @dataclass(frozen=True)
 class KernelGaussian:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import integrate as _integrate
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
-from .special_functions import log_gamma
+from .special_functions import _log_gamma
 
 __all__ = [
     "SimplexIntegralSpec",
@@ -137,11 +137,11 @@ def log_closed_form(spec: SimplexIntegralSpec) -> float:
     total_exp = float(sigma[-1] - 1)  # |alpha| + |beta| + n
     # ln Gamma is inf past about 2.5e305, and inf - inf is nan
     with np.errstate(invalid="ignore"):
-        val = log_gamma(a[0] + 1.0) + float(np.sum(log_gamma(b + 1.0)))
-        val -= log_gamma(total_exp + 1.0)
+        val = _log_gamma(a[0] + 1.0) + float(np.sum(_log_gamma(b + 1.0)))
+        val -= _log_gamma(total_exp + 1.0)
         if spec.n > 1:
             val += float(
-                np.sum(log_gamma(sigma[:-1] + a[1:]) - log_gamma(sigma[:-1]))
+                np.sum(_log_gamma(sigma[:-1] + a[1:]) - _log_gamma(sigma[:-1]))
             )
     val += total_exp * math.log(spec.t)
     if not math.isfinite(val):
@@ -180,7 +180,7 @@ def gaussian_spectral_integral(alpha: float, t: float) -> float:
     if not (0 < t < math.inf):
         raise DomainError(f"t must be finite and > 0, got {t}")
     return _exp_in_range(
-        log_gamma((1.0 + alpha) / 2.0) - (1.0 + alpha) / 2.0 * math.log(t),
+        _log_gamma((1.0 + alpha) / 2.0) - (1.0 + alpha) / 2.0 * math.log(t),
         "the spectral integral",
     )
 

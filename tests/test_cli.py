@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -374,6 +376,28 @@ def test_config_file_values_are_cast_like_flags(command, cfg, key, tmp_path, cap
     assert len(err) == 1 and err[0].startswith(f"usage error: bad value for {key}: ")
 
 
+def test_config_key_that_names_no_option_is_a_usage_error(tmp_path, capsys):
+    # a misspelt key (and, after their removal, time_samples and
+    # xi_samples) was once ignored with exit 0
+    path = tmp_path / "cfg.json"
+    base = ["mc-verify", "--n", "1", "--t", "1", "--H0", "0.75", "--H", "0.3",
+            "--samples", "64", "--config", str(path)]
+    for key in ("tme_samples", "time_samples", "xi_samples"):
+        path.write_text(json.dumps({key: 3}))
+        assert cli.run(base, stdout=io.StringIO()) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: config key '{key}' names no option of mc-verify"]
+    # the file's own keys alone are checked: argparse's "command" entry and
+    # --output are not config keys, and a key that selfcheck lacks is unknown
+    path.write_text(json.dumps({"n": 3, "output": "x"}))
+    assert cli.run(["paths", "--config", str(path)], stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: config key 'output' names no option of paths"]
+    path.write_text(json.dumps({"n": 3}))
+    assert run_cli("paths", "--config", str(path), "--output", os.devnull) == (0, "")
+    assert cli.run(["selfcheck", "--config", str(path)], stdout=io.StringIO()) == 2
+
+
 def test_failing_command_leaves_the_output_file_unchanged(tmp_path):
     out, cfg = tmp_path / "out.txt", tmp_path / "cfg.json"
     out.write_bytes(b"kept\n")
@@ -399,7 +423,7 @@ _FUZZ_KEYS = {
                     "t": [1, 8]},
     "mc-verify": {"n": 2, "t": 1.0, "x": 0.0, "H0": 0.75, "H": 0.3, "b": 1.0,
                   "measure": {"type": "dirac", "x0": 0.0}, "samples": 64,
-                  "seed": 7, "workers": 2, "time_samples": 3, "xi_samples": 64},
+                  "seed": 7, "workers": 2},
 }
 _FUZZ_POOL = [
     None, True, -1, 0, 1, 2, 3, 0.3, 0.75, 2.5, -1.5, math.nan, math.inf, -math.inf,
@@ -438,6 +462,37 @@ def test_one_bad_config_key_exits_0_1_or_2_without_traceback(command, tmp_path, 
             code = cli.run([command, "--config", str(path)], stdout=io.StringIO())
             err = capsys.readouterr().err
             assert code in (0, 1, 2) and "Traceback" not in err, (key, value, err)
+
+
+# the README's commands with the sha256 of their stdout and their exit
+# code, so that a change meant to keep every byte is checked by the suite
+# (mc-verify is pinned in full in test_mc_sampler_oracles.py, and selfcheck
+# by its checks)
+README_STDOUT = [
+    (["paths", "--n", "4"],
+     "c275acbaa43738c490789fb8fdff4fbf2bc2644b41222e8bb59813f00a10aac2", 0),
+    (["identity", "--n", "6", "--trials", "50", "--seed", "1"],
+     "a4e559b86a505a48e3d3777718b935c5e30d9ba2dbf8221f47c138dd6bd00389", 0),
+    (["dirichlet", "--spec", '{"t": 1.0, "alphas": [1.0], "betas": [1.0]}',
+      "--oracle", "quadrature"],
+     "0d3addd2fb7fe9628d9a91505bc95526f62a9709f775347061d91dac487a0959", 0),
+    (["j0", "--t", "1", "--x", "0", "--measure", '{"type": "dirac", "x0": 0.0}'],
+     "71848af2613fc7f4375e10c462aa684df7e137b2aafe07968086aa5ace42a69c", 0),
+    (["gamma-scan", "--n-max", "6"],
+     "e8db0fedcdc555f348faf282865aa75a615400cac1a9582e5522e2c6698819e0", 0),
+    (["bound-table", "--H0", "0.75", "--H", "0.3", "--p", "2", "--t", "1,2,4,8"],
+     "1390d021c2fdf106c4c00dd5b1de2ad69d075844f54abdecf5c31fccd20c8aef", 0),
+]
+
+
+@pytest.mark.parametrize("argv, digest, want", README_STDOUT,
+                         ids=[argv[0] for argv, _, _ in README_STDOUT])
+def test_readme_command_stdout_is_pinned(argv, digest, want):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        assert "pam-moments " + shlex.join(argv) in fh.read()
+    code, out = run_cli(*argv)
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == (digest, want)
 
 
 def test_module_entry_point_runs_the_cli():
