@@ -30,11 +30,11 @@ and envelope witnesses (C1, C2) fitted on an evaluation grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize as _optimize
 from scipy import special as _sp
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
@@ -62,6 +62,7 @@ __all__ = [
 
 MAX_EXACT_N = 30
 MAX_SERIES_TERMS = 2_000_000
+_SADDLE_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -395,6 +396,71 @@ def stirling_lb_check(
     return int(ns[idx[0]])
 
 
+def _saddle(L: float, a: float, hi: float) -> float:
+    """The root of L - a psi(v+1) on [1e-9, hi], with the bits of
+    scipy.optimize.brentq (scipy 1.17.1) at xtol 2e-12, rtol 4 eps and 100
+    iterations, without its Python wrapper.
+
+    It repeats the steps of scipy's brentq.c in Python floats: from the
+    best point xcur, the previous point xpre and the contrapoint xblk
+    across the sign change, an inverse quadratic or linear step where it
+    is short enough, and bisection otherwise.  Where C divides by zero,
+    its step is +-inf or nan, which fails the step test, so this bisects
+    there too.  A bracket without a sign change, or no convergence within
+    the iterations, raises EstimationError.
+    """
+    xtol, rtol = 2e-12, 4.0 * sys.float_info.epsilon
+    psi = _sp.psi  # the function is inlined as L - a * psi(v + 1)
+    xpre, xcur = 1e-9, hi
+    fpre, fcur = L - a * float(psi(xpre + 1.0)), L - a * float(psi(xcur + 1.0))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise EstimationError("the moment series' saddle bracket has no sign change")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_SADDLE_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.nan
+            limit = 3 * abs(sbis) - delta  # C's MIN(|spre|, 3 |sbis| - delta)
+            if abs(spre) < limit:
+                limit = abs(spre)
+            if 2 * abs(stry) < limit:  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = L - a * float(psi(xcur + 1.0))
+    raise EstimationError(
+        f"the saddle of the moment series did not converge in {_SADDLE_MAXITER} steps")
+
+
 def log_chaos_series(
     p: float,
     t: float,
@@ -405,7 +471,10 @@ def log_chaos_series(
 
     Terms have the form exp(f(n)), f(x) = x L - a ln Gamma(x+1), a = H/2,
     a log-concave bump around the saddle n* (f'(n*) = 0) of width
-    w = sqrt(max(n*, 1)/a).  Returns (log_sum, peak_index), the peak index
+    w = sqrt(max(n*, 1)/a).  Where e^{L/a} > 2, n* solves L = a psi(n*+1)
+    on [1e-9, max(4 e^{L/a}, 10)] by `_saddle`, which repeats the steps of
+    scipy's brentq in Python floats and returns its bits; otherwise
+    n* = e^{L/a}.  Returns (log_sum, peak_index), the peak index
     being the integer n of the largest term.  The sums keep the terms
     within e^-40 (about 1e-16) of the largest.  Where the bump lies
     decides the rule, with edges n* - 9w - 50 (left) and n* + 12w + 50:
@@ -429,8 +498,10 @@ def log_chaos_series(
         11.45 widths, as a left edge > 0 means a w > 9.  An edge within
         the cutoff (a poor saddle estimate) raises EstimationError.
       - Left edge > 0 beyond that: Laplace's method around the saddle,
-        whose relative error is O(1/n*) and far below the fit tolerances
-        it feeds.
+        f(n*) + ln(2 pi / k) / 2 with the curvature k = -f''(n*) =
+        a psi'(n*+1) = a zeta(2, n*+1) (the bits of scipy's polygamma(1, .),
+        which computes that zeta), and a relative error O(1/n*), far below
+        the fit tolerances it feeds.
     What remains is rounding: the node values n L and a ln n! are about
     ln n* times larger than log S, and log S moves by n* ulp(L) with the
     rounding of L (d log S / dL = n*).  Against a 30-digit sum both rules
@@ -456,13 +527,7 @@ def log_chaos_series(
     if not math.isfinite(n_star):
         raise EstimationError("series peak location overflows; t or p too large")
     if n_star > 2:
-        n_star = float(
-            _optimize.brentq(
-                lambda v: L - a * _sp.psi(v + 1.0),
-                1e-9,
-                max(4.0 * n_star, 10.0),
-            )
-        )
+        n_star = _saddle(L, a, max(4.0 * n_star, 10.0))
     width = math.sqrt(max(n_star, 1.0) / a)
     left = n_star - 9.0 * width - 50.0
     right = n_star + 12.0 * width + 50.0
@@ -484,7 +549,7 @@ def log_chaos_series(
     if n_star + 9.0 * width + 50.0 > MAX_SERIES_TERMS:
         # Laplace approximation for the sum around the saddle
         f_star = float(f(n_star))
-        curvature = a * float(_sp.polygamma(1, n_star + 1.0))
+        curvature = a * float(_sp.zeta(2.0, n_star + 1.0))  # a psi'(n* + 1)
         return f_star + 0.5 * math.log(2.0 * math.pi / curvature), int(n_star)
     # nodes x0, x0 + h, ... through n*, from the first node past the left
     # edge (or the last one >= 0) up to the first one past the right edge

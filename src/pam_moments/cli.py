@@ -4,12 +4,12 @@ parameter scans, Monte-Carlo verification and the acceptance selfcheck.
 Each subcommand is declared once, in `COMMANDS`: help text, a command
 function `options -> (output lines, exit code)` and its options (key, type,
 default or `REQUIRED`, flag help).  The argparse subparsers are built from
-that table, and `run` is the one pipeline of every subcommand: parse, merge
-the flags over the ``--config`` file (key by key; a file key that names no
-option is a usage error), cast every value through its option's type, log
-the resolved config on stderr, call the command, and only then open
-``--output`` (a relative path is placed under ``$PAM_MOMENTS_OUTDIR`` when
-set; default stdout) and write the lines.
+that table once per process, and `run` is the one pipeline of every
+subcommand: parse, merge the flags over the ``--config`` file (key by key;
+a file key that names no option is a usage error), cast every value
+through its option's type, log the resolved config on stderr, call the
+command, and only then open ``--output`` (a relative path is placed under
+``$PAM_MOMENTS_OUTDIR`` when set; default stdout) and write the lines.
 Floats are printed with 17 significant digits, so equal configs and seeds
 produce byte-identical files.  Exit code 0 on success, 1 when a
 verification fails, 2 on usage errors (a missing option, a value its type
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -267,6 +268,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pam-moments", description="chaos-expansion moment bounds: enumeration, "

@@ -3,7 +3,7 @@
 ``simplex_integrals`` builds its closed form from ``_log_gamma`` (ln
 Gamma with +inf past the float range, which it reports itself), and the
 acceptance suite checks ``gamma_ratio``.  ``chaos_bounds`` calls
-``scipy.special`` (gammaln, psi, polygamma) directly on arguments its own
+``scipy.special`` (gammaln, psi, zeta) directly on arguments its own
 validation keeps in range, since its hot loops cannot afford a domain
 check per call.  Either way products of many gamma factors are formed in
 log space and exponentiated once at the end, so they never overflow.

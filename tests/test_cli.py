@@ -495,6 +495,48 @@ def test_readme_command_stdout_is_pinned(argv, digest, want):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == (digest, want)
 
 
+def _readme_commands():
+    """The argv of each `pam-moments` line of the README's command block."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        text = fh.read().replace("\\\n", " ")
+    argvs = [shlex.split(line)[1:] for line in text.splitlines()
+             if line.startswith("pam-moments ")]
+    return [argv[:argv.index(">")] if ">" in argv else argv for argv in argvs]
+
+
+def test_readme_commands_build_the_parser_once(monkeypatch):
+    # building the argparse tree for all subcommands once cost more than
+    # a j0 or bound-table call itself
+    from pam_moments import acceptance
+
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", (acceptance.check_02_paths_n4,))
+    argvs = _readme_commands()
+    assert sorted(argv[0] for argv in argvs) == sorted(cli.COMMANDS)
+    cli._build_parser.cache_clear()
+    for argv in argvs:
+        assert run_cli(*argv)[0] == 0, argv
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_reused_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    # a usage error, another C and a config error leave the README's
+    # bound-table line at its pinned bytes, C back at its default 4
+    cli._build_parser.cache_clear()
+    table = ["bound-table", "--H0", "0.75", "--H", "0.3", "--p", "2", "--t", "1,2,4,8"]
+    assert run_cli(*table[:1], *table[3:]) == (2, "")  # no --H0
+    assert run_cli(*table, "--C", "1")[0] == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"C": 1, "q": 3}))
+    assert run_cli(*table, "--config", str(cfg)) == (2, "")
+    argv, digest, want = README_STDOUT[-1]
+    assert argv == table
+    code, out = run_cli(*table)
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == (digest, want)
+    assert cli._build_parser.cache_info().misses == 1
+    err = capsys.readouterr().err
+    assert "missing required option: H0" in err and "config key 'q'" in err
+
+
 def test_module_entry_point_runs_the_cli():
     src = os.path.dirname(os.path.dirname(pam_moments.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,12 +1,13 @@
-"""The moment series' trapezoid rule, the inline log-sum-exp and the block
-vertex search against the straightforward computations they replace, kept
-here as test-only oracles.
+"""The moment series' trapezoid rule, its saddle solve and curvature, the
+inline log-sum-exp and the block vertex search against the straightforward
+computations they replace, kept here as test-only oracles.
 
-The log-sum-exp and the vertex search keep every arithmetic operation that
-decides the result, so those comparisons are exact (``==``).  The moment
-series samples its terms on a coarser grid than the integer one, so its
-value is compared within a stated number of ulps, and against a 30-digit
-mpmath sum; its peak index and its integer sum from n = 0 stay exact.
+The saddle solve, the curvature, the log-sum-exp and the vertex search
+keep every arithmetic operation that decides the result, so those
+comparisons are exact (``==``).  The moment series samples its terms on a
+coarser grid than the integer one, so its value is compared within a
+stated number of ulps, and against a 30-digit mpmath sum; its peak index
+and its integer sum from n = 0 stay exact.
 """
 
 import math
@@ -20,6 +21,7 @@ from scipy import optimize as _optimize
 from scipy import special as _sp
 from scipy.special import logsumexp
 
+from pam_moments import chaos_bounds
 from pam_moments.chaos_bounds import (
     DEFAULT_P_GRID,
     DEFAULT_T_GRID,
@@ -28,7 +30,9 @@ from pam_moments.chaos_bounds import (
     fit_envelope_constants,
     log_chaos_series,
 )
-from pam_moments.chaos_bounds import _envelope_exponent, _logsumexp, _lowest_vertex
+from pam_moments.chaos_bounds import (
+    _envelope_exponent, _logsumexp, _lowest_vertex, _saddle,
+)
 from pam_moments.errors import EstimationError
 
 P_REF = FractionalParams(0.75, 0.3)
@@ -46,6 +50,10 @@ def _series_rate(p, t, params, C):
     return a, L
 
 
+def _brentq_saddle(L, a, hi):
+    return float(_optimize.brentq(lambda v: L - a * _sp.psi(v + 1.0), 1e-9, hi))
+
+
 def _log_chaos_series_full_range(p, t, params, C=1.0, max_terms=2_000_000):
     """log_chaos_series with the direct sum over every n in [0, n_end],
     n_end doubled from n* + 9 widths + 50 until its term lies below the
@@ -54,13 +62,7 @@ def _log_chaos_series_full_range(p, t, params, C=1.0, max_terms=2_000_000):
     n_star = math.exp(L / a) if L / a < 700 else float("inf")
     if math.isfinite(n_star) and n_star > 2:
         try:
-            n_star = float(
-                _optimize.brentq(
-                    lambda v: L - a * _sp.psi(v + 1.0),
-                    1e-9,
-                    max(4.0 * n_star, 10.0),
-                )
-            )
+            n_star = _brentq_saddle(L, a, max(4.0 * n_star, 10.0))
         except ValueError:
             pass
     if not math.isfinite(n_star):
@@ -191,7 +193,7 @@ def test_poor_saddle_estimate_raises_or_sums_from_zero(monkeypatch):
     # edge below 0 (650 / 3 at H = 0.3), the integer sum from n = 0 runs
     # and must still equal the full-range sum.  The true peaks lie at
     # about 650 and 45000
-    true_brentq = _optimize.brentq
+    true_saddle = chaos_bounds._saddle
     small, large = (2.0, 2.0, P_REF, 4.0), (3.0, 5.0, FractionalParams(0.85, 0.2), 1.0)
     for case, peak in [(small, 650), (large, 45_000)]:
         assert abs(_log_chaos_series_full_range(*case)[1] - peak) < 0.05 * peak
@@ -200,13 +202,71 @@ def test_poor_saddle_estimate_raises_or_sums_from_zero(monkeypatch):
         (1.0 / 3.0, large, True),
     ]:
         monkeypatch.setattr(
-            _optimize, "brentq", lambda *args, **kw: factor * true_brentq(*args, **kw)
+            chaos_bounds, "_saddle", lambda *args: factor * true_saddle(*args)
         )
         if raises:
             with pytest.raises(EstimationError, match="trapezoid edge"):
                 log_chaos_series(*case)
         else:
             assert log_chaos_series(*case) == _log_chaos_series_full_range(*case)
+
+
+def test_saddle_equals_brentq_on_the_series_grid():
+    # every case of the 17820-case grid (81 t) whose saddle is solved for
+    solved = 0
+    for case in _series_cases(81):
+        a, L = _series_rate(*case)
+        if L / a >= 700 or math.exp(L / a) <= 2:
+            continue
+        hi = max(4.0 * math.exp(L / a), 10.0)
+        assert _saddle(L, a, hi) == _brentq_saddle(L, a, hi), case
+        solved += 1
+    assert solved > 10_000
+
+
+def test_saddle_equals_brentq_on_random_rates():
+    # a in [1e-6, 0.25] and L / a in (ln 2, 700), up to n* = e^700
+    rng = np.random.default_rng(20261019)
+    a_all = rng.uniform(1e-6, 0.25, 40_000).tolist()
+    r_all = rng.uniform(math.log(2.0), 699.99, 40_000).tolist()
+    for a, r in zip(a_all, r_all):
+        L = r * a
+        hi = max(4.0 * math.exp(L / a), 10.0)
+        assert _saddle(L, a, hi) == _brentq_saddle(L, a, hi), (L, a)
+
+
+def test_laplace_curvature_zeta_equals_polygamma():
+    # scipy's polygamma(1, x) is (-1)^2 Gamma(2) zeta(2, x): the same bits
+    xs = np.concatenate([np.linspace(1.0, 100.0, 2_000), np.geomspace(1.0, 1e300, 4_000)])
+    for x in xs.tolist():
+        assert float(_sp.zeta(2.0, x)) == float(_sp.polygamma(1, x)), x
+
+
+def test_saddle_that_does_not_converge_raises(monkeypatch):
+    # the trapezoid case with its peak near 650 needs about ten steps
+    a, L = _series_rate(2.0, 2.0, P_REF, 4.0)
+    monkeypatch.setattr(chaos_bounds, "_SADDLE_MAXITER", 2)
+    with pytest.raises(EstimationError, match="did not converge in 2 steps"):
+        _saddle(L, a, 4.0 * math.exp(L / a))
+    with pytest.raises(EstimationError, match="did not converge"):
+        log_chaos_series(2.0, 2.0, P_REF, 4.0)
+
+
+def test_series_and_fit_call_no_scipy_python_wrappers(monkeypatch):
+    # brentq's and polygamma's Python wrappers cost more than the series
+    # point itself; the saddle and the curvature are computed without them
+    def forbidden(*args, **kw):
+        raise AssertionError("called on the moment-series path")
+
+    monkeypatch.setattr(_optimize, "brentq", forbidden)
+    monkeypatch.setattr(_sp, "polygamma", forbidden)
+    # the integer sum (n* = 1), the trapezoid rule (650) and Laplace (1e8)
+    for case, lo, hi in [((2.0, 1.0, P_REF, 1.0), 0, 2),
+                         ((2.0, 2.0, P_REF, 4.0), 600, 700),
+                         ((2.0, 1e3, P_REF, 1.0), 2_000_000, math.inf)]:
+        assert lo <= log_chaos_series(*case)[1] < hi, case
+    c1, c2 = fit_envelope_constants(P_REF, C=4.0)
+    assert c1 > 0 and c2 > 0
 
 
 def test_series_outlasting_the_term_budget_raises():
