@@ -17,7 +17,7 @@ from pam_moments import (
 
 print("The eight exponent vectors at n = 4, with their path heights:")
 for a in enumerate_exponent_vectors(4):
-    heights = path_of(a).heights
+    heights = path_of(a)
     print(f"  a = {''.join(map(str, a))}   heights = {heights}")
 
 print("\nCardinalities |A_n| = 2^(n-1):")

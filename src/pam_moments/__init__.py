@@ -5,10 +5,8 @@ bounds and their Monte-Carlo cross-checks.
 """
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
-from .special_functions import gamma_ratio, log_gamma
 from .path_combinatorics import (
     ExponentVector,
-    LatticePath,
     diagonal_touch_points,
     enumerate_exponent_vectors,
     expand_and_verify_identity,

@@ -362,24 +362,17 @@ def term_bound(
     return ChaosTermBound(n, max_gamma, float(log_b), time_exp, mode)
 
 
-def stirling_lb_check(
-    a: float,
-    b: float,
-    C: float,
-    n_range: Sequence[int] | range = range(1, 501),
-) -> int:
-    """First n where Gamma(a n + 1 + b) >= C^n (n!)^a holds through the range.
+def stirling_lb_check(a: float, b: float, C: float) -> int:
+    """First n where Gamma(a n + 1 + b) >= C^n (n!)^a holds through n = 500.
 
-    Checked in log space.  Raises if the inequality fails for every
-    suffix of the range (C chosen too large).
+    Checked in log space over n = 1..500.  Raises if the inequality fails
+    for every suffix of that range (C chosen too large).
     """
     if not (a > 0):
         raise DomainError(f"a must be > 0, got {a}")
     if not (C > 0):
         raise DomainError(f"C must be > 0, got {C}")
-    ns = np.asarray(sorted(n_range), dtype=float)
-    if ns.size == 0 or ns[0] < 1:
-        raise DomainError("n_range must contain integers >= 1")
+    ns = np.arange(1.0, 501.0)
     if np.any(a * ns + 1 + b <= 0):
         raise DomainError("a n + 1 + b must stay positive over the range")
     lhs = _sp.gammaln(a * ns + 1.0 + b)
@@ -738,19 +731,18 @@ def moment_bound(
     params: FractionalParams,
     measure: InitialMeasure,
     C: float = 1.0,
-    constants: tuple[float, float] | None = None,
+    *,
+    constants: tuple[float, float],
 ) -> MomentBoundResult:
     """The p-th moment bound: series value and exponential envelope.
 
     series_value = [J0(t,x) * sum_n ((p-1)C)^{n/2} (n!)^{-H/2}
     t^{n(2H0+H-1)/2}]^p; the envelope is C1^p J0^p exp(C2 p^{(H+1)/H}
-    t^{(2H0+H-1)/H}) with (C1, C2) either supplied (a pair, C1 finite
-    and > 0, C2 finite; DomainError otherwise) or fitted on the default
-    evaluation grid.
+    t^{(2H0+H-1)/H}) with the witness constants (C1, C2) of
+    `fit_envelope_constants` (a pair, C1 finite and > 0, C2 finite;
+    DomainError otherwise).
     """
     log_sum, trunc = log_chaos_series(p, t, params, C)
-    if constants is None:
-        constants = fit_envelope_constants(params, C)
     try:
         C1, C2 = constants
         ok = 0 < C1 < math.inf and math.isfinite(C2)
@@ -785,17 +777,16 @@ def _log_log_slope(xs: np.ndarray, ys: Sequence[float]) -> float:
 
 def fit_time_exponent(
     params: FractionalParams,
-    p: float = 2.0,
     C: float = 4.0,
     t_grid: Sequence[float] = DEFAULT_T_GRID,
 ) -> float:
-    """Least-squares slope of ln(log-series-sum) against ln t.
+    """Least-squares slope of ln(log-series-sum) against ln t, at p = 2.
 
     For t deep enough in the growth regime this approaches
     (2H0+H-1)/H, the t-exponent inside the exponential envelope.
     """
     ts = np.asarray(t_grid, dtype=float)
-    return _log_log_slope(ts, [log_chaos_series(p, t, params, C)[0] for t in ts])
+    return _log_log_slope(ts, [log_chaos_series(2.0, t, params, C)[0] for t in ts])
 
 
 def fit_p_exponent(

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .errors import DomainError, EstimationError, ValidationError
 
@@ -200,24 +199,24 @@ class CustomDensity(InitialMeasure):
     def j0(self, t, x):
         if not (t > 0):
             raise DomainError(f"t must be > 0, got {t}")
-        val, _ = _integrate.quad(
-            lambda y: heat_kernel(t, x - y) * self.density(y),
-            -np.inf,
-            np.inf,
-        )
-        return val
+        return _quad_over_r(lambda y: heat_kernel(t, x - y) * self.density(y))
 
     def gaussian_integral(self, a):
-        val, _ = _integrate.quad(
-            lambda y: math.exp(-a * y**2) * self.density(y), -np.inf, np.inf
-        )
-        return val
+        return _quad_over_r(lambda y: math.exp(-a * y**2) * self.density(y))
+
+
+def _quad_over_r(f: Callable[[float], float]) -> float:
+    """int_R f by QUADPACK; scipy.integrate, slow to import, loads on first use."""
+    from scipy import integrate
+    return integrate.quad(f, -np.inf, np.inf)[0]
 
 
 def j0(t: float, x: float, measure: InitialMeasure) -> float:
     """J0(t, x) = int G(t, x - y) mu0(dy)."""
     if not (t > 0):
         raise DomainError(f"t must be > 0, got {t}")
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     return measure.j0(t, x)
 
 

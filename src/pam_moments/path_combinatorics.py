@@ -43,7 +43,6 @@ from .errors import DomainError, SizeError, ValidationError
 
 __all__ = [
     "ExponentVector",
-    "LatticePath",
     "enumerate_exponent_vectors",
     "exponent_matrix",
     "expand_and_verify_identity",
@@ -60,15 +59,20 @@ MAX_ENUM_N = 20
 
 @dataclass(frozen=True, order=True)
 class ExponentVector:
-    """An element of A_n, validated at construction by its offsets d_0..d_n,
-    which it keeps in `d`; a bad vector raises ValidationError naming its
-    first bad offset."""
+    """An element of A_n, validated at construction by its integral entries
+    and its offsets d_0..d_n, which it keeps in `d`; a bad vector raises
+    ValidationError naming its entries or its first bad offset."""
 
     a: tuple[int, ...]
     d: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        a = tuple(int(v) for v in self.a)
+        a = tuple(self.a)
+        if not all(type(v) is int or isinstance(v, np.integer)
+                   or isinstance(v, (float, np.floating)) and float(v).is_integer()
+                   for v in a):
+            raise ValidationError(f"exponent entries must be integers, got {a!r}")
+        a = tuple(int(v) for v in a)
         object.__setattr__(self, "a", a)
         n = len(a)
         if n < 1:
@@ -96,37 +100,6 @@ class ExponentVector:
 
     def __getitem__(self, j):
         return self.a[j]
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    """Heights h_k of the path point on column k (h_1 = 1).
-
-    The path stays between the diagonal and the diagonal shifted one unit
-    down, h_k in {k-1, k}: its offsets k - h_k = d_{k-1} lie in {0, 1}.
-    Steps h_{k+1} - h_k = 2 - a_k in {0, 1, 2} then hold automatically.
-    """
-
-    heights: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "heights", tuple(int(v) for v in self.heights)
-        )
-        h = self.heights
-        if len(h) < 1:
-            raise ValidationError("path must have length >= 1")
-        if h[0] != 1:
-            raise ValidationError(f"path must start at height 1, got {h[0]}")
-        for k, hk in enumerate(h, start=1):
-            if k - hk not in (0, 1):
-                raise ValidationError(
-                    f"height at column {k} must be in {{{k - 1},{k}}}, got {hk}"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.heights)
 
 
 def enumerate_exponent_vectors(n: int) -> list[ExponentVector]:
@@ -183,19 +156,18 @@ def expand_and_verify_identity(
     return lhs, Fraction(monomials.sum(), D**n)
 
 
-def path_of(a: ExponentVector | Sequence[int]) -> LatticePath:
-    """The lattice path of a: heights h_k = k - d_{k-1}, d_0 = 0."""
+def path_of(a: ExponentVector | Sequence[int]) -> tuple[int, ...]:
+    """The lattice path of a as its heights h_k = k - d_{k-1}, d_0 = 0."""
     if not isinstance(a, ExponentVector):
         a = ExponentVector(tuple(a))
-    return LatticePath(tuple(k - a.d[k - 1] for k in range(1, a.n + 1)))
+    return tuple(k - a.d[k - 1] for k in range(1, a.n + 1))
 
 
-def exponent_of(path: LatticePath | Sequence[int]) -> ExponentVector:
-    """Inverse of path_of: offsets d_{k-1} = k - h_k, a_k = 1 + d_k - d_{k-1}."""
-    if not isinstance(path, LatticePath):
-        path = LatticePath(tuple(path))
-    d = [k - h for k, h in enumerate(path.heights, start=1)] + [0]
-    return ExponentVector(tuple(1 + d[k] - d[k - 1] for k in range(1, path.n + 1)))
+def exponent_of(heights: Sequence[int]) -> ExponentVector:
+    """Inverse of path_of, a_k = 1 + d_k - d_{k-1} with d_{k-1} = k - h_k; the
+    vector's offset check rejects exactly the heights that are not a path."""
+    d = [k - h for k, h in enumerate(heights, start=1)] + [0]
+    return ExponentVector(tuple(1 + d[k] - d[k - 1] for k in range(1, len(d))))
 
 
 def diagonal_touch_points(a: ExponentVector | Sequence[int]) -> list[int]:

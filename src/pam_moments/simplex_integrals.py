@@ -7,9 +7,10 @@ The central object is
 
 which has a closed form as a ratio of gamma factors times a product of
 gamma ratios, valid when alpha_1 > -1, beta_i > -1 and the cumulative
-positivity conditions hold.  Everything is evaluated in log space; the
-closed form is also exposed as a log value because downstream bound
-assembly multiplies O(n) such factors.
+positivity conditions hold.  Everything is evaluated in log space (scipy's
+gammaln); the closed form is also exposed as a log value because
+downstream bound assembly multiplies O(n) such factors.  Its ln Gamma
+terms can cancel, so it raises where its rounding bound exceeds 1e-6.
 
 Two independent brute-force oracles (nested quadrature, importance-
 sampled Monte Carlo) are provided for verification; neither touches the
@@ -22,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
+from scipy.special import betaln, gammaln, psi
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
-from .special_functions import _log_gamma
 
 __all__ = [
     "SimplexIntegralSpec",
@@ -126,8 +126,16 @@ def _sigma(alphas, betas) -> np.ndarray:
     return sigma
 
 
-def log_closed_form(spec: SimplexIntegralSpec) -> float:
-    """log I_n(t, alpha, beta) via the gamma-factor closed form."""
+def _log_closed_form(spec: SimplexIntegralSpec) -> tuple[float, float]:
+    """(log I_n, a first-order bound on its rounding error) from
+    log I_n = ln G(alpha_1+1) + sum_i ln G(beta_i+1) - ln G(A+1) + A ln t
+    + sum_{k<n} [ln G(sigma_k+alpha_{k+1}) - ln G(sigma_k)], A = sigma_n - 1.
+    With u = eps/2 and S the sum of the |ln G| terms and |A ln t|,
+    u (3n+12) (S+2n+2) covers the rounding of the sum, of t's power, of each
+    ln G value (8u |ln G| + 4u, which the tests check) and of each argument
+    made by one addition.  The rounding of the sigma_k, below u (n+3)
+    (sum |alpha_i| + |beta_i| + n + 1), is carried through |psi| of the ln G
+    terms that take them and |ln t|."""
     report = check_conditions(spec)
     if not report:
         raise ValidationError(report.clause)
@@ -135,21 +143,34 @@ def log_closed_form(spec: SimplexIntegralSpec) -> float:
     b = np.asarray(spec.betas)
     sigma = _sigma(a, b)
     total_exp = float(sigma[-1] - 1)  # |alpha| + |beta| + n
+    n, log_t = spec.n, math.log(spec.t)
+    cumulative = np.concatenate((sigma[:-1] + a[1:], sigma[:-1], [total_exp + 1.0]))
     # ln Gamma is inf past about 2.5e305, and inf - inf is nan
-    with np.errstate(invalid="ignore"):
-        val = _log_gamma(a[0] + 1.0) + float(np.sum(_log_gamma(b + 1.0)))
-        val -= _log_gamma(total_exp + 1.0)
-        if spec.n > 1:
-            val += float(
-                np.sum(_log_gamma(sigma[:-1] + a[1:]) - _log_gamma(sigma[:-1]))
-            )
-    val += total_exp * math.log(spec.t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lg = gammaln(np.concatenate(([a[0] + 1.0], b + 1.0, cumulative)))
+        val = float(lg[0] + np.sum(lg[1:n + 1]) - lg[-1]
+                    + np.sum(lg[n + 1:2 * n] - lg[2 * n:-1]) + total_exp * log_t)
+        size = np.sum(np.abs(lg)) + abs(total_exp * log_t) + 2 * n + 2
+        carried = ((n + 3) * (np.sum(np.abs(a) + np.abs(b)) + n + 1)
+                   * (np.sum(np.abs(psi(cumulative))) + abs(log_t)))
+    return val, float(np.finfo(float).eps / 2 * ((3 * n + 12) * size + carried))
+
+
+def _checked(val: float, bound: float) -> float:
+    """val, or EstimationError where it is not finite or its bound exceeds 1e-6."""
     if not math.isfinite(val):
-        raise EstimationError(
-            f"log I_n is not finite ({val}): an exponent is past the range "
-            "of ln Gamma"
-        )
+        raise EstimationError(f"log I_n is not finite ({val}): an exponent is past "
+                              "the range of ln Gamma")
+    if not bound <= 1e-6:
+        raise EstimationError(f"log I_n = {val!r} has a rounding bound of {bound:.3g} "
+                              "> 1e-6: its ln Gamma terms cancel")
     return val
+
+
+def log_closed_form(spec: SimplexIntegralSpec) -> float:
+    """log I_n(t, alpha, beta) via the gamma-factor closed form; EstimationError
+    where it is not finite or its rounding bound exceeds 1e-6."""
+    return _checked(*_log_closed_form(spec))
 
 
 def _exp_in_range(log_value: float, name: str) -> float:
@@ -165,9 +186,13 @@ def _exp_in_range(log_value: float, name: str) -> float:
 
 
 def closed_form(spec: SimplexIntegralSpec) -> float:
-    """I_n(t, alpha, beta); see log_closed_form.  Raises EstimationError
-    where I_n exceeds the float range."""
-    return _exp_in_range(log_closed_form(spec), "I_n")
+    """I_n(t, alpha, beta); see log_closed_form.  Where every log value
+    within the rounding bound is below -746 or above 710, it is 0.0 or an
+    EstimationError for the float range, whatever the bound."""
+    val, bound = _log_closed_form(spec)
+    if not (val + bound < -746.0 or val - bound > 710.0):
+        val = _checked(val, bound)
+    return _exp_in_range(val, "I_n")
 
 
 def gaussian_spectral_integral(alpha: float, t: float) -> float:
@@ -175,12 +200,12 @@ def gaussian_spectral_integral(alpha: float, t: float) -> float:
 
     Raises EstimationError where the value exceeds the float range.
     """
-    if not (alpha > -1):
-        raise DomainError(f"alpha must be > -1, got {alpha}")
+    if not (-1 < alpha < math.inf):
+        raise DomainError(f"alpha must be finite and > -1, got {alpha}")
     if not (0 < t < math.inf):
         raise DomainError(f"t must be finite and > 0, got {t}")
     return _exp_in_range(
-        _log_gamma((1.0 + alpha) / 2.0) - (1.0 + alpha) / 2.0 * math.log(t),
+        float(gammaln((1.0 + alpha) / 2.0)) - (1.0 + alpha) / 2.0 * math.log(t),
         "the spectral integral",
     )
 
@@ -206,6 +231,7 @@ def _weighted_constant(
     evaluations) by one QUADPACK QAWS call on the constant integrand.
     A QUADPACK message (roundoff, subdivision limit, bad integrand) says
     the error estimate cannot be trusted, so it raises EstimationError."""
+    from scipy import integrate as _integrate  # loaded on first use: it is slow
     value, err, info, *message = _integrate.quad(
         _one,
         0.0,
@@ -274,8 +300,6 @@ def _monte_carlo(spec: SimplexIntegralSpec, samples: int, seed: int):
     log_w = np.sum(
         (p - p_prop) * np.log(s) + (q - q_prop) * np.log1p(-s), axis=1
     )
-    from scipy.special import betaln
-
     log_norm = float(np.sum(betaln(p_prop, q_prop)))
     total_exp = float(np.sum(a) + np.sum(b) + n)
     scale = total_exp * math.log(spec.t) + log_norm

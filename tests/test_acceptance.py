@@ -13,8 +13,74 @@ import pytest
 from pam_moments import acceptance
 
 
+# the selfcheck line of each check, pinned so that a change meant to keep
+# every byte of `selfcheck` is checked by the tests that run the checks
+SELFCHECK_LINES = {
+    1: (
+        '[PASS] 01 combinatorial identity: 0 mismatches over 200 rational '
+        'draws at each n in 2..12; cardinality 2^(n-1) for n <= 20: True'
+    ),
+    2: (
+        "[PASS] 02 eight paths at n=4: enumeration: ['1111', '1120', "
+        "'1201', '1210', '2011', '2020', '2101', '2110']"
+    ),
+    3: (
+        '[PASS] 03 simplex closed form vs quadrature: worst rel err '
+        '3.000e-15 over 50 specs (tol 1e-6); Beta base case |I - 1/6| <= '
+        '1e-12: True'
+    ),
+    4: (
+        '[PASS] 04 Gaussian spectral integral: worst rel err 5.551e-16 (tol'
+        ' 1e-8)'
+    ),
+    5: (
+        '[FAIL] 05 gamma_n <= 1 with all-ones maximizer: gamma(1,...,1) = 1'
+        ' to 1e-12: True; max excess over A_n, n <= 12, 5x5 grid: 0.586792 '
+        'at (H0, H, a) = (0.75, 0.05, (2, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 0))'
+    ),
+    6: (
+        '[FAIL] 06 gamma_n monotone under diagonal moves: 14710/90134 legal'
+        ' moves increase gamma_n (tol 1e-12); worst increase 0.412994 at '
+        '(H0, H, a, i) = (0.75, 0.05, (2, 0, 1, 1, 1, 1, 1, 1, 1, 1), 9)'
+    ),
+    7: (
+        '[PASS] 07 Gamma(z+a)/Gamma(z) nondecreasing: max decrease '
+        '0.000e+00 over z in [0.1, 50], a in {0.05, 0.5, 2}'
+    ),
+    8: (
+        '[PASS] 08 integrability condition on tilde exponents: all a in '
+        'A_n, n <= 12, 5x5 grid: True; scalar spot-check: True'
+    ),
+    9: (
+        '[PASS] 09 Monte-Carlo norms vs per-order bound: bound holds at 3 '
+        'stderr with b = 1 in all 24 configs: True (minimal b over configs:'
+        ' 0.8346); spectral majorant at 10 ordered tuples each: True'
+    ),
+    10: (
+        '[PASS] 10 moment growth exponents and witnesses: (H0=0.75, H=0.3):'
+        ' t-exp err 1.2%, p-exp err 4.4%, witnesses C1=3.683e+04 C2=13.71 '
+        'envelope >= series: True; (H0=0.85, H=0.2): t-exp err 0.1%, p-exp '
+        'err 3.1%, witnesses C1=3.71e+05 C2=87.37 envelope >= series: True'
+    ),
+    11: (
+        '[PASS] 11 initial-data closed forms: Dirac->heat kernel: True; '
+        'constant->1: True; x^2 density vs quadrature: True; growing-tail '
+        'integral sqrt(pi)/2 a^-3/2: True'
+    ),
+    12: (
+        '[PASS] 12 factorial lower bound on Gamma(an+1): constants found at'
+        ' all 22 grid points (smallest C 0.624, largest threshold N 1)'
+    ),
+    13: (
+        '[PASS] 13 mc-verify determinism: two runs byte-identical: True '
+        '(516 bytes, exit 0)'
+    ),
+}
+
+
 def _report(res):
     print(res.line())
+    assert res.line() == SELFCHECK_LINES[res.number]
     assert res.ok, res.detail
 
 

@@ -317,10 +317,10 @@ def test_log_term_sum_matches_row_by_row_sum(grid, n_max):
 
 def test_stirling_bound_search():
     a = P_REF.time_growth_exponent / (2.0 * P_REF.H0)
-    thr = stirling_lb_check(a, 0.0, 0.3, range(1, 501))
+    thr = stirling_lb_check(a, 0.0, 0.3)
     assert 1 <= thr <= 500
     with pytest.raises(EstimationError):
-        stirling_lb_check(a, 0.0, 50.0, range(1, 501))
+        stirling_lb_check(a, 0.0, 50.0)
 
 
 def test_series_direct_vs_laplace_agree_at_crossover(monkeypatch):
@@ -387,7 +387,8 @@ def test_fit_returns_the_series_values_it_was_fitted_to():
 
 
 def test_moment_bound_composition():
-    res = moment_bound(4.0, 2.0, 0.0, P_REF, LebesgueConstant(1.0), C=4.0)
+    res = moment_bound(4.0, 2.0, 0.0, P_REF, LebesgueConstant(1.0), C=4.0,
+                       constants=fit_envelope_constants(P_REF, 4.0))
     assert res.log_envelope_value >= res.log_series_value
     assert res.truncation_index > 0
     assert res.series_value == math.inf or res.series_value > 0
@@ -398,7 +399,8 @@ def test_inputs_beyond_the_float_range_raise_library_errors():
     with pytest.raises(EstimationError):
         _envelope_exponent(1e75, 1.0, P_REF)
     with pytest.raises(EstimationError):
-        moment_bound(1e75, 1.0, 0.0, FractionalParams(0.75, 0.3), DiracAt(0.0), C=4.0)
+        moment_bound(1e75, 1.0, 0.0, FractionalParams(0.75, 0.3), DiracAt(0.0), C=4.0,
+                     constants=(1.0, 1.0))
     for p_grid, t_grid in (((), (1.0,)), ((2.0,), ())):
         with pytest.raises(ValidationError):
             _fit_log_envelope(P_REF, 4.0, p_grid, t_grid)
@@ -418,10 +420,12 @@ def test_bound_and_envelope_past_the_float_range_are_inf():
     tb = term_bound(30, 1e300, FractionalParams(0.75, 0.3))
     assert math.isfinite(tb.log_bound) and tb.bound == math.inf
     assert term_bound(4, 2.0, P_REF).bound == math.exp(term_bound(4, 2.0, P_REF).log_bound)
-    res = moment_bound(2.0, 1.0, 0.0, P_REF, LebesgueConstant(1.0), C=1.0)
+    res = moment_bound(2.0, 1.0, 0.0, P_REF, LebesgueConstant(1.0), C=1.0,
+                       constants=fit_envelope_constants(P_REF, 1.0))
     assert res.envelope_value == math.exp(res.log_envelope_value)
     assert math.isfinite(res.envelope_value) and res.envelope_value >= res.series_value
-    res = moment_bound(4.0, 2.0, 0.0, P_REF, LebesgueConstant(1.0), C=4.0)
+    res = moment_bound(4.0, 2.0, 0.0, P_REF, LebesgueConstant(1.0), C=4.0,
+                       constants=fit_envelope_constants(P_REF, 4.0))
     assert res.log_envelope_value > 710.0 and res.envelope_value == math.inf
     big = MomentBoundResult(2.0, 1.0, 0.0, 1e4, 2e4, 3, 1.0, 1.0)
     assert big.series_value == math.inf and big.envelope_value == math.inf
@@ -433,6 +437,9 @@ def test_inputs_that_once_got_past_validation():
     with pytest.raises(ValidationError, match="integer"):
         term_bound(True, 1.0, P_REF)
     assert term_bound(np.int64(3), 1.0, P_REF) == term_bound(3, 1.0, P_REF)
+    # (1.9, 1.2) was once truncated to (1, 1), where gamma_n is 1.0
+    with pytest.raises(ValidationError, match="integers"):
+        gamma_n((1.9, 1.2), P_REF)
     for t in (math.inf, math.nan):
         with pytest.raises(DomainError, match="finite"):
             term_bound(3, t, P_REF)

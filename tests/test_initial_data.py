@@ -46,6 +46,16 @@ def test_dirac_j0_is_heat_kernel():
         assert j0(t, x, m) == m.j0(t, x)
 
 
+def test_j0_at_a_non_finite_x_is_a_domain_error():
+    # the point mass once returned nan at x = nan
+    measures = (DiracAt(0.0), LebesgueConstant(1.0), PolynomialDensity(),
+                GaussianDensity(), FiniteAtoms(((0.0, 1.0),)))
+    for m in measures:
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="x must be finite"):
+                j0(1.0, x, m)
+
+
 def test_dirac_sqrt_t_scaling():
     # sqrt(t) * J0(t, 0) is constant for the point mass at the origin
     m = DiracAt(0.0)

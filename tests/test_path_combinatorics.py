@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pam_moments.errors import DomainError, SizeError, ValidationError
 from pam_moments.path_combinatorics import (
     ExponentVector,
-    LatticePath,
     diagonal_touch_points,
     enumerate_exponent_vectors,
     expand_and_verify_identity,
@@ -70,8 +69,8 @@ def _eight_clause_validate(a):
 
 
 def _height_and_step_check(h):
-    """Reference for LatticePath: start at 1, h_k in {k-1, k}, and every
-    step rises by 0, 1 or 2."""
+    """Reference for the heights exponent_of accepts: start at 1, h_k in
+    {k-1, k}, and every step rises by 0, 1 or 2."""
     n = len(h)
     if n < 1:
         raise ValidationError("path must have length >= 1")
@@ -233,14 +232,14 @@ def test_exponent_matrix_matches_enumeration():
 def test_path_bijection_roundtrip_n8():
     for a in enumerate_exponent_vectors(8):
         p = path_of(a)
-        assert isinstance(p, LatticePath)
+        assert type(p) is tuple and all(type(h) is int for h in p)
         assert tuple(exponent_of(p)) == tuple(a)
 
 
 def test_path_heights_law():
     # h_1 = 1 and h_{k+1} = h_k + 2 - a_k, with h_k in {k, k+1}
     for a in enumerate_exponent_vectors(7):
-        h = path_of(a).heights
+        h = path_of(a)
         assert h[0] == 1
         for k in range(1, len(h)):
             assert h[k] == h[k - 1] + 2 - a[k - 1]
@@ -307,7 +306,18 @@ def test_offset_checks_accept_exactly_what_the_clauses_accept():
         assert members == [tuple(r) for r in exponent_matrix(n).tolist()]
     for n in range(1, 6):
         for h in itertools.product(range(-1, 8), repeat=n):
-            assert _rejects(LatticePath, h) == _rejects(_height_and_step_check, h), h
+            assert _rejects(exponent_of, h) == _rejects(_height_and_step_check, h), h
+
+
+def test_entries_that_are_not_integers_are_rejected():
+    # int() once truncated fractional entries, so (1.9, 1.2) became (1, 1),
+    # and let bools and digit strings through
+    for bad in ((1.9, 1.2), (1.0, 1.5), (True, True), ("1", "1"), (np.bool_(True),),
+                (1, math.nan), (1, math.inf), (Fraction(1), 1)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            ExponentVector(bad)
+    good = ExponentVector((np.int64(2), np.int32(0), 1, np.float64(1.0)))
+    assert good.a == (2, 0, 1, 1) and all(type(v) is int for v in good.a)
 
 
 def test_bit_set_move_equals_move_down():

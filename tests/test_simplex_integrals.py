@@ -126,15 +126,15 @@ def test_nested_quadrature_makes_no_gamma_call(monkeypatch):
     """The oracle stays independent of the gamma closed form it checks."""
 
     def no_gamma(*args):
-        raise AssertionError("the quadrature oracle called log_gamma")
+        raise AssertionError("the quadrature oracle called gammaln")
 
-    monkeypatch.setattr(simplex_integrals, "_log_gamma", no_gamma)
+    monkeypatch.setattr(simplex_integrals, "gammaln", no_gamma)
     rng = random.Random(29)
     for n in (1, 2, 3):
         spec = _random_valid_spec(rng, n)
         res = brute_force(spec, method="nested-quadrature")
         assert res.estimate > 0 and res.error_bound > 0
-    with pytest.raises(AssertionError, match="log_gamma"):
+    with pytest.raises(AssertionError, match="gammaln"):
         closed_form(spec)
 
 
@@ -231,6 +231,73 @@ def test_log_closed_form_handles_large_n():
     assert val < 0
 
 
+def _mp_log_closed_form(spec):
+    """The closed form of log I_n in mpmath, at the working precision, on
+    the spec's floats taken as exact."""
+    a = [mpmath.mpf(v) for v in spec.alphas]
+    b = [mpmath.mpf(v) for v in spec.betas]
+    sigma = [sum(a[:k] + b[:k]) + k + 1 for k in range(1, spec.n + 1)]
+    lg = mpmath.loggamma
+    val = lg(a[0] + 1) + sum(lg(v + 1) for v in b) - lg(sigma[-1])
+    val += sum(lg(sigma[k] + a[k + 1]) - lg(sigma[k]) for k in range(spec.n - 1))
+    return val + (sigma[-1] - 1) * mpmath.log(mpmath.mpf(spec.t))
+
+
+def test_closed_form_that_cancels_past_its_rounding_bound_raises():
+    # ln Gamma terms of size about A ln A once cancelled silently: 0.0
+    # against -ln((A+1)(2A+2)) = -1382.2442 at A = 1e300, -98.0 against
+    # -97.98986 at 1e14 (I_n off by 1%), -46.744873 against -46.744849 at 1e10
+    specs = [SimplexIntegralSpec(1.0, (1e300, 1e300), (0.0, 0.0)),
+             SimplexIntegralSpec(1.0, (1e14, 1e14), (0.5, 0.5)),
+             SimplexIntegralSpec(1.0, (1e10, 1e10), (0.0, 0.0))]
+    for spec, ref in zip(specs, (-1382.2442, -97.98986, -46.744849)):
+        with mpmath.workdps(320):
+            assert abs(float(_mp_log_closed_form(spec)) - ref) < 1e-4
+        with pytest.raises(EstimationError, match=r"rounding bound of .* > 1e-6: "):
+            log_closed_form(spec)
+    # I_n below the floats at every log value within the bound is 0.0
+    spec = SimplexIntegralSpec(1e-300, (1e300, 1.0), (0.5, 400.0))
+    with pytest.raises(EstimationError, match="rounding bound"):
+        log_closed_form(spec)
+    assert closed_form(spec) == 0.0
+    # at 1e6 the error, 2.4e-9 of -28.32, lies within a bound below 1e-6
+    spec = SimplexIntegralSpec(1.0, (1e6, 1e6), (0.0, 0.0))
+    val, bound = simplex_integrals._log_closed_form(spec)
+    with mpmath.workdps(60):
+        assert abs(val - _mp_log_closed_form(spec)) <= bound < 1e-6
+    assert log_closed_form(spec) == val
+
+
+@pytest.mark.parametrize("lo, hi", [(-3.0, 1.0), (-3.0, 12.0), (250.0, 300.0)])
+def test_closed_form_rounding_bound_covers_the_error(lo, hi):
+    # magnitudes 10^lo to 10^hi of either sign, some betas and alphas
+    # just above -1; every spec, raising or not, against 320 digits
+    rng = random.Random(int(hi))
+
+    def draw():
+        if rng.random() < 0.15:
+            return -1.0 + 10 ** rng.uniform(-12, -0.5)
+        return rng.choice((1, -1)) * 10 ** rng.uniform(lo, hi)
+
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 5)
+        spec = SimplexIntegralSpec(10 ** rng.uniform(-3, 3),
+                                   tuple(draw() for _ in range(n)),
+                                   tuple(draw() for _ in range(n)))
+        if not check_conditions(spec):
+            continue
+        checked += 1
+        val, bound = simplex_integrals._log_closed_form(spec)
+        with mpmath.workdps(320):
+            assert abs(val - _mp_log_closed_form(spec)) <= bound, spec
+        if bound <= 1e-6:
+            assert log_closed_form(spec) == val
+        else:
+            with pytest.raises(EstimationError, match="rounding bound"):
+                log_closed_form(spec)
+
+
 def test_size_caps_on_oracles():
     spec = SimplexIntegralSpec(1.0, (0.0,) * 4, (0.0,) * 4)
     with pytest.raises(SizeError):
@@ -261,8 +328,9 @@ def test_gaussian_spectral_integral_formula():
 
 
 def test_gaussian_spectral_integral_domain():
-    with pytest.raises(DomainError):
-        gaussian_spectral_integral(-1.0, 1.0)
+    for alpha in (-1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            gaussian_spectral_integral(alpha, 1.0)
     with pytest.raises(DomainError):
         gaussian_spectral_integral(0.5, 0.0)
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -9,3 +12,16 @@ def test_version_matches_pyproject():
     with pyproject.open("rb") as fh:
         meta = tomllib.load(fh)
     assert pam_moments.__version__ == meta["project"]["version"]
+
+
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # scipy.integrate, which loads scipy.optimize, once came with every
+    # import; only the quadrature paths load it, on first use
+    src = Path(pam_moments.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, pam_moments; print([m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
