@@ -333,7 +333,7 @@ def check_12_stirling_bound() -> CheckResult:
         hit = None
         for c in np.geomspace(1.0, 0.01, 40):
             try:
-                thr = stirling_lb_check(a, 0.0, float(c))
+                thr = stirling_lb_check(a, float(c))
             except EstimationError:
                 continue
             hit = (float(c), thr)
@@ -394,11 +394,5 @@ ALL_CHECKS = (
 )
 
 
-def run_all(report=print) -> list[CheckResult]:
-    results = []
-    for fn in ALL_CHECKS:
-        res = fn()
-        results.append(res)
-        if report is not None:
-            report(res.line())
-    return results
+def run_all() -> list[CheckResult]:
+    return [fn() for fn in ALL_CHECKS]

@@ -22,9 +22,8 @@ table of 4(n-1) log factors serves `gamma_n`, `gamma_n_matrix` and the
 exact sum of `term_bound`, which all add the entries a path picks.
 
 The final p-th moment bound has existential constants; here every
-constant in the chain is carried explicitly, with the single external
-inequality constant b_H0 exposed as a configuration input (default 1),
-and envelope witnesses (C1, C2) fitted on an evaluation grid.
+constant in the chain is explicit: b_H0 of the external inequality (in
+`term_bound` alone), the series constant C and envelope witnesses (C1, C2).
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ class FractionalParams:
 
     Requires H0 in (1/2, 1), H in (0, 1/2) and H0 + H > 3/4.  b_H0 is
     the constant of the external convolution inequality, never pinned by
-    the theory, and is configurable (default 1).
+    the theory (default 1); only `term_bound` reads it, as a factor b_H0^n.
     """
 
     H0: float
@@ -124,9 +123,7 @@ def admissible_param_grid(size: int = 5) -> list[FractionalParams]:
 
 
 def spatial_exponents(a, params: FractionalParams) -> np.ndarray:
-    """alpha_j = (1 - 2H) a_j."""
-    if isinstance(a, ExponentVector):
-        a = a.a
+    """alpha_j = (1 - 2H) a_j, for a vector (or ExponentVector) or a matrix."""
     return (1.0 - 2.0 * params.H) * np.asarray(a, dtype=float)
 
 
@@ -225,14 +222,12 @@ class ChaosTermBound:
     gamma_n records the maximum of the gamma product over A_n.  The
     diagonal path gives exactly 1, but paths dropping off the diagonal at
     the right end can exceed 1, so this field is only guaranteed positive.
-    mode is "exact-constants", the one mode `term_bound` has.
     """
 
     n: int
     gamma_n: float
     log_bound: float
     time_exponent: float
-    mode: str
 
     @property
     def bound(self) -> float:
@@ -359,32 +354,34 @@ def term_bound(
         + 2.0 * params.H0 * log_sum
         + time_exp * math.log(t)
     )
-    return ChaosTermBound(n, max_gamma, float(log_b), time_exp, mode)
+    return ChaosTermBound(n, max_gamma, float(log_b), time_exp)
 
 
-def stirling_lb_check(a: float, b: float, C: float) -> int:
-    """First n where Gamma(a n + 1 + b) >= C^n (n!)^a holds through n = 500.
+def stirling_lb_check(a: float, C: float) -> int:
+    """First n where Gamma(a n + 1) >= C^n (n!)^a holds through n = 500.
 
-    Checked in log space over n = 1..500.  Raises if the inequality fails
-    for every suffix of that range (C chosen too large).
+    Checked in log space over n = 1..500 for finite a, C > 0.  Raises
+    EstimationError where a side's log leaves the floats (a above about
+    5e302) or the inequality fails for every suffix (C chosen too large).
     """
-    if not (a > 0):
-        raise DomainError(f"a must be > 0, got {a}")
-    if not (C > 0):
-        raise DomainError(f"C must be > 0, got {C}")
+    if not (0 < a < math.inf):
+        raise DomainError(f"a must be finite and > 0, got {a}")
+    if not (0 < C < math.inf):
+        raise DomainError(f"C must be finite and > 0, got {C}")
     ns = np.arange(1.0, 501.0)
-    if np.any(a * ns + 1 + b <= 0):
-        raise DomainError("a n + 1 + b must stay positive over the range")
-    lhs = _sp.gammaln(a * ns + 1.0 + b)
-    rhs = ns * math.log(C) + a * _sp.gammaln(ns + 1.0)
+    with np.errstate(over="ignore"):  # past the floats is inf, first at n = 500
+        lhs = _sp.gammaln(a * ns + 1.0)
+        rhs = ns * math.log(C) + a * _sp.gammaln(ns + 1.0)
+    if not (np.isfinite(lhs[-1]) and np.isfinite(rhs[-1])):
+        raise EstimationError(f"a side leaves the floats by n = 500 for a={a}")
     holds = lhs >= rhs
     # first index from which the inequality holds through the end
     suffix_ok = np.flip(np.cumprod(np.flip(holds.astype(bool))))
     idx = np.nonzero(suffix_ok)[0]
     if idx.size == 0:
         raise EstimationError(
-            f"Gamma(a n+1+b) >= C^n (n!)^a fails through the whole range "
-            f"for a={a}, b={b}, C={C}"
+            f"Gamma(a n+1) >= C^n (n!)^a fails through the whole range "
+            f"for a={a}, C={C}"
         )
     return int(ns[idx[0]])
 
@@ -458,7 +455,7 @@ def log_chaos_series(
     p: float,
     t: float,
     params: FractionalParams,
-    C: float = 1.0,
+    C: float,
 ) -> tuple[float, int]:
     """log of sum_{n>=0} (p-1)^{n/2} C^{n/2} (n!)^{-H/2} t^{n(2H0+H-1)/2}.
 
@@ -565,18 +562,13 @@ def log_chaos_series(
 class MomentBoundResult:
     """Series value of the p-th moment bound and its exponential envelope.
 
-    Values are carried in logs; the plain fields overflow to inf for
-    large (p, t), which is expected.
+    Values are carried in logs; the plain properties overflow to inf for
+    large (p, t).  truncation_index is `log_chaos_series`' peak index.
     """
 
-    p: float
-    t: float
-    x: float
     log_series_value: float
     log_envelope_value: float
     truncation_index: int
-    C1: float
-    C2: float
 
     @property
     def series_value(self) -> float:
@@ -689,7 +681,7 @@ def _fit_log_envelope(
 
 def fit_envelope_constants(
     params: FractionalParams,
-    C: float = 1.0,
+    C: float,
     p_grid: Sequence[float] = DEFAULT_P_GRID,
     t_grid: Sequence[float] = DEFAULT_T_GRID,
 ) -> tuple[float, float]:
@@ -730,7 +722,7 @@ def moment_bound(
     x: float,
     params: FractionalParams,
     measure: InitialMeasure,
-    C: float = 1.0,
+    C: float,
     *,
     constants: tuple[float, float],
 ) -> MomentBoundResult:
@@ -759,7 +751,7 @@ def moment_bound(
     log_env = p * math.log(C1) + p * log_j0 + C2 * _envelope_exponent(
         p, t, params
     )
-    return MomentBoundResult(p, t, x, log_series, log_env, trunc, C1, C2)
+    return MomentBoundResult(log_series, log_env, trunc)
 
 
 def _log_log_slope(xs: np.ndarray, ys: Sequence[float]) -> float:

@@ -157,7 +157,7 @@ def _j0(o: dict):
 
 
 def _bound_table(o: dict):
-    params = FractionalParams(o["H0"], o["H"], o["b"])
+    params = FractionalParams(o["H0"], o["H"])
     ps, ts = o["p"], o["t"]
     c1_log, c2, log_sums, log_env = _fit_log_envelope(params, o["C"], ps, ts)
     lines = ["t,p,series_value,envelope_value,C1,C2"]
@@ -195,7 +195,7 @@ def _mc_verify(o: dict):
 def _selfcheck(o: dict):
     from .acceptance import run_all
 
-    results = run_all(report=None)
+    results = run_all()
     return [r.line() for r in results], 0 if all(r.ok for r in results) else 1
 
 
@@ -219,8 +219,7 @@ class Command(NamedTuple):
 _MEASURE = Option("measure", lambda v: _Measure(v, measure_from_config(_json(v))),
                   {"type": "lebesgue", "c": 1.0},
                   'JSON, e.g. {"type": "dirac", "x0": 0.0}')
-_HURST = (Option("H0", float, REQUIRED), Option("H", float, REQUIRED),
-          Option("b", float, 1.0))
+_HURST = (Option("H0", float, REQUIRED), Option("H", float, REQUIRED))
 
 COMMANDS = {
     "paths": Command("emit the exponent vectors / lattice paths", _paths,
@@ -259,6 +258,7 @@ COMMANDS = {
         Option("t", float, REQUIRED),
         Option("x", float, 0.0),
         *_HURST,
+        Option("b", float, 1.0),
         _MEASURE,
         Option("samples", _int, 200_000),
         Option("seed", _int, 0),

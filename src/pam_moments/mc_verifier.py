@@ -105,13 +105,11 @@ MAX_MC_N = 2
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """A Monte-Carlo estimate with its standard error and provenance."""
+    """A Monte-Carlo estimate with its standard error and sample count."""
 
     value: float
     stderr: float
     samples: int
-    seed: int
-    workers: int
 
 
 @dataclass(frozen=True)
@@ -393,7 +391,7 @@ def chaos_norm_estimate(
         raise EstimationError("non-finite Monte-Carlo accumulator")
     var = max(total_sq / count - mean**2, 0.0)
     stderr = math.sqrt(var / count)
-    return EstimatorResult(mean, stderr, count, int(seed), int(workers))
+    return EstimatorResult(mean, stderr, count)
 
 
 @dataclass(frozen=True)
@@ -528,7 +526,6 @@ class TermBoundCheck:
     constant, so minimal_b = (estimate / bound(b=1))^(1/n).
     """
 
-    n: int
     estimate: EstimatorResult
     bound: float
     minimal_b: float
@@ -565,4 +562,4 @@ def verify_term_bound(
     bound = term_bound(n, t, params, mode="exact-constants").bound
     minimal_b = _exp_or_inf((math.log(max(ratio, 1e-300)) - log_b1) / n)
     passed = ratio - 3.0 * ratio_err <= bound
-    return TermBoundCheck(n, est, bound, minimal_b, passed)
+    return TermBoundCheck(est, bound, minimal_b, passed)

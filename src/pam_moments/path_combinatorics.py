@@ -57,6 +57,16 @@ __all__ = [
 MAX_ENUM_N = 20
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as ints, each an int, a numpy integer or an integral float."""
+    values = tuple(values)
+    if not all(type(v) is int or isinstance(v, np.integer)
+               or isinstance(v, (float, np.floating)) and float(v).is_integer()
+               for v in values):
+        raise ValidationError(f"{what} must be integers, got {values!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True, order=True)
 class ExponentVector:
     """An element of A_n, validated at construction by its integral entries
@@ -67,12 +77,7 @@ class ExponentVector:
     d: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        a = tuple(self.a)
-        if not all(type(v) is int or isinstance(v, np.integer)
-                   or isinstance(v, (float, np.floating)) and float(v).is_integer()
-                   for v in a):
-            raise ValidationError(f"exponent entries must be integers, got {a!r}")
-        a = tuple(int(v) for v in a)
+        a = _integers(self.a, "exponent entries")
         object.__setattr__(self, "a", a)
         n = len(a)
         if n < 1:
@@ -164,9 +169,9 @@ def path_of(a: ExponentVector | Sequence[int]) -> tuple[int, ...]:
 
 
 def exponent_of(heights: Sequence[int]) -> ExponentVector:
-    """Inverse of path_of, a_k = 1 + d_k - d_{k-1} with d_{k-1} = k - h_k; the
-    vector's offset check rejects exactly the heights that are not a path."""
-    d = [k - h for k, h in enumerate(heights, start=1)] + [0]
+    """Inverse of path_of, a_k = 1 + d_k - d_{k-1} with d_{k-1} = k - h_k; it
+    rejects heights that are not integers or not a path (ValidationError)."""
+    d = [k - h for k, h in enumerate(_integers(heights, "heights"), start=1)] + [0]
     return ExponentVector(tuple(1 + d[k] - d[k - 1] for k in range(1, len(d))))
 
 

@@ -8,9 +8,8 @@ The central object is
 which has a closed form as a ratio of gamma factors times a product of
 gamma ratios, valid when alpha_1 > -1, beta_i > -1 and the cumulative
 positivity conditions hold.  Everything is evaluated in log space (scipy's
-gammaln); the closed form is also exposed as a log value because
-downstream bound assembly multiplies O(n) such factors.  Its ln Gamma
-terms can cancel, so it raises where its rounding bound exceeds 1e-6.
+gammaln).  Its ln Gamma terms can cancel, as can the two of the Gaussian
+spectral integral, so both raise where their rounding bound exceeds 1e-6.
 
 Two independent brute-force oracles (nested quadrature, importance-
 sampled Monte Carlo) are provided for verification; neither touches the
@@ -156,13 +155,13 @@ def _log_closed_form(spec: SimplexIntegralSpec) -> tuple[float, float]:
     return val, float(np.finfo(float).eps / 2 * ((3 * n + 12) * size + carried))
 
 
-def _checked(val: float, bound: float) -> float:
+def _checked(val: float, bound: float, what: str = "log I_n") -> float:
     """val, or EstimationError where it is not finite or its bound exceeds 1e-6."""
     if not math.isfinite(val):
-        raise EstimationError(f"log I_n is not finite ({val}): an exponent is past "
+        raise EstimationError(f"{what} is not finite ({val}): an exponent is past "
                               "the range of ln Gamma")
     if not bound <= 1e-6:
-        raise EstimationError(f"log I_n = {val!r} has a rounding bound of {bound:.3g} "
+        raise EstimationError(f"{what} = {val!r} has a rounding bound of {bound:.3g} "
                               "> 1e-6: its ln Gamma terms cancel")
     return val
 
@@ -195,27 +194,38 @@ def closed_form(spec: SimplexIntegralSpec) -> float:
     return _exp_in_range(val, "I_n")
 
 
+def _log_spectral_integral(alpha: float, t: float) -> tuple[float, float]:
+    """(ln Gamma(z) - z ln t, z = (1+alpha)/2, and a first-order bound on its
+    rounding), as in `_log_closed_form` with u = eps/2: 8u|ln G| + 4u, then
+    u(|ln G| + |z ln t|) for the difference, 3u|z ln t| for ln t and the
+    product, and u z (|psi(z)| + |ln t|) for z."""
+    z = (1.0 + alpha) / 2.0
+    lg, z_log_t = float(gammaln(z)), z * math.log(t)
+    size = 9.0 * abs(lg) + 4.0 + 5.0 * abs(z_log_t) + z * abs(float(psi(z)))
+    return lg - z_log_t, np.finfo(float).eps / 2 * size
+
+
 def gaussian_spectral_integral(alpha: float, t: float) -> float:
     """int_R e^{-t xi^2} |xi|^alpha dxi = Gamma((1+alpha)/2) t^{-(1+alpha)/2}.
 
-    Raises EstimationError where the value exceeds the float range.
+    Raises EstimationError where the value exceeds the float range or, as
+    `closed_form` does, where its log's rounding bound exceeds 1e-6.
     """
     if not (-1 < alpha < math.inf):
         raise DomainError(f"alpha must be finite and > -1, got {alpha}")
     if not (0 < t < math.inf):
         raise DomainError(f"t must be finite and > 0, got {t}")
-    return _exp_in_range(
-        float(gammaln((1.0 + alpha) / 2.0)) - (1.0 + alpha) / 2.0 * math.log(t),
-        "the spectral integral",
-    )
+    val, bound = _log_spectral_integral(alpha, t)
+    if math.isfinite(val) and not (val + bound < -746.0 or val - bound > 710.0):
+        val = _checked(val, bound, "the log spectral integral")
+    return _exp_in_range(val, "the spectral integral")
 
 
 @dataclass(frozen=True)
 class BruteForceResult:
     estimate: float
     error_bound: float
-    method: str
-    evaluations: int = 0
+    evaluations: int
 
 
 def _one(s: float) -> float:
@@ -296,15 +306,15 @@ def _monte_carlo(spec: SimplexIntegralSpec, samples: int, seed: int):
     rng = np.random.Generator(np.random.Philox(seed))
     s = rng.beta(p_prop, q_prop, size=(samples, n))
     s = np.clip(s, 1e-300, 1.0 - 1e-16)
-    # residual exponents after the proposal absorbs the singular parts
-    log_w = np.sum(
-        (p - p_prop) * np.log(s) + (q - q_prop) * np.log1p(-s), axis=1
-    )
     log_norm = float(np.sum(betaln(p_prop, q_prop)))
     total_exp = float(np.sum(a) + np.sum(b) + n)
     scale = total_exp * math.log(spec.t) + log_norm
     # a weight or square past the floats is inf or nan; brute_force raises
     with np.errstate(over="ignore", invalid="ignore"):
+        # residual exponents after the proposal absorbs the singular parts
+        log_w = np.sum(
+            (p - p_prop) * np.log(s) + (q - q_prop) * np.log1p(-s), axis=1
+        )
         w = np.exp(log_w + scale)
         est = float(np.mean(w))
         stderr = float(np.std(w, ddof=1) / math.sqrt(samples))
@@ -359,4 +369,4 @@ def brute_force(
     if not (math.isfinite(est) and math.isfinite(err)):
         raise EstimationError(f"{method} estimate or error bound leaves the "
                               f"float range: {est}, {err}")
-    return BruteForceResult(est, err, method, evals)
+    return BruteForceResult(est, err, evals)

@@ -203,7 +203,6 @@ def test_move_ratio_arguments_are_ordered():
 
 def test_term_bound_modes_and_time_exponent():
     tb = term_bound(4, 2.0, P_REF)
-    assert tb.mode == "exact-constants"
     assert tb.time_exponent == pytest.approx(4 * P_REF.time_growth_exponent)
     assert tb.gamma_n > 1.0  # max over the family at these params
     assert term_bound(4, 2.0, P_REF, mode="exact-constants") == tb
@@ -317,10 +316,22 @@ def test_log_term_sum_matches_row_by_row_sum(grid, n_max):
 
 def test_stirling_bound_search():
     a = P_REF.time_growth_exponent / (2.0 * P_REF.H0)
-    thr = stirling_lb_check(a, 0.0, 0.3)
+    thr = stirling_lb_check(a, 0.3)
     assert 1 <= thr <= 500
     with pytest.raises(EstimationError):
-        stirling_lb_check(a, 0.0, 50.0)
+        stirling_lb_check(a, 50.0)
+    # inf once returned 2 with an "invalid value" warning, 1e308 returned 1
+    # with an overflow warning
+    for a, C in ((math.inf, 0.5), (math.nan, 0.5), (0.0, 0.5), (0.5, math.inf),
+                 (0.5, math.nan), (0.5, 0.0)):
+        with pytest.raises(DomainError, match="finite and > 0"):
+            stirling_lb_check(a, C)
+    # a n + 1 past the floats at n = 500, and ln Gamma(a n + 1) past them
+    # while a n + 1 is finite
+    for a in (1e308, 1e304):
+        with pytest.raises(EstimationError, match="leaves the floats"):
+            stirling_lb_check(a, 0.5)
+    assert stirling_lb_check(1e300, 0.5) == 1
 
 
 def test_series_direct_vs_laplace_agree_at_crossover(monkeypatch):
@@ -427,7 +438,7 @@ def test_bound_and_envelope_past_the_float_range_are_inf():
     res = moment_bound(4.0, 2.0, 0.0, P_REF, LebesgueConstant(1.0), C=4.0,
                        constants=fit_envelope_constants(P_REF, 4.0))
     assert res.log_envelope_value > 710.0 and res.envelope_value == math.inf
-    big = MomentBoundResult(2.0, 1.0, 0.0, 1e4, 2e4, 3, 1.0, 1.0)
+    big = MomentBoundResult(1e4, 2e4, 3)
     assert big.series_value == math.inf and big.envelope_value == math.inf
 
 
@@ -448,7 +459,7 @@ def test_inputs_that_once_got_past_validation():
     for constants in ((0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1.0, math.nan),
                       (1.0,), (1.0, 2.0, 3.0), (), 1.0, ("a", 1.0), [[1.0], 2.0]):
         with pytest.raises(DomainError, match="constants must be a pair"):
-            moment_bound(2.0, 1.0, 0.0, P_REF, DiracAt(0.0), constants=constants)
+            moment_bound(2.0, 1.0, 0.0, P_REF, DiracAt(0.0), 4.0, constants=constants)
     # polyfit on one point, or on two equal ones, warns instead of fitting
     for t_grid in ((1.0,), (2.0, 2.0), ()):
         with pytest.raises(ValidationError, match="two distinct"):

@@ -337,7 +337,8 @@ def test_usage_errors_exit_2():
         ["dirichlet", "--spec", '{"t": 1, "alphas": [1], "betas": [1]}',
          "--oracle", "xx"],
         ["j0", "--t", "1", "--x", "nan"],
-        ["bound-table", "--H0", "0.75", "--H", "0.3", "--b", "inf"],
+        ["mc-verify", "--n", "1", "--t", "1", "--H0", "0.75", "--H", "0.3",
+         "--b", "inf"],
         ["bound-table", "--H0", "0.75", "--H", "0.3", "--p", "2,-inf"],
         ["mc-verify", "--n", "2", "--t", "inf", "--H0", "0.75", "--H", "0.3"],
         ["j0", "--t", "1", "--x", "0", "--measure", '{"type": "dirac", "x0": NaN}'],
@@ -398,6 +399,19 @@ def test_config_key_that_names_no_option_is_a_usage_error(tmp_path, capsys):
     assert cli.run(["selfcheck", "--config", str(path)], stdout=io.StringIO()) == 2
 
 
+def test_bound_table_has_no_b(tmp_path, capsys):
+    # b_H0 scales term_bound alone, which bound-table does not call: --b 7
+    # and --b 0.01 printed the bytes of no --b; mc-verify keeps the option
+    argv = ["bound-table", "--H0", "0.75", "--H", "0.3", "--p", "2,4", "--t", "1,8"]
+    assert cli.run(argv + ["--b", "7"], stdout=io.StringIO()) == 2
+    assert "unrecognized arguments: --b 7" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"b": 1.0}))
+    assert cli.run(argv + ["--config", str(path)], stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: config key 'b' names no option of bound-table"]
+
+
 def test_failing_command_leaves_the_output_file_unchanged(tmp_path):
     out, cfg = tmp_path / "out.txt", tmp_path / "cfg.json"
     out.write_bytes(b"kept\n")
@@ -419,7 +433,7 @@ _FUZZ_KEYS = {
     "dirichlet": {"spec": {"t": 1.0, "alphas": [1.0], "betas": [1.0]},
                   "oracle": "mc", "rtol": 1e-3, "seed": 3},
     "j0": {"t": 1.0, "x": 0.0, "measure": {"type": "dirac", "x0": 0.0}},
-    "bound-table": {"H0": 0.75, "H": 0.3, "b": 1.0, "C": 4.0, "p": "2,4",
+    "bound-table": {"H0": 0.75, "H": 0.3, "C": 4.0, "p": "2,4",
                     "t": [1, 8]},
     "mc-verify": {"n": 2, "t": 1.0, "x": 0.0, "H0": 0.75, "H": 0.3, "b": 1.0,
                   "measure": {"type": "dirac", "x0": 0.0}, "samples": 64,

@@ -318,6 +318,13 @@ def test_entries_that_are_not_integers_are_rejected():
             ExponentVector(bad)
     good = ExponentVector((np.int64(2), np.int32(0), 1, np.float64(1.0)))
     assert good.a == (2, 0, 1, 1) and all(type(v) is int for v in good.a)
+    # heights follow the same rule: (True,) once gave ExponentVector(a=(1,)),
+    # and digit strings a bare TypeError from k - h
+    for bad in ((True,), ("1", "2"), (1, 1.5), (np.bool_(True),), (1, math.nan),
+                (Fraction(1),)):
+        with pytest.raises(ValidationError, match="heights must be integers"):
+            exponent_of(bad)
+    assert exponent_of((np.int64(1), 2.0, np.float64(3.0))) == exponent_of((1, 2, 3))
 
 
 def test_bit_set_move_equals_move_down():

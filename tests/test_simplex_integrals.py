@@ -355,3 +355,55 @@ def test_spectral_integral_past_the_float_range_is_an_estimation_error():
         with pytest.raises(DomainError, match="finite"):
             gaussian_spectral_integral(0.5, t)
     assert gaussian_spectral_integral(1e3, 1e300) == 0.0
+
+
+def _mp_log_spectral_integral(alpha, t):
+    z = (1 + mpmath.mpf(alpha)) / 2
+    return mpmath.loggamma(z) - z * mpmath.log(mpmath.mpf(t))
+
+
+def test_spectral_integral_that_cancels_past_its_rounding_bound_raises():
+    # at t = (1 + alpha) / (2e) ln Gamma(z) and z ln t cancel: alpha = 1e12
+    # once returned 3.5421e-06 against 3.5447e-06, with no error
+    for alpha in (1e12, 1e10):
+        with pytest.raises(EstimationError, match=r"rounding bound of .* > 1e-6: "):
+            gaussian_spectral_integral(alpha, (1.0 + alpha) / (2.0 * math.e))
+    alpha = 1e6
+    t = (1.0 + alpha) / (2.0 * math.e)
+    val, bound = simplex_integrals._log_spectral_integral(alpha, t)
+    with mpmath.workdps(60):
+        assert abs(val - _mp_log_spectral_integral(alpha, t)) <= bound < 1e-6
+    assert gaussian_spectral_integral(alpha, t) == math.exp(val)
+
+
+def test_spectral_integral_rounding_bound_covers_the_error():
+    # alpha near -1 or up to 1e10, t anywhere or where ln Gamma(z) and
+    # z ln t cancel to within 25 of each other; every draw, raising or
+    # not, against 60 digits
+    rng = random.Random(19)
+    raised = 0
+    for _ in range(400):
+        if rng.random() < 0.2:
+            alpha = -1.0 + 10 ** rng.uniform(-12, 0)
+        else:
+            alpha = 10 ** rng.uniform(-3, 10)
+        if alpha < 100.0 or rng.random() < 0.5:
+            t = 10 ** rng.uniform(-5, 5)
+        else:
+            t = (1.0 + alpha) / (2.0 * math.e) * math.exp(rng.uniform(-50, 50) / alpha)
+        val, bound = simplex_integrals._log_spectral_integral(alpha, t)
+        with mpmath.workdps(60):
+            assert abs(val - _mp_log_spectral_integral(alpha, t)) <= bound, (alpha, t)
+        if bound <= 1e-6 or not -746.0 < val < 710.0:
+            continue
+        raised += 1
+        with pytest.raises(EstimationError, match="rounding bound"):
+            gaussian_spectral_integral(alpha, t)
+    assert raised > 0
+
+
+def test_monte_carlo_oracle_past_the_float_range_warns_of_nothing():
+    # log_w overflowed outside the errstate block; the weights are
+    # exp(-inf) = 0, the rounded value of about 1e-616
+    res = brute_force(SimplexIntegralSpec(1.0, (1e308,), (1.0,)), method="monte-carlo")
+    assert (res.estimate, res.error_bound) == (0.0, 0.0)
