@@ -14,6 +14,7 @@ tolerance.  See `gamma_n`'s documentation for what does hold.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -31,13 +32,12 @@ from .chaos_bounds import (
     fit_p_exponent,
     fit_time_exponent,
     gamma_n,
-    gamma_n_matrix,
     spatial_exponents,
     stirling_lb_check,
     term_bound,
     verify_ab_condition,
 )
-from .chaos_bounds import _fit_log_envelope, _tilde_matrix
+from .chaos_bounds import _fit_log_envelope, _log_gamma_rows, _tilde_matrix
 from .errors import EstimationError
 from .initial_data import (
     DiracAt,
@@ -153,8 +153,10 @@ def check_05_gamma_max_at_ones() -> CheckResult:
     worst_at = None
     ones_ok = True
     for params in admissible_param_grid():
-        for n in range(2, 13):
-            g = gamma_n_matrix(n, params)
+        # n = 2..12 in one pass of the prefix recursion
+        log_rows = itertools.islice(_log_gamma_rows(12, params), 1, None)
+        for n, log_g in enumerate(log_rows, start=2):
+            g = np.exp(log_g)
             i = int(np.argmax(g))
             excess = float(g[i] - 1.0)
             if excess > worst_excess:
@@ -180,8 +182,9 @@ def check_06_move_monotonicity() -> CheckResult:
     worst = 0.0
     worst_at = None
     for params in admissible_param_grid():
-        for n in range(2, 11):
-            g = gamma_n_matrix(n, params)
+        log_rows = itertools.islice(_log_gamma_rows(10, params), 1, None)
+        for n, log_g in enumerate(log_rows, start=2):
+            g = np.exp(log_g)
             rows = np.arange(g.size)[:, None]
             bits = 1 << np.arange(n - 2, -1, -1)  # touch points i = 1..n-1
             legal = (rows & bits) == 0

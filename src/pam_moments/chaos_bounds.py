@@ -19,7 +19,15 @@ are accumulated in log space.
 In the offsets d_k of a (see path_combinatorics), theta_k depends on
 d_{k-1} alone and the k-th gamma factor on (d_{k-1}, d_{k+1}), so one
 table of 4(n-1) log factors serves `gamma_n`, `gamma_n_matrix` and the
-exact sum of `term_bound`, which all add the entries a path picks.
+exact sum of `term_bound`, which all add the entries a path picks.  Its
+rows do not depend on n, so the table for n_max serves every n <= n_max.
+Over all of A_n, log gamma_n grows by a prefix recursion
+(`_log_gamma_rows`): a row of A_n spells d_1..d_{n-1}, d_1 the most
+significant bit, so the sums over the prefixes d_1..d_k extend to
+d_{k+1} by one broadcast add of a 2 x 2 table slice, and A_n is read off
+the prefixes that grow into A_{n+1}.  That is about 2^n adds for every
+n <= n_max at once, against (n-1) 2^{n-1} gathers over the offset
+matrix of each n, with each row still 0.0 + g_1 + g_2 + ... in k order.
 
 The final p-th moment bound has existential constants; here every
 constant in the chain is explicit: b_H0 of the external inequality (in
@@ -38,7 +46,7 @@ from scipy import special as _sp
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
 from .initial_data import InitialMeasure, j0 as _j0
-from .path_combinatorics import ExponentVector, _offset_matrix
+from .path_combinatorics import ExponentVector, _check_enum_n
 from .simplex_integrals import _sigma
 
 __all__ = [
@@ -187,32 +195,60 @@ def _gamma_factor_table(n: int, params: FractionalParams) -> np.ndarray:
     return _sp.gammaln(args) - _sp.gammaln(th)
 
 
-def _log_gamma_n(d: np.ndarray, params: FractionalParams) -> np.ndarray:
-    """log gamma_n per row of a (m, n+1) matrix of offsets d_0..d_n: the
-    table entries added in k order from 0.0, as the max-plus pass does."""
-    n = d.shape[1] - 1
-    g = _gamma_factor_table(n, params)
-    log_g = np.zeros(d.shape[0])
-    for k in range(1, n):
-        log_g += g[k - 1, d[:, k - 1], d[:, k + 1]]
-    return log_g
+def _check_params(params) -> None:
+    if not isinstance(params, FractionalParams):
+        raise ValidationError(
+            f"params must be a FractionalParams, got {type(params).__name__}"
+        )
+
+
+def _log_gamma_rows(n_max: int, params: FractionalParams):
+    """Yield log gamma_n over A_n for n = 1..n_max, each a 1-d array in
+    the row order of `exponent_matrix(n)`, from one factor table g.
+
+    s holds the sums of factors 1..n-1 over the prefixes d_1..d_n, with
+    axes (d_1..d_{n-2}, d_{n-1}, d_n); factor n adds g[n-1, d_{n-1},
+    d_{n+1}] as it appends d_{n+1}.  The rows of A_n are the prefixes
+    with d_n = 0, and every row is 0.0 + g_1 + g_2 + ... in k order.
+    """
+    g = _gamma_factor_table(n_max, params)
+    s = np.zeros((1, 1, 2))  # n = 1: the middle axis is d_0 = 0 alone
+    for n in range(1, n_max + 1):
+        yield s[..., 0].ravel()
+        if n < n_max:
+            s = (s[..., None] + g[n - 1, :s.shape[1], None, :]).reshape(-1, 2, 2)
 
 
 def gamma_n(a, params: FractionalParams) -> float:
     """The gamma-ratio product gamma_n(a), computed in log space.
 
-    Its log is the sum of the factor-table entries the offsets of a pick.
+    Its log is the sum of the factor-table entries the offsets of a pick,
+    added in k order from 0.0 as `gamma_n_matrix` adds them.
     gamma_n(1, ..., 1) = 1; other vectors can give values above 1.
     """
+    _check_params(params)
     if not isinstance(a, ExponentVector):
         a = ExponentVector(tuple(a))
-    return float(np.exp(_log_gamma_n(np.array([a.d]), params))[0])
+    g = _gamma_factor_table(a.n, params)
+    log_g = 0.0
+    for k in range(1, a.n):
+        log_g += g[k - 1, a.d[k - 1], a.d[k + 1]]
+    return float(np.exp(log_g))
 
 
 def gamma_n_matrix(n: int, params: FractionalParams) -> np.ndarray:
-    """gamma_n over all of A_n (rows in lexicographic order), by lookups
-    in one factor table; the maximum equals `term_bound`'s gamma_n."""
-    return np.exp(_log_gamma_n(_offset_matrix(n), params))
+    """gamma_n over all of A_n (rows in lexicographic order); the maximum
+    equals `term_bound`'s gamma_n.
+
+    The prefix recursion of `_log_gamma_rows` takes about 2^n adds from
+    one factor table, against (n-1) 2^{n-1} gathers over the offset
+    matrix; only the last n's rows are kept.
+    """
+    _check_enum_n(n)
+    _check_params(params)
+    for log_g in _log_gamma_rows(n, params):
+        pass
+    return np.exp(log_g)
 
 
 @dataclass(frozen=True)
@@ -338,6 +374,7 @@ def term_bound(
         raise ValidationError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise SizeError(f"n must be >= 1, got {n}")
+    _check_params(params)
     if not (0 < t < math.inf):
         raise DomainError(f"t must be finite and > 0, got {t}")
     time_exp = n * params.time_growth_exponent

@@ -41,12 +41,12 @@ from typing import Any, Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
-from .chaos_bounds import FractionalParams, admissible_param_grid, gamma_n_matrix
-from .chaos_bounds import _exp_or_inf, _fit_log_envelope
+from .chaos_bounds import FractionalParams, admissible_param_grid
+from .chaos_bounds import _exp_or_inf, _fit_log_envelope, _log_gamma_rows
 from .initial_data import InitialMeasure, check_cond_mu0, j0 as eval_j0
 from .initial_data import measure_from_config
 from .mc_verifier import verify_lemma32, verify_term_bound
-from .path_combinatorics import _offset_matrix, expand_and_verify_identity
+from .path_combinatorics import MAX_ENUM_N, _offset_matrix, expand_and_verify_identity
 from .path_combinatorics import exponent_matrix
 from .simplex_integrals import SimplexIntegralSpec, brute_force, closed_form
 
@@ -115,15 +115,19 @@ def _identity(o: dict):
 
 
 def _gamma_scan(o: dict):
+    n_max = o["n_max"]
+    if n_max > MAX_ENUM_N:
+        raise SizeError(f"n_max must be <= {MAX_ENUM_N}, got {n_max}")
     grid = admissible_param_grid(o["grid_size"])
-    ns = range(2, o["n_max"] + 1)
-    # "n,a," per vector and "H0,H," per grid point are formatted once
-    n_a = {n: [f"{n},{''.join(map(str, a))}," for a in exponent_matrix(n).tolist()]
-           for n in ns}
+    # "n,a," per vector for n = 2..n_max and "H0,H," per grid point are
+    # formatted once; each grid point takes one pass of the recursion
+    labels = [[f"{n},{''.join(map(str, a))}," for a in exponent_matrix(n).tolist()]
+              for n in range(2, n_max + 1)]
     rows = (h0_h + row + format(gv, ".17g")
             for params in grid for h0_h in [f"{_fmt(params.H0)},{_fmt(params.H)},"]
-            for n in ns
-            for row, gv in zip(n_a[n], gamma_n_matrix(n, params).tolist()))
+            for n_labels, log_g in zip(
+                labels, itertools.islice(_log_gamma_rows(n_max, params), 1, None))
+            for row, gv in zip(n_labels, np.exp(log_g).tolist()))
     return itertools.chain(["H0,H,n,a,gamma_n"], rows), 0
 
 

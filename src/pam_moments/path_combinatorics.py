@@ -112,12 +112,20 @@ def enumerate_exponent_vectors(n: int) -> list[ExponentVector]:
     return [ExponentVector(tuple(row)) for row in exponent_matrix(n).tolist()]
 
 
+def _check_enum_n(n) -> None:
+    """Raise ValidationError unless n is an integer (a bool is not) and
+    SizeError unless 1 <= n <= MAX_ENUM_N: the orders A_n is enumerated at."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"n must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_ENUM_N:
+        raise SizeError(f"n must be in [1, {MAX_ENUM_N}], got {n}")
+
+
 def _offset_matrix(n: int) -> np.ndarray:
     """The offsets d_0..d_n of every row of `exponent_matrix(n)`, as a
     (2^{n-1}, n+1) int array: d_1...d_{n-1} of row i are the n-1 binary
     digits of i, most significant first, and d_0 = d_n = 0."""
-    if not 1 <= n <= MAX_ENUM_N:
-        raise SizeError(f"n must be in [1, {MAX_ENUM_N}], got {n}")
+    _check_enum_n(n)
     rows = np.arange(1 << (n - 1), dtype=np.int64)[:, None]
     offsets = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
     offsets[:, 1:n] = (rows >> np.arange(n - 2, -1, -1)) & 1

@@ -27,6 +27,8 @@ from pam_moments.chaos_bounds import (
 from pam_moments.chaos_bounds import (
     _envelope_exponent,
     _fit_log_envelope,
+    _gamma_factor_table,
+    _log_gamma_rows,
     _log_term_sum_exact,
     _theta,
     _tilde_matrix,
@@ -35,6 +37,7 @@ from pam_moments.errors import DomainError, EstimationError, SizeError, Validati
 from pam_moments.initial_data import DiracAt, LebesgueConstant
 from pam_moments.path_combinatorics import (
     ExponentVector,
+    _offset_matrix,
     diagonal_touch_points,
     enumerate_exponent_vectors,
     exponent_matrix,
@@ -138,10 +141,74 @@ def test_term_bound_gamma_equals_gamma_matrix_max():
 
 
 def test_gamma_matrix_agrees_with_scalar():
-    g = gamma_n_matrix(5, P_REF)
-    vecs = enumerate_exponent_vectors(5)
-    for a, gv in zip(vecs, g):
-        assert gv == pytest.approx(gamma_n(a, P_REF), rel=1e-13)
+    # both add the table entries a path picks, in k order from 0.0
+    grid = admissible_param_grid()
+    for n in range(1, 11):
+        vecs = enumerate_exponent_vectors(n)
+        for p in grid:
+            assert gamma_n_matrix(n, p).tolist() == [gamma_n(a, p) for a in vecs]
+
+
+def _gather_log_gamma(n: int, params: FractionalParams) -> np.ndarray:
+    """Oracle for the prefix recursion: log gamma_n per row of A_n by one
+    gather from the factor table per k over the offset matrix, added in k
+    order from 0.0 (the formulation the recursion replaced)."""
+    d = _offset_matrix(n)
+    g = _gamma_factor_table(n, params)
+    log_g = np.zeros(d.shape[0])
+    for k in range(1, n):
+        log_g += g[k - 1, d[:, k - 1], d[:, k + 1]]
+    return log_g
+
+
+# within 1e-7 of the edges H0 = 1/2, H0 = 1, H = 0, H = 1/2, H0 + H = 3/4
+EDGE_PARAMS = [
+    FractionalParams(0.5 + 1e-7, 0.5 - 1e-7),
+    FractionalParams(1.0 - 1e-7, 1e-7),
+    FractionalParams(0.6, 0.15 + 1e-7),
+    FractionalParams(1.0 - 1e-7, 0.5 - 1e-7),
+]
+
+
+def test_gamma_matrix_is_the_gather_oracle_bit_for_bit():
+    for p in admissible_param_grid(9) + EDGE_PARAMS:
+        for n in range(1, 17):
+            assert np.array_equal(gamma_n_matrix(n, p), np.exp(_gather_log_gamma(n, p)))
+
+
+def test_log_gamma_rows_yield_every_order_up_to_n_max():
+    for p in admissible_param_grid():
+        ys = list(_log_gamma_rows(12, p))
+        assert len(ys) == 12
+        for n, log_g in enumerate(ys, start=1):
+            assert log_g.shape == (2 ** (n - 1),)
+            assert np.array_equal(log_g, _gather_log_gamma(n, p))
+            assert np.array_equal(np.exp(log_g), gamma_n_matrix(n, p))
+
+
+def test_gamma_matrix_matches_the_tilde_exponent_oracle():
+    # _log_gamma_n_rows builds theta_k from the cumulative tilde exponents
+    for p in admissible_param_grid() + EDGE_PARAMS:
+        for n in range(1, 13):
+            want = np.exp(_log_gamma_n_rows(exponent_matrix(n), p))
+            np.testing.assert_allclose(gamma_n_matrix(n, p), want, rtol=1e-12, atol=0)
+
+
+def test_bad_order_or_params_raise_library_errors():
+    for n in (2.0, 2.5, True, "3", None):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            gamma_n_matrix(n, P_REF)
+    for n in (0, -1, 21):
+        with pytest.raises(SizeError, match=r"n must be in \[1, 20\]"):
+            gamma_n_matrix(n, P_REF)
+    assert gamma_n_matrix(np.int64(3), P_REF).tolist() == gamma_n_matrix(3, P_REF).tolist()
+    for params in ("x", None, (0.75, 0.3)):
+        with pytest.raises(ValidationError, match="params must be a FractionalParams"):
+            gamma_n_matrix(3, params)
+        with pytest.raises(ValidationError, match="params must be a FractionalParams"):
+            gamma_n((1, 1), params)
+        with pytest.raises(ValidationError, match="params must be a FractionalParams"):
+            term_bound(3, 1.0, params)
 
 
 def test_gamma_matches_simplex_integral_ratio():

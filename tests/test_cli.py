@@ -278,6 +278,22 @@ def test_gamma_scan_csv():
     assert float(g) == pytest.approx(1.0)
 
 
+def test_gamma_scan_rejects_n_max_past_the_enumeration_cap_first(monkeypatch, capsys):
+    # --n-max 25 once formatted every label for n = 2..20 (4.6 s, 300 MB)
+    # before failing with a message about n = 21
+    def no_enumeration(n):
+        raise AssertionError("exponent_matrix called")
+
+    monkeypatch.setattr(cli, "exponent_matrix", no_enumeration)
+    for n_max in ("21", "25"):
+        assert run_cli("gamma-scan", "--n-max", n_max) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"usage error: n_max must be <= 20, got {n_max}"
+    # n_max <= 1 leaves no order to scan: the header alone, exit 0
+    for n_max in ("1", "0", "-3"):
+        assert run_cli("gamma-scan", "--n-max", n_max) == (0, "H0,H,n,a,gamma_n\n")
+
+
 def test_mc_verify_byte_stability(tmp_path):
     argv = [
         "mc-verify", "--n", "1", "--t", "1.0", "--x", "0.0",
@@ -497,6 +513,18 @@ README_STDOUT = [
     (["bound-table", "--H0", "0.75", "--H", "0.3", "--p", "2", "--t", "1,2,4,8"],
      "1390d021c2fdf106c4c00dd5b1de2ad69d075844f54abdecf5c31fccd20c8aef", 0),
 ]
+
+
+# gamma-scan where the prefix recursion runs deepest, digest taken before
+# the recursion replaced the per-n offset-matrix gathers
+DEEP_GAMMA_SCAN = (["gamma-scan", "--n-max", "12", "--grid-size", "3"],
+                   "d1c565eddf1fbd3a0039231722a3fa99fe4f0f105e2a8f6fbb81a7a369441afc", 0)
+
+
+def test_deep_gamma_scan_stdout_is_pinned():
+    argv, digest, want = DEEP_GAMMA_SCAN
+    code, out = run_cli(*argv)
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == (digest, want)
 
 
 @pytest.mark.parametrize("argv, digest, want", README_STDOUT,

@@ -147,6 +147,16 @@ def test_exponent_matrix_memory_guard():
         enumerate_exponent_vectors(21)
 
 
+def test_orders_that_are_not_integers_are_validation_errors():
+    # 2.0 and 2.5 once raised a bare TypeError from 1 << (n - 1)
+    for n in (2.0, 2.5, True, "3", None):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            exponent_matrix(n)
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            enumerate_exponent_vectors(n)
+    assert exponent_matrix(np.int64(3)).tolist() == exponent_matrix(3).tolist()
+
+
 def test_identity_exact_small_cases():
     # n = 2: x1 (x2 + x1) = x1 x2 + x1^2 <-> A_2 = {(1,1), (2,0)}
     lhs, rhs = expand_and_verify_identity([Fraction(3, 7), Fraction(5, 2)])
