@@ -11,23 +11,17 @@ chain runs
 
 gamma_n is a product of gamma-function ratios.  It equals 1 exactly at
 the all-ones vector, but vectors whose path leaves the diagonal at the
-right end can exceed 1, so gamma_n <= 1 and
-its monotonicity under downward path moves do not hold over all of A_n
-(acceptance checks 5 and 6 report this).  All products of gamma factors
-are accumulated in log space.
+right end can exceed 1, so gamma_n <= 1 and its monotonicity under
+downward path moves do not hold over all of A_n (acceptance checks 5 and
+6).  All products of gamma factors are accumulated in log space.
 
 In the offsets d_k of a (see path_combinatorics), theta_k depends on
 d_{k-1} alone and the k-th gamma factor on (d_{k-1}, d_{k+1}), so one
 table of 4(n-1) log factors serves `gamma_n`, `gamma_n_matrix` and the
 exact sum of `term_bound`, which all add the entries a path picks.  Its
-rows do not depend on n, so the table for n_max serves every n <= n_max.
-Over all of A_n, log gamma_n grows by a prefix recursion
-(`_log_gamma_rows`): a row of A_n spells d_1..d_{n-1}, d_1 the most
-significant bit, so the sums over the prefixes d_1..d_k extend to
-d_{k+1} by one broadcast add of a 2 x 2 table slice, and A_n is read off
-the prefixes that grow into A_{n+1}.  That is about 2^n adds for every
-n <= n_max at once, against (n-1) 2^{n-1} gathers over the offset
-matrix of each n, with each row still 0.0 + g_1 + g_2 + ... in k order.
+rows do not depend on n, so one pass over the table for n_max gives every
+order n <= n_max: log gamma_n over A_n by a prefix recursion in about 2^n
+adds (`_log_gamma_rows`), and the exact sums in O(n_max) (`_log_term_sums`).
 
 The final p-th moment bound has existential constants; here every
 constant in the chain is explicit: b_H0 of the external inequality (in
@@ -46,7 +40,7 @@ from scipy import special as _sp
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
 from .initial_data import InitialMeasure, j0 as _j0
-from .path_combinatorics import ExponentVector, _check_enum_n
+from .path_combinatorics import ExponentVector, _check_enum_n, _check_int
 from .simplex_integrals import _sigma
 
 __all__ = [
@@ -119,15 +113,12 @@ class FractionalParams:
 
 def admissible_param_grid(size: int = 5) -> list[FractionalParams]:
     """A size x size grid of (H0, H) strictly inside the admissible region;
-    raises SizeError for a negative size."""
+    a size that is not an int is a ValidationError, a negative one a SizeError."""
+    _check_int("size", size)
     if size < 0:
         raise SizeError(f"grid size must be >= 0, got {size}")
-    out = []
-    for H0 in np.linspace(0.56, 0.94, size):
-        for H in np.linspace(0.05, 0.45, size):
-            if H0 + H > 0.75 + 1e-9:
-                out.append(FractionalParams(float(H0), float(H)))
-    return out
+    return [FractionalParams(float(H0), float(H)) for H0 in np.linspace(0.56, 0.94, size)
+            for H in np.linspace(0.05, 0.45, size) if H0 + H > 0.75 + 1e-9]
 
 
 def spatial_exponents(a, params: FractionalParams) -> np.ndarray:
@@ -158,6 +149,12 @@ def verify_ab_condition(
     Vectors run along the last axis: one vector gives a bool, an (m, n)
     batch gives a bool array of shape (m,).  A partial sum of the tilde
     exponents that is not finite raises DomainError.
+
+    On the exponents of every a in A_n it holds, for every n: sigma_k =
+    theta_k(d_{k-1}) rises with k, by (4H0+4H-3)/(4H0) + a_{k-1}(1-2H)/(4H0)
+    > 0 as H0 + H > 3/4 (`_theta`), and alpha_{k+1} >= 0, so for n >= 2 the
+    least margin over A_n is theta_1 = (2H0+H-1)/H0 > 0, at d_1 = 1,
+    d_2 = 0 (`_min_ab_margins` gives it in closed form).
     """
     at = np.atleast_1d(np.asarray(alpha_tilde, dtype=float))
     bt = np.atleast_1d(np.asarray(beta_tilde, dtype=float))
@@ -178,6 +175,19 @@ def _theta(k, d_prev, params: FractionalParams):
     q = 4.0 * params.H0
     c = (1.0 - 2.0 * params.H) / q
     return 1.0 - 1.0 / q + k * (q + 4.0 * params.H - 3.0) / q + c * (k - 1 + d_prev)
+
+
+def _min_ab_margins(n_max: int, params: FractionalParams) -> np.ndarray:
+    """min over a in A_n and k < n of sigma_k + alpha_{k+1}, n = 2..n_max,
+    in O(n_max): the margin theta_k(d_{k-1}) + (1-2H)(1 + d_{k+1} - d_k)
+    sees three offsets, each triple legal but d_0 = 1 and, at k = n-1, d_n = 1."""
+    d = np.array([0.0, 1.0])
+    k = np.arange(1, n_max)[:, None, None, None]
+    # axes (k, d_{k-1}, d_k, d_{k+1}), with d_0 = 0
+    m = _theta(k, d[:, None, None], params) + (1.0 - 2.0 * params.H) * (1.0 + d - d[:, None])
+    m = np.where((k == 1) & (d[:, None, None] == 1.0), np.inf, m)
+    inner = np.minimum.accumulate(m.min(axis=(1, 2, 3)))  # over k' <= k
+    return np.minimum(np.concatenate(([np.inf], inner[:-1])), m[..., 0].min(axis=(1, 2)))
 
 
 def _gamma_factor_table(n: int, params: FractionalParams) -> np.ndarray:
@@ -237,13 +247,8 @@ def gamma_n(a, params: FractionalParams) -> float:
 
 
 def gamma_n_matrix(n: int, params: FractionalParams) -> np.ndarray:
-    """gamma_n over all of A_n (rows in lexicographic order); the maximum
-    equals `term_bound`'s gamma_n.
-
-    The prefix recursion of `_log_gamma_rows` takes about 2^n adds from
-    one factor table, against (n-1) 2^{n-1} gathers over the offset
-    matrix; only the last n's rows are kept.
-    """
+    """gamma_n over all of A_n (rows in lexicographic order), the last yield
+    of `_log_gamma_rows`; the maximum equals `term_bound`'s gamma_n."""
     _check_enum_n(n)
     _check_params(params)
     for log_g in _log_gamma_rows(n, params):
@@ -302,9 +307,11 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(out)
 
 
-def _log_term_sum_exact(n: int, params: FractionalParams) -> tuple[float, float]:
-    """log of the sum over A_n inside the per-order bound (before the 2H0
-    power) at t = 1, and the largest gamma_n over A_n.
+def _log_term_sums(n_max: int, params: FractionalParams):
+    """Yield, for n = 1..n_max, the state of one forward pass that
+    `_finish_term_sum(n, *state, params)` turns into the log of the sum over
+    A_n inside the per-order bound (before the 2H0 power) at t = 1 and the
+    largest gamma_n over A_n.
 
     Written in the offsets d_k of a (see path_combinatorics), with
     c = (1-2H)/(4H0), the summand of a is a product of factors that each
@@ -318,38 +325,38 @@ def _log_term_sum_exact(n: int, params: FractionalParams) -> tuple[float, float]
     The two powers of t, t^{(alpha_n+1)/(4H0)} and t^{|alpha~|+|beta~|+n},
     multiply to t^{n(2H0+H-1)/(2H0)} for every a, so they leave the sum
     and `term_bound` adds the one power.
-    One forward pass over the states (d_{k-1}, d_k) then sums all
-    2^{n-1} summands by log-sum-exp and maximizes the gamma factors alone
-    by max-plus, in O(n) work.
+    The pass over the states (d_{k-1}, d_k) sums all 2^{n-1} summands by
+    log-sum-exp and maximizes the gamma factors alone by max-plus; order
+    n's state, (log sums, log gamma maxima) indexed [d_{n-1}, d_n], comes
+    after n-1 steps.  A finish costs about three steps, so callers finish
+    only the orders they take.
     """
-    H, H0 = params.H, params.H0
-    q = 4.0 * H0
     d = np.array([0.0, 1.0])
     alpha = spatial_exponents(1.0 + d[None, :] - d[:, None], params)  # [d_{k-1}, d_k]
     # each state's alpha as a vector of length 1: its alpha~_1 and beta~
     at, bt = (x[..., 0] for x in _tilde_matrix(alpha[..., None], params))
-    log_entry = _sp.gammaln(bt + 1.0) + _sp.gammaln((1.0 + alpha) / 2.0) / (2.0 * H0)
+    log_entry = _sp.gammaln(bt + 1.0) + _sp.gammaln((1.0 + alpha) / 2.0) / (2.0 * params.H0)
     # state arrays are indexed [d_{k-1}, d_k]; after k = 1, d_0 = 0
     log_sum = np.full((2, 2), -np.inf)
     log_sum[0] = _sp.gammaln(at[0] + 1.0) + log_entry[0]
     log_gam = np.full((2, 2), -np.inf)
     log_gam[0] = 0.0
-    for g_k in _gamma_factor_table(n, params):
-        # [d_k, d_{k+1}], through d_{k-1} = 0 or 1
-        log_sum = (
-            np.logaddexp(log_sum[0][:, None] + g_k[0], log_sum[1][:, None] + g_k[1])
-            + log_entry
-        )
-        log_gam = np.maximum(
-            log_gam[0][:, None] + g_k[0], log_gam[1][:, None] + g_k[1]
-        )
-    # d_n = 0, so a_n = 1 - d_{n-1}
-    alpha_n = spatial_exponents(1.0 - d, params)
-    s_ab = (2.0 * n * (H - 1.0) - 1.0 - alpha_n) / q  # |alpha~| + |beta~|
-    log_last = -_sp.gammaln(s_ab + n + 1.0)
-    log_total = _logsumexp(log_sum[:, 0] + log_last) + n / (2.0 * H0) * math.log(
-        params.c_H
-    )
+    yield log_sum, log_gam
+    for g_k in _gamma_factor_table(n_max, params):
+        # [d_k, d_{k+1}], through d_{k-1} = 0 or 1: order k+1's state
+        log_sum = np.logaddexp(log_sum[0, :, None] + g_k[0],
+                               log_sum[1, :, None] + g_k[1]) + log_entry
+        log_gam = np.maximum(log_gam[0, :, None] + g_k[0], log_gam[1, :, None] + g_k[1])
+        yield log_sum, log_gam
+
+
+def _finish_term_sum(n: int, log_sum, log_gam, params: FractionalParams) -> tuple[float, float]:
+    """(log sum, max gamma_n) of order n from its state in `_log_term_sums`:
+    d_n = 0, so a_n = 1 - d_{n-1} and the last factor reads d_{n-1} alone."""
+    alpha_n = spatial_exponents(np.array([1.0, 0.0]), params)
+    s_ab = (2.0 * n * (params.H - 1.0) - 1.0 - alpha_n) / (4.0 * params.H0)  # |alpha~|+|beta~|
+    log_total = (_logsumexp(log_sum[:, 0] - _sp.gammaln(s_ab + n + 1.0))
+                 + n / (2.0 * params.H0) * math.log(params.c_H))
     return float(log_total), float(np.exp(np.max(log_gam[:, 0])))
 
 
@@ -362,16 +369,14 @@ def term_bound(
     """Per-order bound on E|J_n(t,x)|^2 / J0^2(t,x).
 
     The bound sums over all 2^{n-1} members of A_n, carrying every gamma
-    and spectral constant of the chain (n <= 30); the sum is taken by a
-    transfer-matrix recursion over the path offsets in O(n) work, without
-    enumerating A_n, over the gamma factor table behind `gamma_n`; its
-    gamma_n is `gamma_n_matrix(n, params).max()` exactly.  mode must be
+    and spectral constant of the chain (n <= 30); the sum is the O(n) pass
+    of `_log_term_sums` over the gamma factor table behind `gamma_n`, so
+    its gamma_n is `gamma_n_matrix(n, params).max()` exactly.  mode must be
     "exact-constants" (DomainError otherwise).  The asymptotic form
     C^n (n!)^{-H} t^{n(2H0+H-1)} of this bound enters the moment series
     through its square root, the term that `log_chaos_series` sums.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"n must be an integer, got {n!r}")
+    _check_int("n", n)
     if n < 1:
         raise SizeError(f"n must be >= 1, got {n}")
     _check_params(params)
@@ -384,7 +389,8 @@ def term_bound(
         raise SizeError(
             f"exact-constants mode supports n <= {MAX_EXACT_N}, got {n}"
         )
-    log_sum, max_gamma = _log_term_sum_exact(n, params)
+    *_, state = _log_term_sums(n, params)  # order n's state, the last
+    log_sum, max_gamma = _finish_term_sum(n, *state, params)
     log_b = (
         n * math.log(params.b_H0)
         + (2.0 * params.H0 - 1.0) * _sp.gammaln(n + 1.0)
@@ -501,8 +507,9 @@ def log_chaos_series(
     w = sqrt(max(n*, 1)/a).  Where e^{L/a} > 2, n* solves L = a psi(n*+1)
     on [1e-9, max(4 e^{L/a}, 10)] by `_saddle`, which repeats the steps of
     scipy's brentq in Python floats and returns its bits; otherwise
-    n* = e^{L/a}.  Returns (log_sum, peak_index), the peak index
-    being the integer n of the largest term.  The sums keep the terms
+    n* = e^{L/a}.  Returns (log_sum, peak_index), the peak index being the
+    integer n of the largest term, but in Laplace's branch int(n*), within 1
+    of that n (floor(n*) or floor(n*) + 1).  The sums keep the terms
     within e^-40 (about 1e-16) of the largest.  Where the bump lies
     decides the rule, with edges n* - 9w - 50 (left) and n* + 12w + 50:
       - Left edge <= 0: the integer sum from n = 0 to the first integer
@@ -726,15 +733,8 @@ def fit_envelope_constants(
 
     The constraint set is ln C1 + C2 g(p,t)/p >= log_sum(p,t), linear in
     (ln C1, C2); the returned pair minimizes ln C1 + C2 * mean(g/p) over
-    the vertices of the feasible region, so the envelope is tight
-    somewhere on the grid rather than inflated.  The vertex search tests
-    one block of candidate vertices per grid point in a single numpy
-    pass, N passes for N grid points.  Each block is first tested against
-    three of the N constraints (the largest log_sum, the smallest and the
-    largest g/p) and only its survivors against all N; the pre-test makes
-    the same float comparisons as those three columns of the full test,
-    so it drops only candidates the full test rejects, and the fit is
-    the one without it, bit for bit.
+    the vertices of the feasible region (`_lowest_vertex`), so the
+    envelope is tight somewhere on the grid rather than inflated.
 
     C1 is ill-conditioned where C2 * mean(g/p) dominates the objective:
     at the README parameters (C = 4) on the default grid C2 * mean(g/p)

@@ -112,11 +112,16 @@ def enumerate_exponent_vectors(n: int) -> list[ExponentVector]:
     return [ExponentVector(tuple(row)) for row in exponent_matrix(n).tolist()]
 
 
+def _check_int(name: str, value) -> None:
+    """Raise ValidationError unless value is an int or numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_enum_n(n) -> None:
-    """Raise ValidationError unless n is an integer (a bool is not) and
+    """Raise ValidationError unless n is an integer (`_check_int`) and
     SizeError unless 1 <= n <= MAX_ENUM_N: the orders A_n is enumerated at."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"n must be an integer, got {n!r}")
+    _check_int("n", n)
     if not 1 <= n <= MAX_ENUM_N:
         raise SizeError(f"n must be in [1, {MAX_ENUM_N}], got {n}")
 
@@ -199,8 +204,9 @@ def move_down(a: ExponentVector | Sequence[int], i: int) -> ExponentVector:
     """Move the diagonal touch point (i+1, i+1) one unit down.
 
     Legal iff d_i = 0 (1-based i < n); the move sets d_i = 1, which acts
-    on exponents as a_i -> a_i + 1, a_{i+1} -> a_{i+1} - 1.
+    on exponents as a_i -> a_i + 1, a_{i+1} -> a_{i+1} - 1; i must be an int.
     """
+    _check_int("i", i)
     if not isinstance(a, ExponentVector):
         a = ExponentVector(tuple(a))
     touch = diagonal_touch_points(a)
@@ -208,7 +214,4 @@ def move_down(a: ExponentVector | Sequence[int], i: int) -> ExponentVector:
         raise DomainError(
             f"i={i} is not a diagonal touch point of {a.a}; legal moves: {touch}"
         )
-    new = list(a.a)
-    new[i - 1] += 1
-    new[i] -= 1
-    return ExponentVector(tuple(new))
+    return ExponentVector(a.a[:i - 1] + (a.a[i - 1] + 1, a.a[i] - 1) + a.a[i + 1:])

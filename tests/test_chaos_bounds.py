@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,9 +28,12 @@ from pam_moments.chaos_bounds import (
 from pam_moments.chaos_bounds import (
     _envelope_exponent,
     _fit_log_envelope,
+    _finish_term_sum,
     _gamma_factor_table,
     _log_gamma_rows,
-    _log_term_sum_exact,
+    _log_term_sums,
+    _logsumexp,
+    _min_ab_margins,
     _theta,
     _tilde_matrix,
 )
@@ -43,7 +47,7 @@ from pam_moments.path_combinatorics import (
     exponent_matrix,
     move_down,
 )
-from pam_moments.simplex_integrals import SimplexIntegralSpec, log_closed_form
+from pam_moments.simplex_integrals import SimplexIntegralSpec, _sigma, log_closed_form
 
 P_REF = FractionalParams(0.75, 0.3)
 
@@ -72,6 +76,14 @@ def test_admissible_grid():
     assert len(grid) > 0
     for p in grid:
         assert 0.5 < p.H0 < 1.0 and 0.0 < p.H < 0.5 and p.H0 + p.H > 0.75
+
+
+def test_admissible_grid_size_must_be_an_integer():
+    # 2.5 and '3' once raised a bare TypeError, and True gave an empty grid
+    for size in (2.5, "3", True, None, 3.0):
+        with pytest.raises(ValidationError, match="size must be an integer"):
+            admissible_param_grid(size)
+    assert admissible_param_grid(np.int64(3)) == admissible_param_grid(3)
 
 
 def test_tilde_exponents_worked_example():
@@ -125,6 +137,56 @@ def test_ab_condition_batch_matches_row_by_row():
     assert 0 < sum(want) < len(want)
     with pytest.raises(ValidationError):
         verify_ab_condition(at, bt[:, :-1], alpha)
+
+
+def _enumerated_margins(n, params):
+    """Oracle for `_min_ab_margins`: sigma_k + alpha_{k+1}, k < n, on every
+    row of exponent_matrix(n), from the cumulative tilde sums (acceptance
+    check 8 enumerated these before its closed form), with the spatial
+    and tilde exponents it fed to verify_ab_condition."""
+    alpha = spatial_exponents(exponent_matrix(n), params)
+    at, bt = _tilde_matrix(alpha, params)
+    return _sigma(at, bt)[:, :-1] + alpha[:, 1:], (at, bt, alpha)
+
+
+# (H0, H) outside the admissible region, where the least margin can sit at
+# any k and be negative; the closed form reads only H0 and H
+OUTSIDE_PARAMS = [SimpleNamespace(H0=h0, H=h) for h0, h in
+                  ((0.55, 0.1), (0.6, 0.05), (0.52, 0.2), (0.7, 0.6), (0.9, 0.9), (0.3, 0.2))]
+
+
+def test_min_ab_margins_are_the_enumerated_minimum():
+    for p in admissible_param_grid() + EDGE_PARAMS + OUTSIDE_PARAMS:
+        closed = _min_ab_margins(12, p)
+        assert closed.shape == (11,)
+        for n in range(2, 13):
+            margins, (at, bt, alpha) = _enumerated_margins(n, p)
+            want = float(margins.min())
+            assert abs(closed[n - 2] - want) <= 1e-12 * (1.0 + abs(want))
+            # the sweep check 8 ran: verify_ab_condition on every row
+            if isinstance(p, FractionalParams):
+                assert verify_ab_condition(at, bt, alpha).all() and closed[n - 2] > 0
+    assert _min_ab_margins(1, P_REF).shape == (0,)
+    # at (0.3, 0.2) the condition fails at every n, where check 8 would say False
+    assert np.all(_min_ab_margins(12, OUTSIDE_PARAMS[-1]) < 0)
+
+
+def test_least_margin_over_a_n_is_theta_1():
+    # for n >= 2 the least sigma_k + alpha_{k+1} over A_n is theta_1 =
+    # (2H0+H-1)/H0, at d_1 = 1, d_2 = 0: by enumeration to n = 14, and by
+    # the closed form to n = 10^4
+    for p in admissible_param_grid() + EDGE_PARAMS:
+        theta_1 = (2.0 * p.H0 + p.H - 1.0) / p.H0
+        for n in range(2, 15):
+            margins, _ = _enumerated_margins(n, p)
+            assert abs(margins.min() - theta_1) <= 1e-14 * (1.0 + theta_1)
+            # its row has d_1 = 1 (row index 2^{n-2} and up), its k is 1
+            r, k = np.unravel_index(np.argmin(margins), margins.shape)
+            assert r >= 2 ** (n - 2) and k == 0
+        closed = _min_ab_margins(10**4, p)
+        assert closed.shape == (10**4 - 1,)
+        assert np.all(closed == _theta(1, 0.0, p))
+        assert abs(closed[0] - theta_1) <= 1e-14 * (1.0 + theta_1)
 
 
 def test_gamma_all_ones_is_exactly_one():
@@ -306,11 +368,65 @@ def test_term_bound_size_cap():
         term_bound(31, 1.0, P_REF)
 
 
+def _log_term_sums_finished(n_max, params):
+    """(log sum, max gamma_n) for n = 1..n_max from one pass of the generator."""
+    return [_finish_term_sum(n, *state, params)
+            for n, state in enumerate(_log_term_sums(n_max, params), start=1)]
+
+
 def test_log_term_sum_small_n_by_hand():
     # n = 1: single vector (1,), the sum is one explicit term
-    log_sum, max_g = _log_term_sum_exact(1, P_REF)
+    (log_sum, max_g), = _log_term_sums_finished(1, P_REF)
     assert max_g == pytest.approx(1.0)
     assert math.isfinite(log_sum)
+    # a (1,): alpha = 1-2H, alpha~_1 = (4H-3+alpha)/(4H0), beta~_1 =
+    # -(alpha+1)/(4H0), |alpha~|+|beta~| = (2(H-1)-1-alpha)/(4H0)
+    H, H0 = P_REF.H, P_REF.H0
+    al = 1.0 - 2.0 * H
+    at, bt = (4.0 * H - 3.0 + al) / (4.0 * H0), -(al + 1.0) / (4.0 * H0)
+    want = (math.lgamma(at + 1.0) + math.lgamma(bt + 1.0) - math.lgamma(at + bt + 2.0)
+            + (math.lgamma((1.0 + al) / 2.0) + math.log(P_REF.c_H)) / (2.0 * H0))
+    assert log_sum == pytest.approx(want, rel=1e-13)
+
+
+def _log_term_sum_per_n(n: int, params: FractionalParams) -> tuple[float, float]:
+    """Oracle for `_log_term_sums`: the per-order pass it replaced, which
+    restarts at k = 1 for each n over the factor table for n itself."""
+    H, H0 = params.H, params.H0
+    q = 4.0 * H0
+    d = np.array([0.0, 1.0])
+    alpha = spatial_exponents(1.0 + d[None, :] - d[:, None], params)
+    at, bt = (x[..., 0] for x in _tilde_matrix(alpha[..., None], params))
+    log_entry = _sp.gammaln(bt + 1.0) + _sp.gammaln((1.0 + alpha) / 2.0) / (2.0 * H0)
+    log_sum = np.full((2, 2), -np.inf)
+    log_sum[0] = _sp.gammaln(at[0] + 1.0) + log_entry[0]
+    log_gam = np.full((2, 2), -np.inf)
+    log_gam[0] = 0.0
+    for g_k in _gamma_factor_table(n, params):
+        log_sum = (
+            np.logaddexp(log_sum[0][:, None] + g_k[0], log_sum[1][:, None] + g_k[1])
+            + log_entry
+        )
+        log_gam = np.maximum(
+            log_gam[0][:, None] + g_k[0], log_gam[1][:, None] + g_k[1]
+        )
+    alpha_n = spatial_exponents(1.0 - d, params)
+    s_ab = (2.0 * n * (H - 1.0) - 1.0 - alpha_n) / q
+    log_last = -_sp.gammaln(s_ab + n + 1.0)
+    log_total = _logsumexp(log_sum[:, 0] + log_last) + n / (2.0 * H0) * math.log(
+        params.c_H
+    )
+    return float(log_total), float(np.exp(np.max(log_gam[:, 0])))
+
+
+def test_log_term_sums_are_the_per_order_pass_bit_for_bit():
+    for p in admissible_param_grid(9) + EDGE_PARAMS:
+        got = _log_term_sums_finished(60, p)
+        assert got == [_log_term_sum_per_n(n, p) for n in range(1, 61)]
+    # a shorter pass yields the same states as the first orders of a longer one
+    for n, (a, b) in enumerate(zip(_log_term_sums(7, P_REF), _log_term_sums(30, P_REF))):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert n == 6
 
 
 def _theta_matrix(a_mat: np.ndarray, params: FractionalParams) -> np.ndarray:
@@ -341,7 +457,7 @@ def _log_gamma_n_rows(a_mat: np.ndarray, params: FractionalParams) -> np.ndarray
 
 
 def _log_term_sum_by_rows(n, t, params):
-    """Reference for _log_term_sum_exact: the summand evaluated row by row
+    """Reference for `_log_term_sums`: the summand evaluated row by row
     over all of A_n, then log-sum-exp and the max of gamma_n."""
     a = exponent_matrix(n).astype(float)
     alpha = spatial_exponents(a, params)
@@ -370,8 +486,7 @@ def _log_term_sum_by_rows(n, t, params):
 )
 def test_log_term_sum_matches_row_by_row_sum(grid, n_max):
     for params in grid:
-        for n in range(1, n_max + 1):
-            log_unit, max_g = _log_term_sum_exact(n, params)
+        for n, (log_unit, max_g) in enumerate(_log_term_sums_finished(n_max, params), start=1):
             # every summand carries the same power t^{n(2H0+H-1)/(2H0)}
             power = n * params.time_growth_exponent / (2.0 * params.H0)
             for t in (0.3, 1.0, 7.0):

@@ -284,6 +284,15 @@ def test_move_down_rejects_non_touch_points():
         move_down((2, 1, 1, 0), 2)
 
 
+def test_move_down_rejects_an_index_that_is_not_an_integer():
+    # True once moved touch point 1, and 1.0 passed the touch test and then
+    # raised a bare TypeError as a list index
+    for i in (True, 1.0, 2.5, "1", None):
+        with pytest.raises(ValidationError, match="i must be an integer"):
+            move_down((1, 1, 1, 1), i)
+    assert move_down((1, 1, 1, 1), np.int64(1)) == move_down((1, 1, 1, 1), 1)
+
+
 def test_all_ones_reachable_to_everything():
     # repeatedly undoing moves: every member is reachable from all-ones by
     # a chain of legal moves (BFS over the move graph)
