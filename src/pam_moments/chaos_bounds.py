@@ -40,7 +40,7 @@ from scipy import special as _sp
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
 from .initial_data import InitialMeasure, j0 as _j0
-from .path_combinatorics import ExponentVector, _check_enum_n, _check_int
+from .path_combinatorics import ExponentVector, _check_enum_n, _check_int, _check_real
 from .simplex_integrals import _sigma
 
 __all__ = [
@@ -80,16 +80,20 @@ class FractionalParams:
     b_H0: float = 1.0
 
     def __post_init__(self):
-        if not (0.5 < self.H0 < 1.0):
-            raise ValidationError(f"H0 must be in (1/2, 1), got {self.H0}")
-        if not (0.0 < self.H < 0.5):
-            raise ValidationError(f"H must be in (0, 1/2), got {self.H}")
-        if not (self.H0 + self.H > 0.75):
-            raise ValidationError(
-                f"H0 + H must exceed 3/4, got {self.H0 + self.H}"
-            )
-        if not (0 < self.b_H0 < math.inf):
-            raise ValidationError(f"b_H0 must be finite and > 0, got {self.b_H0}")
+        try:
+            if not (0.5 < self.H0 < 1.0):
+                raise ValidationError(f"H0 must be in (1/2, 1), got {self.H0}")
+            if not (0.0 < self.H < 0.5):
+                raise ValidationError(f"H must be in (0, 1/2), got {self.H}")
+            if not (self.H0 + self.H > 0.75):
+                raise ValidationError(
+                    f"H0 + H must exceed 3/4, got {self.H0 + self.H}"
+                )
+            if not (0 < self.b_H0 < math.inf):
+                raise ValidationError(f"b_H0 must be finite and > 0, got {self.b_H0}")
+        except TypeError:
+            _check_real(H0=self.H0, H=self.H, b_H0=self.b_H0)
+            raise
 
     @property
     def alpha_H0(self) -> float:
@@ -123,7 +127,11 @@ def admissible_param_grid(size: int = 5) -> list[FractionalParams]:
 
 def spatial_exponents(a, params: FractionalParams) -> np.ndarray:
     """alpha_j = (1 - 2H) a_j, for a vector (or ExponentVector) or a matrix."""
-    return (1.0 - 2.0 * params.H) * np.asarray(a, dtype=float)
+    try:
+        return (1.0 - 2.0 * params.H) * np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        _check_real(a=a)
+        raise
 
 
 def _tilde_matrix(alpha: np.ndarray, params: FractionalParams):
@@ -380,8 +388,12 @@ def term_bound(
     if n < 1:
         raise SizeError(f"n must be >= 1, got {n}")
     _check_params(params)
-    if not (0 < t < math.inf):
-        raise DomainError(f"t must be finite and > 0, got {t}")
+    try:
+        if not (0 < t < math.inf):
+            raise DomainError(f"t must be finite and > 0, got {t}")
+    except TypeError:
+        _check_real(t=t)
+        raise
     time_exp = n * params.time_growth_exponent
     if mode != "exact-constants":
         raise DomainError(f"unknown mode {mode!r}")
@@ -407,10 +419,14 @@ def stirling_lb_check(a: float, C: float) -> int:
     EstimationError where a side's log leaves the floats (a above about
     5e302) or the inequality fails for every suffix (C chosen too large).
     """
-    if not (0 < a < math.inf):
-        raise DomainError(f"a must be finite and > 0, got {a}")
-    if not (0 < C < math.inf):
-        raise DomainError(f"C must be finite and > 0, got {C}")
+    try:
+        if not (0 < a < math.inf):
+            raise DomainError(f"a must be finite and > 0, got {a}")
+        if not (0 < C < math.inf):
+            raise DomainError(f"C must be finite and > 0, got {C}")
+    except TypeError:
+        _check_real(a=a, C=C)
+        raise
     ns = np.arange(1.0, 501.0)
     with np.errstate(over="ignore"):  # past the floats is inf, first at n = 500
         lhs = _sp.gammaln(a * ns + 1.0)
@@ -542,10 +558,14 @@ def log_chaos_series(
     err by a few ulps of log S, and they agree to 12 ulps on 17,820
     cases of the admissible grid.
     """
-    if not (2 <= p < math.inf):
-        raise DomainError(f"p must be finite and >= 2, got {p}")
-    if not (t > 0 and C > 0):
-        raise DomainError("t and C must be > 0")
+    try:
+        if not (2 <= p < math.inf):
+            raise DomainError(f"p must be finite and >= 2, got {p}")
+        if not (t > 0 and C > 0):
+            raise DomainError("t and C must be > 0")
+    except TypeError:
+        _check_real(p=p, t=t, C=C)
+        raise
     a = params.H / 2.0
     L = 0.5 * math.log((p - 1.0) * C) + (
         params.time_growth_exponent / 2.0

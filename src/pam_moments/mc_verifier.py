@@ -45,21 +45,34 @@ Everything is estimated by importance sampling with explicit densities:
     exp(r |xi|^2 - xi^T (S_t + S_s) xi / 2) stays bounded by
     exp(-r |xi|^2) and the estimator has finite variance.
 
-The smallest eigenvalue that sets the rate is computed by `_lambda_min`.
-For n = 1 it is the single entry.  For n = 2 it repeats, in numpy, the
-arithmetic LAPACK does for a 2x2 symmetric matrix on the path that
-``np.linalg.eigvalsh`` takes (``dsyevd``, whose tridiagonal reduction
+The arithmetic works on columns: a row's n times, rough times and
+spectral draws are the n columns of (m, n) blocks, and every step is a
+ufunc on whole columns.  Each measure has one covariance formula,
+cov(lo, hi) with lo = min(tau_j, tau_k) and hi = max(tau_j, tau_k)
+(`_kernel_formulas`).  `kernel_fourier_gaussian` applies it to gathered
+(m, n, n) arrays of those times; the samplers apply it to the sorted time
+columns (at n = 2 the sort is one np.minimum and one np.maximum) and keep
+S as its lower triangle of columns, (S_11,) or (S_11, S_21, S_22).
+
+The smallest eigenvalue that sets the rate is computed by `_lambda_min`
+from that triangle.  For n = 1 it is S_11.  For n = 2 it repeats, in
+numpy, the arithmetic LAPACK does for a 2x2 symmetric matrix on the path
+that ``np.linalg.eigvalsh`` takes (``dsyevd``, whose tridiagonal reduction
 leaves a 2x2 matrix as it is, then ``dsterf``): ``dsterf``'s two split
 tests, after which the eigenvalues are the diagonal, and otherwise
 ``dlae2`` on the squared and re-rooted off-diagonal entry.  Each step is
 the same correctly rounded IEEE operation on the same operands, in the
 same order, so the result is LAPACK's bit for bit, as long as LAPACK is
 built without fused multiply-adds there (the tests compare it with
-``eigvalsh`` on the sampler's own matrices).  Blocks whose largest entry lies outside
-[2^-405, 2^485], where ``dsyevd`` or ``dsterf`` would rescale, and larger n
-go to ``eigvalsh`` itself.  The sorts, row sums and the quadratic form are
-likewise written as the short column operations that give numpy's bits
-for n <= 2.
+``eigvalsh`` on the sampler's own matrices).  Rows whose largest entry
+lies outside [2^-405, 2^485], where ``dsyevd`` or ``dsterf`` would
+rescale, go to ``eigvalsh`` itself.  Row sums fold the columns left to
+right, and `_quadform` sums the terms (xi_j S_jk) xi_k of xi^T S xi in
+row-major (j, k) order: these are the terms and orders of
+``np.sum(axis=1)`` and ``np.einsum``, so for n <= 2 the bits are theirs
+(einsum's on batches of four rows or more, where the tests compare
+them).  `verify_lemma32` uses the same pieces with one S and one R per
+time sample, their entries scalars against the xi columns.
 
 Draws first, then fixed chunks: each worker stream first draws all its
 blocks, in the order the stream has always used them: the uniform times,
@@ -68,13 +81,16 @@ and the sign uniforms.  No draw depends on a computed value (the rate
 only rescales the gamma draws afterwards), so the stream is unchanged.
 The arithmetic then runs over chunks of a fixed `_CHUNK_ROWS` rows, each
 writing its values into one array per worker, which is summed once.
-Every step in between acts row by row (ufuncs, the column folds above,
-`_lambda_min`), so a row's value has the same bits in whatever chunk it
-falls, and ``np.sum`` sees the same array: no result depends on the
-chunking.  ``np.einsum`` itself would not do here; it was seen to round
-differently on batches of one or two rows, which a last chunk can be.
-Memory is the five (samples, n) draw blocks and the value array, so
-O(samples * n), plus a chunk working set of about 1.3 MiB at n = 2.
+Every step in between is a ufunc on columns, which acts row by row, so a
+row's value has the same bits in whatever chunk it falls, and ``np.sum``
+sees the same array: no result depends on the chunking, nor, in
+`verify_lemma32`, on a stream's batch size.  ``np.einsum`` itself would
+not do here: it was seen to round differently on batches of one or two
+rows, which a last chunk or a small stream's batch can be.  Memory is
+the five (samples, n) draw blocks and the value array, so
+O(samples * n), plus a chunk working set of under 1 MiB at n = 2
+(tracemalloc peak 0.95 MiB, about thirty columns of `_CHUNK_ROWS`
+floats).
 
 Reproducibility: a single integer seed is expanded through
 ``SeedSequence(seed).spawn(workers)`` into independent Philox streams, one
@@ -89,7 +105,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
 from .chaos_bounds import FractionalParams, _exp_or_inf, term_bound
@@ -99,6 +114,7 @@ from .initial_data import (
     InitialMeasure,
     LebesgueConstant,
 )
+from .path_combinatorics import _check_int, _check_real
 
 MAX_MC_N = 2
 
@@ -124,15 +140,42 @@ class KernelGaussian:
     cov: np.ndarray
 
 
-def _check_inputs(n: int, t: float, params: FractionalParams) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+def _check_inputs(n: int, t: float, x: float, params: FractionalParams) -> None:
+    _check_int("n", n)
+    if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
     if n > MAX_MC_N:
         raise SizeError(f"n={n} exceeds the Monte-Carlo limit {MAX_MC_N}")
+    _check_real(t=t, x=x)
     if not (0 < t < math.inf):
         raise DomainError(f"t must be finite and > 0, got {t}")
     if not isinstance(params, FractionalParams):
         raise ValidationError("params must be a FractionalParams instance")
+
+
+def _kernel_formulas(t: float, x: float, measure: InitialMeasure) -> tuple:
+    """The mean and covariance of Ff for one measure, as functions.
+
+    mean(tau) gives m_j entrywise from tau_j (a float where m does not
+    depend on the times); cov(lo, hi) gives S_jk entrywise from
+    lo = min(tau_j, tau_k) and hi = max(tau_j, tau_k).  The amplitude is
+    J0(t, x) for each of these measures.  Raises ValidationError for
+    measures without a closed-form transform.
+    """
+    if isinstance(measure, DiracAt):
+        x0 = measure.x0
+        return (lambda tau: x0 + (x - x0) * tau / t,
+                lambda lo, hi: lo * (t - hi) / t)
+    if isinstance(measure, LebesgueConstant):
+        return lambda tau: float(x), lambda lo, hi: t - hi
+    if isinstance(measure, GaussianDensity):
+        m0, v0 = measure.mean, measure.variance
+        return (lambda tau: m0 + (x - m0) * (tau + v0) / (t + v0),
+                lambda lo, hi: (lo + v0) * (t - hi) / (t + v0))
+    raise ValidationError(
+        f"no closed-form Fourier kernel for {type(measure).__name__}; "
+        "use DiracAt, LebesgueConstant or GaussianDensity"
+    )
 
 
 def kernel_fourier_gaussian(
@@ -147,29 +190,14 @@ def kernel_fourier_gaussian(
     if tau.ndim != 2:
         raise ValidationError("sorted_times must be a 2-d array")
     m, n = tau.shape
+    mean, cov = _kernel_formulas(t, x, measure)
     # rows are sorted, so min(tau_j, tau_k) = tau_min(j, k): gathers, no compares
     ar = np.arange(n)
-    tmin = tau[:, np.minimum.outer(ar, ar)]
-    tmax = tau[:, np.maximum.outer(ar, ar)]
-    if isinstance(measure, DiracAt):
-        amp = np.full(m, measure.j0(t, x))
-        mean = measure.x0 + (x - measure.x0) * tau / t
-        cov = tmin * (t - tmax) / t
-    elif isinstance(measure, LebesgueConstant):
-        amp = np.full(m, measure.c)
-        mean = np.full((m, n), float(x))
-        cov = t - tmax
-    elif isinstance(measure, GaussianDensity):
-        v0 = measure.variance
-        amp = np.full(m, measure.j0(t, x))
-        mean = measure.mean + (x - measure.mean) * (tau + v0) / (t + v0)
-        cov = (tmin + v0) * (t - tmax) / (t + v0)
-    else:
-        raise ValidationError(
-            f"no closed-form Fourier kernel for {type(measure).__name__}; "
-            "use DiracAt, LebesgueConstant or GaussianDensity"
-        )
-    return KernelGaussian(amp=amp, mean=mean, cov=cov)
+    return KernelGaussian(
+        amp=np.full(m, measure.j0(t, x)),
+        mean=np.full((m, n), mean(tau)),
+        cov=cov(tau[:, np.minimum.outer(ar, ar)], tau[:, np.maximum.outer(ar, ar)]),
+    )
 
 
 def _rough_times(
@@ -183,9 +211,9 @@ def _rough_times(
     unbias integrals of |t_j - s|^{q-1} against uniform.
     """
     left_mass = t_cols**q
-    right_mass = (t - t_cols) ** q
-    z = (left_mass + right_mass) / q
-    go_left = side_u * (left_mass + right_mass) < left_mass
+    mass = left_mass + (t - t_cols) ** q
+    z = mass / q
+    go_left = side_u * mass < left_mass
     dist = dist_u ** (1.0 / q)
     s = np.where(go_left, t_cols * (1.0 - dist), t_cols + (t - t_cols) * dist)
     return s, z
@@ -196,38 +224,61 @@ def _spectral_draws(rng, m: int, n: int, H: float) -> tuple:
     return rng.gamma(shape=1.0 - H, scale=1.0, size=(m, n)), rng.random((m, n))
 
 
-def _spectral_xi(g: np.ndarray, sign_u: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """xi with density |xi|^{1-2H} e^{-r xi^2} / (Gamma(1-H) r^{H-1}), batched.
+def _spectral_xi(g: np.ndarray, sign_u: np.ndarray, rate) -> list:
+    """The columns of xi with density |xi|^{1-2H} e^{-r xi^2} / (Gamma(1-H) r^{H-1}).
 
-    g, sign_u: (m, n) blocks from `_spectral_draws`; rate: (m,) per-row
-    proposal rate r, which only rescales the gamma draws.
+    g, sign_u: (m, n) blocks from `_spectral_draws`; rate: the proposal
+    rate r, per row (an (m,) array) or one float, which only rescales the
+    gamma draws.
     """
-    sign = np.where(sign_u < 0.5, -1.0, 1.0)
-    return sign * np.sqrt(g / rate[:, None])
+    return [np.where(s < 0.5, -1.0, 1.0) * np.sqrt(gj / rate)
+            for gj, s in zip(g.T, sign_u.T)]
 
 
-def _sort_rows(x: np.ndarray) -> np.ndarray:
-    """np.sort(x, axis=1); a 2-wide row takes one compare-exchange."""
+def _sorted_columns(x: np.ndarray) -> tuple:
+    """The columns of np.sort(x, axis=1); a 2-wide row takes one
+    compare-exchange."""
     if x.shape[1] != 2:
-        return np.sort(x, axis=1)
+        return tuple(np.sort(x, axis=1).T)
     a, b = x[:, 0], x[:, 1]
-    return np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
+    return np.minimum(a, b), np.maximum(a, b)
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
+def _cov_triangle(cov, cols) -> tuple:
+    """The lower triangle (S_11,) or (S_11, S_21, S_22) of the covariance at
+    sorted time columns, from a measure's cov(lo, hi)."""
+    if len(cols) == 1:
+        return (cov(cols[0], cols[0]),)
+    lo, hi = cols
+    return cov(lo, lo), cov(lo, hi), cov(hi, hi)
+
+
+def _lower_triangle(mats: np.ndarray) -> tuple:
+    """The lower triangle (M_11,) or (M_11, M_21, M_22) of (m, n, n) matrices."""
+    if mats.shape[1] == 1:
+        return (mats[:, 0, 0],)
+    return mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+
+
+def _row_sum(cols) -> np.ndarray:
     """Row sums folded left to right over the columns (np.sum's bits, n <= 2)."""
-    return functools.reduce(np.add, x.T)
+    return functools.reduce(np.add, cols)
 
 
-def _quadform(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """vec_i^T mat_i vec_i per row, summed over (j, k) in row-major order.
+def _quadform(tri, v) -> np.ndarray:
+    """v^T M v per row, M symmetric with lower triangle tri, (M_11,) or
+    (M_11, M_21, M_22), and v given by its columns.
 
-    The terms (v_j M_jk) v_k and their order are einsum's, so for n <= 2
-    the result is np.einsum("ij,ijk,ik->i", vec, mat, vec) bit for bit.
+    The terms (v_j M_jk) v_k are summed in row-major (j, k) order, the
+    terms and order of np.einsum: on four rows or more the bits are those
+    of np.einsum("ij,ijk,ik->i", v, M, v) with an M per row and of
+    np.einsum("ij,jk,ik->i", v, M, v) with one M.  On one or two rows
+    einsum rounds differently.
     """
-    n = vec.shape[1]
-    return functools.reduce(np.add, (vec[:, j] * mat[:, j, k] * vec[:, k]
-                                     for j in range(n) for k in range(n)))
+    if len(v) == 1:
+        return v[0] * tri[0] * v[0]
+    (v0, v1), (a, b, c) = v, tri
+    return v0 * a * v0 + v0 * b * v1 + v1 * b * v0 + v1 * c * v1
 
 
 # LAPACK's dlamch('E'): the unit roundoff 2^-53
@@ -237,26 +288,22 @@ _EPS = 2.0**-53
 _UNSCALED = (2.0**-405, 2.0**485)
 
 
-def _lambda_min(mats: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each symmetric (n, n) matrix in the batch.
+def _lambda_min(a, b=None, c=None) -> np.ndarray:
+    """Smallest eigenvalue of the symmetric matrices with lower triangle
+    (a,) or (a, b, c), entries given as columns over the batch.
 
     Bit for bit np.linalg.eigvalsh(mats)[:, 0]: see the module docstring.
-    The lower triangle is read, as eigvalsh does.
     """
-    n = mats.shape[1]
-    if n == 1:
-        return mats[:, 0, 0]
-    if n > 2:
-        return np.linalg.eigvalsh(mats)[:, 0]
-    a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
-    abs_a, abs_c = np.abs(a), np.abs(c)
-    anorm = np.maximum(np.maximum(abs_a, np.abs(b)), abs_c)
+    if b is None:
+        return a
+    abs_a, abs_b, abs_c = np.abs(a), np.abs(b), np.abs(c)
+    anorm = np.maximum(np.maximum(abs_a, abs_b), abs_c)
     # a 0 / 0 below falls on a split block (b = 0) or on a row out of range
     # (zero, huge, nan), which eigvalsh recomputes
     with np.errstate(all="ignore"):
         # dsterf: off-diagonal negligible before, or after squaring it
         e = b * b
-        split = (np.abs(b) <= np.sqrt(abs_a) * np.sqrt(abs_c) * _EPS) | (
+        split = (abs_b <= np.sqrt(abs_a) * np.sqrt(abs_c) * _EPS) | (
             e <= _EPS**2 * np.abs(a * c)
         )
         # dlae2(a, sqrt(e), c), its arguments swapped when |c| < |a|
@@ -275,7 +322,8 @@ def _lambda_min(mats: np.ndarray) -> np.ndarray:
         lam = np.where(split, np.minimum(a, c), np.minimum(rt1, rt2))
     rescaled = ~((anorm >= _UNSCALED[0]) & (anorm <= _UNSCALED[1]))
     if rescaled.any():
-        lam[rescaled] = np.linalg.eigvalsh(mats[rescaled])[:, 0]
+        mats = np.stack([a, b, b, c], axis=-1)[rescaled].reshape(-1, 2, 2)
+        lam[rescaled] = np.linalg.eigvalsh(mats)[:, 0]
     return lam
 
 
@@ -293,42 +341,39 @@ def _worker_counts(samples: int, workers: int) -> list:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
-# rows per chunk of the per-sample arithmetic (about 1.3 MiB of temporaries
+# rows per chunk of the per-sample arithmetic (under 1 MiB of temporaries
 # at n = 2); every step is row by row, so the chunking cannot change a bit
 _CHUNK_ROWS = 4096
 
 
 def _sample_values(
-    tt, side_u, dist_u, g, sign_u, t, x, measure, q, h, log_const
+    tt, side_u, dist_u, g, sign_u, t, j0, kernel, q, h, log_const
 ) -> np.ndarray:
     """The weighted integrand of `chaos_norm_estimate` at the rows drawn.
 
-    Near the top of the float range (t or x about 1e300) a kernel entry or
-    a weight overflows to inf, and inf - inf or inf * 0 downstream gives
-    nan.  Such a row's value is inf or nan, which the accumulator check
-    reports, or the exact limit exp(-inf) = 0; numpy's overflow and
-    invalid flags are therefore silenced here.
+    j0 is J0(t, x), the kernel's amplitude; kernel the (mean, cov) pair of
+    `_kernel_formulas`.  Near the top of the float range (t or x about
+    1e300) a kernel entry or a weight overflows to inf, and inf - inf or
+    inf * 0 downstream gives nan.  Such a row's value is inf or nan, which
+    the accumulator check reports, or the exact limit exp(-inf) = 0;
+    numpy's overflow and invalid flags are therefore silenced here.
     """
     n = tt.shape[1]
+    mean, cov = kernel
     ss, z = _rough_times(tt, side_u, dist_u, t, q)
     with np.errstate(over="ignore", invalid="ignore"):
-        gt = kernel_fourier_gaussian(_sort_rows(tt), t, x, measure)
-        gs = kernel_fourier_gaussian(_sort_rows(ss), t, x, measure)
-        big_s = gt.cov + gs.cov
-        rate = np.maximum(0.25 * _lambda_min(big_s), 1e-300)
+        tau, sig = _sorted_columns(tt), _sorted_columns(ss)
+        big_s = [u + v for u, v in zip(_cov_triangle(cov, tau), _cov_triangle(cov, sig))]
+        rate = np.maximum(0.25 * _lambda_min(*big_s), 1e-300)
         xi = _spectral_xi(g, sign_u, rate)
         log_weight = (
-            _row_sum(np.log(z))
+            _row_sum(np.log(z).T)
             + n * (h - 1.0) * np.log(rate)
-            + rate * _row_sum(xi**2)
+            + rate * _row_sum(xj**2 for xj in xi)
             - 0.5 * _quadform(big_s, xi)
         )
-        return (
-            gt.amp
-            * gs.amp
-            * np.cos(_row_sum(xi * (gt.mean - gs.mean)))
-            * np.exp(log_const + log_weight)
-        )
+        phase = _row_sum(xj * (mean(tj) - mean(sj)) for xj, tj, sj in zip(xi, tau, sig))
+        return j0 * j0 * np.cos(phase) * np.exp(log_const + log_weight)
 
 
 def chaos_norm_estimate(
@@ -348,9 +393,12 @@ def chaos_norm_estimate(
     The ``workers`` streams run one after another in this process, so
     ``workers`` changes the result, not the speed.
     """
-    _check_inputs(n, t, params)
+    _check_inputs(n, t, x, params)
+    _check_int("samples", samples)
     if samples < 2:
         raise DomainError(f"samples must be >= 2, got {samples}")
+    kernel = _kernel_formulas(t, x, measure)
+    j0 = measure.j0(t, x)
     h0, h = params.H0, params.H
     q = 2.0 * h0 - 1.0
     log_const = n * (
@@ -377,7 +425,7 @@ def chaos_norm_estimate(
         for lo in range(0, m, _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
             vals[rows] = _sample_values(
-                *(d[rows] for d in draws), t, x, measure, q, h, log_const
+                *(d[rows] for d in draws), t, j0, kernel, q, h, log_const
             )
         del draws  # freed before the next stream draws its blocks
         total += float(np.sum(vals))
@@ -442,6 +490,19 @@ def _majorant_form(sorted_times: np.ndarray, t: float) -> np.ndarray:
     return form
 
 
+def _majorant_terms(draws, j0sq, log_norm, rate, cov_row, r_row) -> tuple:
+    """The weighted integrands of lhs and rhs in `verify_lemma32` at one
+    time sample, over the spectral draws (the blocks of `_spectral_draws`).
+
+    cov_row and r_row are the lower triangles of that sample's S and R;
+    the amplitude of Ff is J0(t, x), so both sides carry j0sq.
+    """
+    xi = _spectral_xi(*draws, rate)
+    base = np.exp(log_norm + rate * _row_sum(xj**2 for xj in xi))
+    return (j0sq * base * np.exp(-_quadform(cov_row, xi)),
+            j0sq * base * np.exp(-_quadform(r_row, xi)))
+
+
 def verify_lemma32(
     n: int,
     t: float,
@@ -466,7 +527,9 @@ def verify_lemma32(
     standard errors of the difference.  For n = 1 and a point mass the two
     integrands coincide exactly, which pins down all constants.
     """
-    _check_inputs(n, t, params)
+    _check_inputs(n, t, x, params)
+    _check_int("time_samples", time_samples)
+    _check_int("xi_samples", xi_samples)
     if xi_samples < 1 or (ordered_times is None and time_samples < 1):
         raise DomainError("time_samples and xi_samples must be >= 1, "
                           f"got {time_samples} and {xi_samples}")
@@ -481,14 +544,18 @@ def verify_lemma32(
         time_samples = tau.shape[0]
     else:
         tau = np.sort(streams[0].uniform(0.0, t, size=(time_samples, n)), axis=1)
-    gk = kernel_fourier_gaussian(tau, t, x, measure)
-    rform = _majorant_form(tau, t)
+    _, cov = _kernel_formulas(t, x, measure)
+    cov_tri = _cov_triangle(cov, tuple(tau.T))
     j0sq = measure.j0(t, x) ** 2
-    lam = np.minimum(_lambda_min(2.0 * gk.cov), _lambda_min(2.0 * rform))
+    r_tri = _lower_triangle(_majorant_form(tau, t))
+    lam = np.minimum(_lambda_min(*(2.0 * e for e in cov_tri)),
+                     _lambda_min(*(2.0 * e for e in r_tri)))
     rate = np.maximum(0.25 * lam, 1e-300)
     log_norm = n * (math.log(params.c_H) + math.lgamma(1.0 - h)) + n * (
         h - 1.0
     ) * np.log(rate)
+    # per time sample: its exponent, rate and the triangles of S and R
+    rows = list(zip(log_norm, rate, zip(*cov_tri), zip(*r_tri)))
 
     lhs = np.zeros(time_samples)
     rhs = np.zeros(time_samples)
@@ -498,13 +565,8 @@ def verify_lemma32(
     for rng, m in zip(streams, counts):
         if m == 0:
             continue
-        for i in range(time_samples):
-            xi = _spectral_xi(*_spectral_draws(rng, m, n, h), np.full(m, rate[i]))
-            base = np.exp(log_norm[i] + rate[i] * np.sum(xi**2, axis=1))
-            a = gk.amp[i] ** 2 * base * np.exp(
-                -np.einsum("ij,jk,ik->i", xi, gk.cov[i], xi)
-            )
-            b = j0sq * base * np.exp(-np.einsum("ij,jk,ik->i", xi, rform[i], xi))
+        for i, row in enumerate(rows):
+            a, b = _majorant_terms(_spectral_draws(rng, m, n, h), j0sq, *row)
             lhs[i] += float(np.sum(a))
             rhs[i] += float(np.sum(b))
             dvar[i] += float(np.sum((b - a) ** 2))

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -116,6 +117,19 @@ def _check_int(name: str, value) -> None:
     """Raise ValidationError unless value is an int or numpy integer (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(**values) -> None:
+    """Raise ValidationError naming the first value that is not a real
+    number: an int, float or numpy real, not a bool, string, complex
+    number, sequence or other object.
+
+    Range checks whose comparison raises TypeError call it there, so a
+    valid value never pays for it.
+    """
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be real, got {value!r}")
 
 
 def _check_enum_n(n) -> None:

@@ -658,3 +658,29 @@ def test_ab_condition_rejects_non_finite_partial_sums():
             verify_ab_condition(at, bt, [0.0] * len(at))
     with pytest.raises(DomainError, match="at k=2"):
         verify_ab_condition([[0.0, 0.0], [0.0, math.inf]], [[0.0] * 2] * 2, [[0.0] * 2] * 2)
+
+
+def test_inputs_that_are_not_real_numbers_are_validation_errors():
+    # each once raised a bare TypeError from a comparison, or ValueError
+    calls = [
+        lambda: FractionalParams("x", 0.3),
+        lambda: FractionalParams(0.75, 0.3, "x"),
+        lambda: FractionalParams(0.75, 1j),
+        lambda: term_bound(3, "1", P_REF),
+        lambda: stirling_lb_check("a", 1.0),
+        lambda: stirling_lb_check(0.5, None),
+        lambda: log_chaos_series("2", 1.0, P_REF, 4.0),
+        lambda: log_chaos_series(2.0, "1", P_REF, 4.0),
+        lambda: log_chaos_series(2.0, 1.0, P_REF, [4.0]),
+        lambda: spatial_exponents("x", P_REF),
+        lambda: spatial_exponents([[1.0, 2.0], "x"], P_REF),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="must be real"):
+            call()
+    # numbers of every real type still pass, and nan is a domain error
+    assert FractionalParams(np.float64(0.75), 0.3, 2) == FractionalParams(0.75, 0.3, 2.0)
+    assert np.array_equal(spatial_exponents(np.array([2, 0]), P_REF),
+                          spatial_exponents([2.0, 0.0], P_REF))
+    with pytest.raises(DomainError):
+        log_chaos_series(math.nan, 1.0, P_REF, 4.0)

@@ -1,10 +1,15 @@
-"""The Monte-Carlo sampler's arithmetic against the numpy calls it replaces,
-kept here as test-only oracles, and the sampler's floats pinned.
+"""The Monte-Carlo sampler's column arithmetic against the matrix form it
+replaced, kept here as test-only oracles, and the sampler's floats pinned.
 
-`_lambda_min`, the gathered kernel, the 2-wide sort and the column folds
-each repeat the operations of the call they replace in the same order, so
-the comparisons are exact (``==``), not within a tolerance.  The same holds
-for the chunked estimator against the whole-array one it replaced.
+The oracles are the estimator and the lemma check in their matrix form:
+np.sort, the gathered (m, n, n) covariance of `kernel_fourier_gaussian`,
+``np.linalg.eigvalsh``, ``np.sum(axis=1)`` and ``np.einsum``, each on a
+stream's whole batch.  `_lambda_min`, the 2-wide sort, the covariance
+triangle and the column folds repeat the operations of those calls in the
+same order, so the comparisons are exact (``==``), not within a tolerance.
+``np.einsum`` rounds differently on batches of one or two rows, so the
+oracles are run on at least four rows per stream; the column form does
+not depend on the batch size at all.
 """
 
 import io
@@ -19,13 +24,19 @@ from pam_moments.chaos_bounds import FractionalParams
 from pam_moments.initial_data import DiracAt, GaussianDensity, LebesgueConstant
 from pam_moments.mc_verifier import (
     _CHUNK_ROWS,
+    _cov_triangle,
+    _kernel_formulas,
     _lambda_min,
+    _lower_triangle,
     _majorant_form,
+    _majorant_terms,
     _quadform,
     _rough_times,
     _row_sum,
-    _sort_rows,
+    _sample_values,
+    _sorted_columns,
     _spawn_streams,
+    _spectral_draws,
     _worker_counts,
     chaos_norm_estimate,
     kernel_fourier_gaussian,
@@ -74,47 +85,49 @@ def _sampler_matrices(rng, measure, t, h0, m=10_000):
     return np.concatenate([cov_t + cov_s, 2.0 * cov_t, 2.0 * _majorant_form(tau, t)])
 
 
-def _whole_array_estimate(n, t, x, measure, params, samples, seed, workers):
-    """(value, stderr) of `chaos_norm_estimate` as it was before the chunks:
-    each worker's draws interleaved with the arithmetic on all its rows,
-    which runs through the same column helpers."""
-    h, q = params.H, 2.0 * params.H0 - 1.0
-    log_const = n * (
+def _log_const(n, t, params):
+    return n * (
         math.log(params.alpha_H0)
         + math.log(params.c_H)
-        + math.lgamma(1.0 - h)
+        + math.lgamma(1.0 - params.H)
         + math.log(t)
     ) - math.lgamma(n + 1.0)
+
+
+def _matrix_form_values(tt, side_u, dist_u, g, sign_u, t, x, measure, params):
+    """The weighted integrand of `chaos_norm_estimate` in its matrix form."""
+    n, h = tt.shape[1], params.H
+    ss, z = _rough_times(tt, side_u, dist_u, t, 2.0 * params.H0 - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gt = kernel_fourier_gaussian(np.sort(tt, axis=1), t, x, measure)
+        gs = kernel_fourier_gaussian(np.sort(ss, axis=1), t, x, measure)
+        big_s = gt.cov + gs.cov
+        rate = np.maximum(0.25 * np.linalg.eigvalsh(big_s)[:, 0], 1e-300)
+        sign = np.where(sign_u < 0.5, -1.0, 1.0)
+        xi = sign * np.sqrt(g / rate[:, None])
+        log_weight = (
+            np.sum(np.log(z), axis=1)
+            + n * (h - 1.0) * np.log(rate)
+            + rate * np.sum(xi**2, axis=1)
+            - 0.5 * np.einsum("ij,ijk,ik->i", xi, big_s, xi)
+        )
+        return (
+            gt.amp
+            * gs.amp
+            * np.cos(np.sum(xi * (gt.mean - gs.mean), axis=1))
+            * np.exp(_log_const(n, t, params) + log_weight)
+        )
+
+
+def _whole_array_estimate(n, t, x, measure, params, samples, seed, workers):
+    """(value, stderr) of `chaos_norm_estimate` in its matrix form, each
+    worker's draws taken in the stream's order and all its rows at once."""
     total = total_sq = 0.0
     count = 0
     for rng, m in zip(_spawn_streams(seed, workers), _worker_counts(samples, workers)):
-        if m == 0:
-            continue
-        tt = rng.uniform(0.0, t, size=(m, n))
-        left_mass, right_mass = tt**q, (t - tt) ** q
-        z = (left_mass + right_mass) / q
-        go_left = rng.random(tt.shape) * (left_mass + right_mass) < left_mass
-        dist = rng.random(tt.shape) ** (1.0 / q)
-        ss = np.where(go_left, tt * (1.0 - dist), tt + (t - tt) * dist)
-        gt = kernel_fourier_gaussian(_sort_rows(tt), t, x, measure)
-        gs = kernel_fourier_gaussian(_sort_rows(ss), t, x, measure)
-        big_s = gt.cov + gs.cov
-        rate = np.maximum(0.25 * _lambda_min(big_s), 1e-300)
-        g = rng.gamma(shape=1.0 - h, scale=1.0, size=(m, n))
-        sign = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
-        xi = sign * np.sqrt(g / rate[:, None])
-        log_weight = (
-            _row_sum(np.log(z))
-            + n * (h - 1.0) * np.log(rate)
-            + rate * _row_sum(xi**2)
-            - 0.5 * _quadform(big_s, xi)
-        )
-        vals = (
-            gt.amp
-            * gs.amp
-            * np.cos(_row_sum(xi * (gt.mean - gs.mean)))
-            * np.exp(log_const + log_weight)
-        )
+        draws = (rng.uniform(0.0, t, size=(m, n)), rng.random((m, n)), rng.random((m, n)),
+                 *_spectral_draws(rng, m, n, params.H))
+        vals = _matrix_form_values(*draws, t, x, measure, params)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals**2))
         count += m
@@ -122,14 +135,52 @@ def _whole_array_estimate(n, t, x, measure, params, samples, seed, workers):
     return mean, math.sqrt(max(total_sq / count - mean**2, 0.0) / count)
 
 
+def _matrix_form_lemma(n, t, x, measure, params, time_samples, xi_samples, seed, workers):
+    """(lhs, rhs, diff_stderr) of `verify_lemma32` in its matrix form, with
+    np.einsum on each stream's batch of spectral draws."""
+    h = params.H
+    streams = _spawn_streams(seed, workers)
+    tau = np.sort(streams[0].uniform(0.0, t, size=(time_samples, n)), axis=1)
+    gk = kernel_fourier_gaussian(tau, t, x, measure)
+    rform = _majorant_form(tau, t)
+    j0sq = measure.j0(t, x) ** 2
+    lam = np.minimum(np.linalg.eigvalsh(2.0 * gk.cov)[:, 0],
+                     np.linalg.eigvalsh(2.0 * rform)[:, 0])
+    rate = np.maximum(0.25 * lam, 1e-300)
+    log_norm = n * (math.log(params.c_H) + math.lgamma(1.0 - h)) + n * (h - 1.0) * np.log(rate)
+    lhs, rhs, dvar = np.zeros(time_samples), np.zeros(time_samples), np.zeros(time_samples)
+    for rng, m in zip(streams, _worker_counts(xi_samples, workers)):
+        for i in range(time_samples):
+            g, sign_u = _spectral_draws(rng, m, n, h)
+            xi = np.where(sign_u < 0.5, -1.0, 1.0) * np.sqrt(g / np.full(m, rate[i])[:, None])
+            base = np.exp(log_norm[i] + rate[i] * np.sum(xi**2, axis=1))
+            a = gk.amp[i] ** 2 * base * np.exp(-np.einsum("ij,jk,ik->i", xi, gk.cov[i], xi))
+            b = j0sq * base * np.exp(-np.einsum("ij,jk,ik->i", xi, rform[i], xi))
+            lhs[i] += float(np.sum(a))
+            rhs[i] += float(np.sum(b))
+            dvar[i] += float(np.sum((b - a) ** 2))
+    lhs /= xi_samples
+    rhs /= xi_samples
+    var = np.maximum(dvar / xi_samples - (rhs - lhs) ** 2, 0.0)
+    return lhs, rhs, np.sqrt(var / xi_samples)
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("kind", sorted(MEASURES))
 @pytest.mark.parametrize("n", [1, 2])
 def test_chunked_estimate_is_the_whole_array_estimate(n, kind, workers):
-    """Same bits on either side of a chunk boundary: two rows, a chunk less
-    one, one chunk, one more, and a ragged last chunk."""
-    args = (n, 0.8, 0.2, MEASURES[kind], FractionalParams(0.75, 0.3))
-    for samples in (2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 17):
+    """Same bits as the matrix form at t from 1e-3 to 1e3, x away from the
+    measure's centre, and on either side of a chunk boundary: a chunk less
+    one, one chunk, one more, and a ragged last chunk, per stream."""
+    params = FractionalParams(0.75, 0.3)
+    samples = 4 * workers + 1
+    for t in (1e-3, 0.8, 1e3):
+        args = (n, t, 0.2, MEASURES[kind], params)
+        est = chaos_norm_estimate(*args, samples=samples, seed=9, workers=workers)
+        assert (est.value, est.stderr) == _whole_array_estimate(*args, samples, 9, workers), t
+    args = (n, 0.8, -0.7, MEASURES[kind], FractionalParams(0.85, 0.2))
+    for per_stream in (_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 17):
+        samples = workers * per_stream - (workers - 1)
         est = chaos_norm_estimate(*args, samples=samples, seed=9, workers=workers)
         want = _whole_array_estimate(*args, samples, 9, workers)
         assert (est.value, est.stderr) == want, samples
@@ -139,6 +190,57 @@ def test_chunked_estimate_at_the_cli_size_is_the_whole_array_estimate():
     args = (2, 1.0, 0.0, DiracAt(0.0), FractionalParams(0.75, 0.3))
     est = chaos_norm_estimate(*args, samples=200_000, seed=7, workers=2)
     assert (est.value, est.stderr) == _whole_array_estimate(*args, 200_000, 7, 2)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("kind", sorted(MEASURES))
+@pytest.mark.parametrize("n", [1, 2])
+def test_lemma_check_is_the_matrix_form(n, kind, workers):
+    """The column fold is np.einsum's sum on four or more rows per stream."""
+    params = FractionalParams(0.75, 0.3)
+    for t in (1e-3, 0.8, 1e3):
+        for xi_samples in (4 * workers, 4 * workers + 2, 301):
+            args = (n, t, 0.2, MEASURES[kind], params)
+            cmp = verify_lemma32(*args, time_samples=3, xi_samples=xi_samples, seed=6,
+                                 workers=workers)
+            lhs, rhs, diff_stderr = _matrix_form_lemma(*args, 3, xi_samples, 6, workers)
+            assert np.array_equal(cmp.lhs, lhs), (t, xi_samples)
+            assert np.array_equal(cmp.rhs, rhs), (t, xi_samples)
+            assert np.array_equal(cmp.diff_stderr, diff_stderr), (t, xi_samples)
+
+
+@pytest.mark.parametrize("kind", sorted(MEASURES))
+@pytest.mark.parametrize("n", [1, 2])
+def test_row_values_do_not_depend_on_the_batch_size(n, kind):
+    """Each row of the estimator's and the lemma's integrands has the same
+    bits alone, in batches of two or three, and in the whole batch (np.einsum
+    did not: on one or two rows it rounds differently)."""
+    rng = np.random.default_rng(50 + n)
+    t, x, params, measure = 0.8, 0.2, FractionalParams(0.75, 0.3), MEASURES[kind]
+    m = 60
+    draws = (rng.uniform(0.0, t, size=(m, n)), rng.random((m, n)), rng.random((m, n)),
+             *_spectral_draws(rng, m, n, params.H))
+    rest = (t, measure.j0(t, x), _kernel_formulas(t, x, measure), 2.0 * params.H0 - 1.0,
+            params.H, _log_const(n, t, params))
+    whole = _sample_values(*draws, *rest)
+    spectral = _spectral_draws(rng, m, n, params.H)
+    tau = np.array([[0.3, 0.6][:n]])
+    tri = _lower_triangle(kernel_fourier_gaussian(tau, t, x, measure).cov)
+    r_tri = _lower_triangle(_majorant_form(tau, t))
+    row = (-0.4, 0.7, tuple(e[0] for e in tri), tuple(e[0] for e in r_tri))
+    whole_lhs, whole_rhs = _majorant_terms(spectral, 0.9, *row)
+    for size in (1, 2, 3):
+        for lo in range(0, m, size):
+            rows = slice(lo, lo + size)
+            assert np.array_equal(_sample_values(*(d[rows] for d in draws), *rest),
+                                  whole[rows]), (size, lo)
+            lhs, rhs = _majorant_terms(tuple(d[rows] for d in spectral), 0.9, *row)
+            assert np.array_equal(lhs, whole_lhs[rows]), (size, lo)
+            assert np.array_equal(rhs, whole_rhs[rows]), (size, lo)
+
+
+def _lambda_min_is_eigvalsh(mats):
+    return np.array_equal(_lambda_min(*_lower_triangle(mats)), np.linalg.eigvalsh(mats)[:, 0])
 
 
 @pytest.mark.parametrize("kind", sorted(MEASURES))
@@ -154,8 +256,7 @@ def test_lambda_min_is_eigvalsh_on_the_sampler_matrices(kind):
     for t in np.geomspace(1e-3, 1e3, 7):
         for h0 in (0.51, 0.75, 0.94):
             mats = _sampler_matrices(rng, MEASURES[kind], float(t), h0)
-            want = np.linalg.eigvalsh(mats)[:, 0]
-            assert np.array_equal(_lambda_min(mats), want), (t, h0)
+            assert _lambda_min_is_eigvalsh(mats), (t, h0)
 
 
 def test_lambda_min_split_blocks_are_eigvalsh():
@@ -172,7 +273,7 @@ def test_lambda_min_split_blocks_are_eigvalsh():
         mats = np.empty((m, 2, 2))
         mats[:, 0, 0], mats[:, 1, 1] = a, c
         mats[:, 0, 1] = mats[:, 1, 0] = b * rng.choice([-1.0, 1.0], m)
-        assert np.array_equal(_lambda_min(mats), np.linalg.eigvalsh(mats)[:, 0])
+        assert _lambda_min_is_eigvalsh(mats)
 
 
 def test_lambda_min_rescaled_blocks_and_other_sizes_are_eigvalsh():
@@ -181,14 +282,9 @@ def test_lambda_min_rescaled_blocks_and_other_sizes_are_eigvalsh():
     psd = a @ np.transpose(a, (0, 2, 1))
     # outside [2^-405, 2^485] LAPACK rescales; those rows take eigvalsh
     for scale in (0.0, 1e-300, 1e-125, 1e140, 1e300):
-        mats = psd * scale
-        assert np.array_equal(_lambda_min(mats), np.linalg.eigvalsh(mats)[:, 0])
-    mixed = np.concatenate([psd, psd * 1e-300, np.zeros((3, 2, 2))])
-    assert np.array_equal(_lambda_min(mixed), np.linalg.eigvalsh(mixed)[:, 0])
-    for n in (1, 3):
-        b = rng.standard_normal((50, n, n))
-        mats = b @ np.transpose(b, (0, 2, 1))
-        assert np.array_equal(_lambda_min(mats), np.linalg.eigvalsh(mats)[:, 0])
+        assert _lambda_min_is_eigvalsh(psd * scale)
+    assert _lambda_min_is_eigvalsh(np.concatenate([psd, psd * 1e-300, np.zeros((3, 2, 2))]))
+    assert _lambda_min_is_eigvalsh(rng.standard_normal((50, 1, 1)) ** 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -199,17 +295,31 @@ def test_gathered_kernel_is_the_broadcast_formula(n):
         for kind, measure in MEASURES.items():
             got = kernel_fourier_gaussian(tau, t, 0.3, measure).cov
             assert np.array_equal(got, _kernel_cov_broadcast(tau, t, measure)), kind
+            if n <= 2:  # the samplers' triangle of the same covariance
+                _, cov = _kernel_formulas(t, 0.3, measure)
+                tri = _cov_triangle(cov, _sorted_columns(tau))
+                want = _lower_triangle(got)
+                assert all(np.array_equal(u, v) for u, v in zip(tri, want)), kind
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_column_folds_are_numpy_sum_and_einsum(n):
+    """Row sums are np.sum(axis=1); the quadratic form is np.einsum's, both
+    with a matrix per row and with one matrix for all rows, on batches of
+    four rows and more."""
     rng = np.random.default_rng(30 + n)
-    m = 50_000
-    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, n))
-    vec = rng.standard_normal((m, n)) * scale
-    mat = rng.standard_normal((m, n, n))
-    assert np.array_equal(_row_sum(vec), np.sum(vec, axis=1))
-    assert np.array_equal(_quadform(mat, vec), np.einsum("ij,ijk,ik->i", vec, mat, vec))
+    for m in (4, 5, 17, 50_000):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, n))
+        vec = rng.standard_normal((m, n)) * scale
+        half = rng.standard_normal((m, n, n))
+        mats = half @ np.transpose(half, (0, 2, 1))
+        cols = tuple(vec.T)
+        assert np.array_equal(_row_sum(cols), np.sum(vec, axis=1))
+        assert np.array_equal(_quadform(_lower_triangle(mats), cols),
+                              np.einsum("ij,ijk,ik->i", vec, mats, vec))
+        one = mats[0]
+        assert np.array_equal(_quadform(tuple(e[0] for e in _lower_triangle(mats)), cols),
+                              np.einsum("ij,jk,ik->i", vec, one, vec))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -217,7 +327,9 @@ def test_sort_rows_is_numpy_sort(n):
     rng = np.random.default_rng(40 + n)
     x = rng.uniform(0.0, 1.0, size=(1_000, n))
     x[::3, -1] = x[::3, 0]
-    assert np.array_equal(_sort_rows(x), np.sort(x, axis=1))
+    got = _sorted_columns(x)
+    assert len(got) == n
+    assert np.array_equal(np.stack(got, axis=1), np.sort(x, axis=1))
 
 
 # (n, measure, workers): ((value, stderr), lhs, rhs, diff_stderr), recorded

@@ -293,3 +293,32 @@ def test_degenerate_inputs_give_inf_or_a_library_error():
             chaos_norm_estimate(2, t, 0.0, DiracAt(0.0), P, samples=64)
         with pytest.raises(DomainError, match="t must be"):
             verify_lemma32(2, t, 0.0, DiracAt(0.0), P, time_samples=3, xi_samples=64)
+
+
+def test_sample_counts_must_be_integers_and_t_x_real_numbers():
+    # samples=10.5 once ran 10 samples and reported samples=10; the others
+    # ended in a bare TypeError
+    for samples in (10.5, "10", True, None, 10.0):
+        with pytest.raises(ValidationError, match="samples must be an integer"):
+            chaos_norm_estimate(2, 1.0, 0.0, DiracAt(0.0), P, samples=samples)
+        with pytest.raises(ValidationError, match="samples must be an integer"):
+            verify_term_bound(2, 1.0, 0.0, DiracAt(0.0), P, samples=samples)
+    for counts in ({"time_samples": 2.5}, {"xi_samples": "5"}, {"xi_samples": 64.0}):
+        kwargs = {"time_samples": 3, "xi_samples": 64, **counts}
+        with pytest.raises(ValidationError, match="samples must be an integer"):
+            verify_lemma32(2, 1.0, 0.0, DiracAt(0.0), P, **kwargs)
+    for t, x in (("1", 0.0), (1.0, "a"), (None, 0.0), (1.0, 1j), (1.0, [0.0])):
+        with pytest.raises(ValidationError, match="must be real"):
+            chaos_norm_estimate(2, t, x, DiracAt(0.0), P, samples=64)
+        with pytest.raises(ValidationError, match="must be real"):
+            verify_lemma32(2, t, x, LebesgueConstant(1.0), P, time_samples=3, xi_samples=64)
+    # True once ran as n = 1 and stopped in numpy with a bare TypeError
+    for n in (True, 2.0, "2"):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            chaos_norm_estimate(n, 1.0, 0.0, DiracAt(0.0), P, samples=64)
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            verify_lemma32(n, 1.0, 0.0, DiracAt(0.0), P, time_samples=3, xi_samples=64)
+    # numpy integers and reals pass
+    est = chaos_norm_estimate(2, np.float64(1.0), np.int64(0), DiracAt(0.0), P,
+                              samples=np.int64(64))
+    assert est == chaos_norm_estimate(2, 1.0, 0.0, DiracAt(0.0), P, samples=64)
