@@ -80,6 +80,8 @@ class FractionalParams:
     b_H0: float = 1.0
 
     def __post_init__(self):
+        if bool in (type(self.H0), type(self.H), type(self.b_H0)):
+            _check_real(H0=self.H0, H=self.H, b_H0=self.b_H0)
         try:
             if not (0.5 < self.H0 < 1.0):
                 raise ValidationError(f"H0 must be in (1/2, 1), got {self.H0}")
@@ -129,9 +131,8 @@ def spatial_exponents(a, params: FractionalParams) -> np.ndarray:
     """alpha_j = (1 - 2H) a_j, for a vector (or ExponentVector) or a matrix."""
     try:
         return (1.0 - 2.0 * params.H) * np.asarray(a, dtype=float)
-    except (TypeError, ValueError):
-        _check_real(a=a)
-        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"a must be an array of real numbers: {exc}") from None
 
 
 def _tilde_matrix(alpha: np.ndarray, params: FractionalParams):
@@ -388,6 +389,8 @@ def term_bound(
     if n < 1:
         raise SizeError(f"n must be >= 1, got {n}")
     _check_params(params)
+    if type(t) is bool:
+        _check_real(t=t)
     try:
         if not (0 < t < math.inf):
             raise DomainError(f"t must be finite and > 0, got {t}")
@@ -419,6 +422,8 @@ def stirling_lb_check(a: float, C: float) -> int:
     EstimationError where a side's log leaves the floats (a above about
     5e302) or the inequality fails for every suffix (C chosen too large).
     """
+    if bool in (type(a), type(C)):
+        _check_real(a=a, C=C)
     try:
         if not (0 < a < math.inf):
             raise DomainError(f"a must be finite and > 0, got {a}")
@@ -558,6 +563,8 @@ def log_chaos_series(
     err by a few ulps of log S, and they agree to 12 ulps on 17,820
     cases of the admissible grid.
     """
+    if bool in (type(p), type(t), type(C)):
+        _check_real(p=p, t=t, C=C)
     try:
         if not (2 <= p < math.inf):
             raise DomainError(f"p must be finite and >= 2, got {p}")

@@ -124,8 +124,9 @@ def _check_real(**values) -> None:
     number: an int, float or numpy real, not a bool, string, complex
     number, sequence or other object.
 
-    Range checks whose comparison raises TypeError call it there, so a
-    valid value never pays for it.
+    Range checks call it where their comparison raises TypeError or a
+    value's type is bool (which compares as 0 or 1), so a valid value
+    never pays for it.
     """
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):

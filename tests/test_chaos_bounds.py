@@ -672,12 +672,18 @@ def test_inputs_that_are_not_real_numbers_are_validation_errors():
         lambda: log_chaos_series("2", 1.0, P_REF, 4.0),
         lambda: log_chaos_series(2.0, "1", P_REF, 4.0),
         lambda: log_chaos_series(2.0, 1.0, P_REF, [4.0]),
-        lambda: spatial_exponents("x", P_REF),
-        lambda: spatial_exponents([[1.0, 2.0], "x"], P_REF),
+        # a bool compares as 0 or 1, but is not taken for a number
+        lambda: FractionalParams(0.75, 0.3, True),
+        lambda: term_bound(3, True, P_REF),
+        lambda: stirling_lb_check(True, 1.0),
+        lambda: log_chaos_series(2, True, P_REF, 4.0),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="must be real"):
             call()
+    for a in ("x", [[1.0, 2.0], "x"], [[1.0, 2.0], [3.0]]):
+        with pytest.raises(ValidationError, match="a must be an array of real numbers"):
+            spatial_exponents(a, P_REF)
     # numbers of every real type still pass, and nan is a domain error
     assert FractionalParams(np.float64(0.75), 0.3, 2) == FractionalParams(0.75, 0.3, 2.0)
     assert np.array_equal(spatial_exponents(np.array([2, 0]), P_REF),

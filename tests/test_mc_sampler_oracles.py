@@ -8,8 +8,9 @@ stream's whole batch.  `_lambda_min`, the 2-wide sort, the covariance
 triangle and the column folds repeat the operations of those calls in the
 same order, so the comparisons are exact (``==``), not within a tolerance.
 ``np.einsum`` rounds differently on batches of one or two rows, so the
-oracles are run on at least four rows per stream; the column form does
-not depend on the batch size at all.
+oracles are run on at least four rows per stream, and the estimate at two
+samples is pinned instead; the column form does not depend on the batch
+size at all.
 """
 
 import io
@@ -165,14 +166,39 @@ def _matrix_form_lemma(n, t, x, measure, params, time_samples, xi_samples, seed,
     return lhs, rhs, np.sqrt(var / xi_samples)
 
 
+# (n, measure, workers): (value, stderr) as float.hex at 2 samples, seed 9,
+# t = 0.8, x = 0.2, (H0, H) = (0.75, 0.3); three workers draw 1, 1 and 0
+# rows.  Recorded from the sampler before the column form, which folded
+# columns here too; the matrix-form oracle's np.einsum rounds differently
+# on one or two rows, so it cannot stand in for these.
+TWO_SAMPLES = {
+    (1, "dirac", 1): ("0x1.6bf8581c2851fp-8", "0x1.a2ca426bd27c4p-9"),
+    (1, "dirac", 3): ("0x1.8d48c056e0886p-6", "0x1.a19c885a6505cp-8"),
+    (1, "lebesgue", 1): ("0x1.e6eaed1ae7f9bp-6", "0x1.19544542ee11dp-6"),
+    (1, "lebesgue", 3): ("0x1.461ca9625c1f5p-3", "0x1.b2282203fe063p-5"),
+    (1, "gaussian", 1): ("0x1.288ec897fef62p-9", "0x1.562c69d857ad4p-10"),
+    (1, "gaussian", 3): ("0x1.6c4c34b90565ep-7", "0x1.ba95709b44eacp-9"),
+    (2, "dirac", 1): ("0x1.511a3f587b9e2p-9", "0x1.194817a6b5a34p-10"),
+    (2, "dirac", 3): ("0x1.e5e93c8627589p-10", "0x1.579706e3375d7p-10"),
+    (2, "lebesgue", 1): ("0x1.7b0fd693152a4p-19", "0x1.0c09862868b52p-19"),
+    (2, "lebesgue", 3): ("0x1.96745b5fcc1c6p-12", "0x1.1f68208f073bep-12"),
+    (2, "gaussian", 1): ("0x1.131ba449643e6p-15", "0x1.84a526e58aa8ap-16"),
+    (2, "gaussian", 3): ("0x1.f48566e7d57a4p-13", "0x1.61ebfe84e4370p-13"),
+}
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("kind", sorted(MEASURES))
 @pytest.mark.parametrize("n", [1, 2])
 def test_chunked_estimate_is_the_whole_array_estimate(n, kind, workers):
     """Same bits as the matrix form at t from 1e-3 to 1e3, x away from the
     measure's centre, and on either side of a chunk boundary: a chunk less
-    one, one chunk, one more, and a ragged last chunk, per stream."""
+    one, one chunk, one more, and a ragged last chunk, per stream.  At two
+    samples, one-row streams and an empty one, the pinned bits."""
     params = FractionalParams(0.75, 0.3)
+    est = chaos_norm_estimate(n, 0.8, 0.2, MEASURES[kind], params, samples=2, seed=9,
+                              workers=workers)
+    assert (est.value.hex(), est.stderr.hex()) == TWO_SAMPLES[n, kind, workers]
     samples = 4 * workers + 1
     for t in (1e-3, 0.8, 1e3):
         args = (n, t, 0.2, MEASURES[kind], params)
