@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, EstimationError, ValidationError
+from .path_combinatorics import _real
 
 __all__ = [
     "InitialMeasure",
@@ -82,7 +83,7 @@ class DiracAt(InitialMeasure):
     x0: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.x0):
+        if not _real("x0", self.x0, math.isfinite):
             raise ValidationError(f"x0 must be finite, got {self.x0}")
 
     def j0(self, t, x):
@@ -99,7 +100,7 @@ class LebesgueConstant(InitialMeasure):
     c: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.c < math.inf):
+        if not _real("c", self.c, lambda c: 0 < c < math.inf):
             raise ValidationError(f"c must be finite and > 0, got {self.c}")
 
     def j0(self, t, x):
@@ -145,9 +146,9 @@ class GaussianDensity(InitialMeasure):
     variance: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.mean):
+        if not _real("mean", self.mean, math.isfinite):
             raise ValidationError(f"mean must be finite, got {self.mean}")
-        if not (0 < self.variance < math.inf):
+        if not _real("variance", self.variance, lambda s: 0 < s < math.inf):
             raise ValidationError(
                 f"variance must be finite and > 0, got {self.variance}"
             )
@@ -173,7 +174,8 @@ class FiniteAtoms(InitialMeasure):
         object.__setattr__(
             self,
             "atoms",
-            tuple((float(x), float(m)) for x, m in self.atoms),
+            tuple((_real("location", x, float), _real("mass", m, float))
+                  for x, m in self.atoms),
         )
         if not self.atoms:
             raise ValidationError("FiniteAtoms needs at least one atom")

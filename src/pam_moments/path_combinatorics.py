@@ -53,8 +53,8 @@ __all__ = [
     "move_down",
 ]
 
-# 2^19 rows at n = 20 (the largest n any check enumerates) peak near
-# 250 MB; every further n doubles that
+# exponent_matrix(20), 2^19 rows (the largest n any check enumerates),
+# peaks at 95 MB (tracemalloc); every further n doubles that
 MAX_ENUM_N = 20
 
 
@@ -133,6 +133,18 @@ def _check_real(**values) -> None:
             raise ValidationError(f"{name} must be real, got {value!r}")
 
 
+def _real(name: str, value, check):
+    """check(value), a range test; a bool, or a value on which check raises
+    TypeError or ValueError, goes to `_check_real` (ValidationError) first."""
+    if type(value) is bool:
+        _check_real(**{name: value})
+    try:
+        return check(value)
+    except (TypeError, ValueError):
+        _check_real(**{name: value})
+        raise
+
+
 def _check_enum_n(n) -> None:
     """Raise ValidationError unless n is an integer (`_check_int`) and
     SizeError unless 1 <= n <= MAX_ENUM_N: the orders A_n is enumerated at."""
@@ -141,21 +153,22 @@ def _check_enum_n(n) -> None:
         raise SizeError(f"n must be in [1, {MAX_ENUM_N}], got {n}")
 
 
-def _offset_matrix(n: int) -> np.ndarray:
-    """The offsets d_0..d_n of every row of `exponent_matrix(n)`, as a
-    (2^{n-1}, n+1) int array: d_1...d_{n-1} of row i are the n-1 binary
-    digits of i, most significant first, and d_0 = d_n = 0."""
+def _offset_matrix(n: int, dtype=np.int64) -> np.ndarray:
+    """Offsets d_0..d_n of each row of `exponent_matrix(n)`, a (2^{n-1}, n+1)
+    array of dtype (int64 as always; int8 for A_n's smaller peak): row i's
+    d_1..d_{n-1} are i's n-1 binary digits, high first, d_0 = d_n = 0."""
     _check_enum_n(n)
-    rows = np.arange(1 << (n - 1), dtype=np.int64)[:, None]
-    offsets = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
-    offsets[:, 1:n] = (rows >> np.arange(n - 2, -1, -1)) & 1
+    rows = np.arange(1 << (n - 1), dtype=">u4").view(np.uint8).reshape(-1, 4)
+    offsets = np.zeros((rows.shape[0], n + 1), dtype=dtype)
+    offsets[:, 1:n] = np.unpackbits(rows, axis=1)[:, 33 - n:]
     return offsets
 
 
 def exponent_matrix(n: int) -> np.ndarray:
     """A_n as a (2^{n-1}, n) int array, rows in lexicographic order: row
     i has the offsets of `_offset_matrix(n)` row i, a_k = 1 + d_k - d_{k-1}."""
-    a = np.diff(_offset_matrix(n), axis=1)
+    d = _offset_matrix(n, np.int8)
+    a = np.subtract(d[:, 1:], d[:, :-1], dtype=np.int64)
     a += 1
     return a
 

@@ -667,6 +667,8 @@ def test_inputs_that_are_not_real_numbers_are_validation_errors():
         lambda: FractionalParams(0.75, 0.3, "x"),
         lambda: FractionalParams(0.75, 1j),
         lambda: term_bound(3, "1", P_REF),
+        # an array t once raised numpy's bare ValueError from a comparison
+        lambda: term_bound(3, np.array([1.0, 2.0]), P_REF),
         lambda: stirling_lb_check("a", 1.0),
         lambda: stirling_lb_check(0.5, None),
         lambda: log_chaos_series("2", 1.0, P_REF, 4.0),

@@ -162,6 +162,29 @@ def test_measure_constructors_reject_non_finite_fields(bad):
         measure_from_config({"type": "gaussian", "variance": bad})
 
 
+def test_measure_fields_that_are_not_real_numbers_are_validation_errors():
+    # each once raised a bare TypeError (from math.isfinite or a
+    # comparison) or ValueError (from float), or, for a bool, was accepted
+    for make, field in (
+        (lambda: DiracAt("x"), "x0"),
+        (lambda: DiracAt(True), "x0"),
+        (lambda: LebesgueConstant("x"), "c"),
+        (lambda: LebesgueConstant(True), "c"),
+        (lambda: GaussianDensity("x", 1.0), "mean"),
+        (lambda: GaussianDensity(0.0, "y"), "variance"),
+        (lambda: GaussianDensity(0.0, False), "variance"),
+        (lambda: FiniteAtoms([("x", 1.0)]), "location"),
+        (lambda: FiniteAtoms([(0.0, 1.0), (1.0, None)]), "mass"),
+        (lambda: FiniteAtoms([(True, 1.0)]), "location"),
+    ):
+        with pytest.raises(ValidationError, match=f"{field} must be real"):
+            make()
+    # numbers of every real type still pass
+    assert DiracAt(np.float64(0.5)) == DiracAt(0.5)
+    assert GaussianDensity(1, np.int64(2)) == GaussianDensity(1.0, 2.0)
+    assert FiniteAtoms([(np.int32(1), 2)]).atoms == ((1.0, 2.0),)
+
+
 def test_gaussian_integrals_match_quadrature():
     v = 0.6
     cases = [

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pam_moments.errors import DomainError, SizeError, ValidationError
 from pam_moments.path_combinatorics import (
     ExponentVector,
+    _offset_matrix,
     diagonal_touch_points,
     enumerate_exponent_vectors,
     expand_and_verify_identity,
@@ -139,7 +140,7 @@ def test_size_cap():
 
 
 def test_exponent_matrix_memory_guard():
-    # n = 20 (2^19 rows, about 250 MB at peak) is the largest n admitted;
+    # n = 20 (2^19 rows, 95 MB at peak) is the largest n admitted;
     # the guard raises before anything is allocated
     with pytest.raises(SizeError):
         exponent_matrix(21)
@@ -230,6 +231,27 @@ def test_exponent_matrix_matches_inductive_enumeration():
         m = exponent_matrix(n)
         assert m.dtype == np.int64
         assert [tuple(r) for r in m.tolist()] == _inductive_enumeration(n)
+
+
+def _offset_matrix_broadcast(n):
+    """Reference for _offset_matrix: the n-1 bits of each row number by one
+    broadcast shift of an int64 column."""
+    rows = np.arange(1 << (n - 1), dtype=np.int64)[:, None]
+    offsets = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
+    offsets[:, 1:n] = (rows >> np.arange(n - 2, -1, -1)) & 1
+    return offsets
+
+
+def test_offsets_and_exponents_equal_the_broadcast_construction():
+    for n in (*range(1, 17), 20):
+        want = _offset_matrix_broadcast(n)
+        got = _offset_matrix(n)
+        assert got.dtype == np.int64 and np.array_equal(got, want), n
+        del got
+        want = np.diff(want, axis=1) + 1
+        got = exponent_matrix(n)
+        assert got.dtype == np.int64 and np.array_equal(got, want), n
+        del got, want
 
 
 def test_exponent_matrix_matches_enumeration():

@@ -393,6 +393,40 @@ def test_trapezoid_evaluates_at_most_128_nodes(gammaln_calls):
             assert sizes[0] > 2 and sum(sizes) <= 128, (params, n_peak, sizes)
 
 
+def _searched_blocks(u, v):
+    """_lowest_vertex's outcome and the number of blocks it searched (one
+    np.arange call each)."""
+    calls = []
+    arange = np.arange
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return arange(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "arange", spy)
+        outcome = _outcome(_lowest_vertex, u, v)
+    return outcome, len(calls)
+
+
+# three points on v = 1 at u = 1, 1.5, 2, the middle one lowered by the
+# key; the prune's margin there is Q (2e-9 + 1e-14 u / (u - u_0)) with
+# Q = 5, u = 1.5 and u_0 = 1, about 1.0e-8
+_FLAT_HULL = {d: [(1.0, 1.0), (1.5, 1.0 - d), (2.0, 1.0)] for d in (0.99e-9, 0.99e-8, 1.01e-8)}
+
+
+def test_prune_keeps_points_within_its_margin_and_drops_the_rest():
+    outcomes = {}
+    for d, blocks in ((0.99e-9, 3), (0.99e-8, 3), (1.01e-8, 2)):
+        u, v = (np.array(column) for column in zip(*_FLAT_HULL[d]))
+        outcomes[d], searched = _searched_blocks(u, v)
+        assert searched == blocks, d
+        assert outcomes[d] == _lowest_vertex_one_by_one(u, v), d
+    # within the slack the lowered point's (1 - d, 0) is the optimum, so
+    # dropping it would change the result; past the slack (1, 0) is
+    assert outcomes[0.99e-9][0] < outcomes[0.99e-8][0] == outcomes[1.01e-8][0]
+
+
 # a small pool makes duplicate u, tied objectives and slopes near the
 # 1e-12 cut-off common
 _pool = st.sampled_from([0.0, 0.5, 1.0, 1.0 + 5e-13, 2.0, 3.0])
@@ -405,6 +439,18 @@ _v = st.one_of(_pool, st.floats(-1e3, 1e3, allow_nan=False))
 # slopes 5e-13 apart are parallel: their intersection (objective 5e-13)
 # is not a candidate, so (0, v_1 / u_1) wins with objective 1e-12
 @example([(1.0, 0.0), (1.0 + 5e-13, 1e-12)])
+# a point below the flat hull v = 1 on [1, 2]: within the 1e-9 slack its
+# (v, 0) wins; just inside and just outside the prune's margin (1.0e-8)
+@example(_FLAT_HULL[0.99e-9])
+@example(_FLAT_HULL[0.99e-8])
+@example(_FLAT_HULL[1.01e-8])
+# duplicate u on the hull and below it, points at u = 0, all-negative v
+@example([(1.0, 2.0), (1.0, 1.0), (2.0, 3.0), (2.0, 3.0), (3.0, 1.0), (3.0, 3.5)])
+@example([(0.0, 1.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.5), (2.0, 0.0)])
+@example([(0.5, -1.0), (1.0, -3.0), (2.0, -2.0), (3.0, -10.0), (0.0, -4.0)])
+# u < 0, outside the prune's derivation, keeps every point: dropping the
+# leftmost (margin < 0 at u_0 < 0) would lose the winning pair (0.5, 0.5)
+@example([(-1.0, 0.0), (1.0, 1.0), (0.0, -5.0)])
 def test_block_vertex_search_equals_one_by_one(lines):
     u = np.array([x for x, _ in lines])
     v = np.array([y for _, y in lines])
@@ -461,15 +507,26 @@ def test_inline_logsumexp_equals_scipy_off_the_finite_range():
             assert got == want or (math.isnan(got) and math.isnan(want)), values
 
 
-@pytest.mark.parametrize("H0, H", [(0.75, 0.3), (0.85, 0.2), (0.94, 0.45)])
+# the benchmark's (0.75, 0.3), (0.85, 0.2) and (0.94, 0.45), then every
+# other point of admissible_param_grid(9)
+_DENSE_GRID_PARAMS = [(0.75, 0.3), (0.85, 0.2), (0.94, 0.45)]
+_DENSE_GRID_PARAMS += [
+    (p.H0, p.H) for p in admissible_param_grid(9) if (p.H0, p.H) not in _DENSE_GRID_PARAMS
+]
+
+
+@pytest.mark.parametrize("H0, H", _DENSE_GRID_PARAMS)
 @pytest.mark.parametrize("C", [1.0, 4.0])
 def test_pretested_vertex_search_equals_block_search_on_dense_grid(H0, H, C):
-    # the 15 x 20 grid of the benchmark, where the pre-test drops all but
-    # a few hundred of the ~44,000 candidates with C2 >= 0
+    # the 15 x 20 grid of the benchmark: the hull pre-test keeps 21 or 22
+    # of its 300 points on every grid here, and only their blocks are
+    # searched; more than 60 would mean the prune had stopped working
     p_grid = tuple(float(v) for v in np.geomspace(2.0, 32.0, 15))
     t_grid = tuple(float(v) for v in np.logspace(0.0, 2.0, 20))
     u, v = _grid_lines(FractionalParams(H0, H), C, p_grid, t_grid)
-    assert _outcome(_lowest_vertex, u, v) == _outcome(_lowest_vertex_block_by_block, u, v)
+    outcome, searched = _searched_blocks(u, v)
+    assert searched <= 60
+    assert outcome == _outcome(_lowest_vertex_block_by_block, u, v)
 
 
 def test_fit_raises_where_c1_leaves_the_float_range():
