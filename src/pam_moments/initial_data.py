@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, EstimationError, ValidationError
-from .path_combinatorics import _real
+from .path_combinatorics import _check_real, _real
 
 __all__ = [
     "InitialMeasure",
@@ -163,6 +163,19 @@ class GaussianDensity(InitialMeasure):
         return _gaussian_weight(a, self.mean, s) / math.sqrt(s)
 
 
+def _atom(atom) -> tuple[float, float]:
+    """A (location, mass) pair as two floats; ValidationError for a value
+    that is not a pair or a coordinate that is not real (`_check_real`)."""
+    try:
+        x, m = atom
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"each atom must be a (location, mass) pair, got {atom!r}"
+        ) from None
+    _check_real(location=x, mass=m)
+    return float(x), float(m)
+
+
 @dataclass(frozen=True)
 class FiniteAtoms(InitialMeasure):
     """Finite sum of point masses (location, mass): finite locations,
@@ -171,12 +184,13 @@ class FiniteAtoms(InitialMeasure):
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "atoms",
-            tuple((_real("location", x, float), _real("mass", m, float))
-                  for x, m in self.atoms),
-        )
+        try:
+            atoms = tuple(self.atoms)
+        except TypeError:
+            raise ValidationError(
+                f"atoms must be an iterable of (location, mass) pairs, got {self.atoms!r}"
+            ) from None
+        object.__setattr__(self, "atoms", tuple(map(_atom, atoms)))
         if not self.atoms:
             raise ValidationError("FiniteAtoms needs at least one atom")
         if not all(math.isfinite(x) for x, _ in self.atoms):
@@ -255,26 +269,30 @@ def check_cond_mu0(
 def measure_from_config(cfg: dict) -> InitialMeasure:
     """Build a measure from its JSON form, e.g. {"type": "dirac", "x0": 0.0}.
 
-    Raises ValidationError for a non-object, a missing or non-numeric
-    field, or a value the measure's constructor rejects (a non-finite one,
-    say).
+    Raises ValidationError for a non-object, a missing field, a field that
+    is not a real number (a JSON string or boolean too, `_check_real`), or
+    a value the measure's constructor rejects (a non-finite one, say).
     """
     if not isinstance(cfg, dict):
         raise ValidationError(f"measure must be a JSON object, got {cfg!r}")
     kind = cfg.get("type")
+
+    def real(name, default):
+        value = cfg.get(name, default)
+        _check_real(**{name: value})
+        return float(value)
+
     try:
         if kind == "dirac":
-            return DiracAt(float(cfg.get("x0", 0.0)))
+            return DiracAt(real("x0", 0.0))
         if kind == "lebesgue":
-            return LebesgueConstant(float(cfg.get("c", 1.0)))
+            return LebesgueConstant(real("c", 1.0))
         if kind == "polynomial":
             return PolynomialDensity()
         if kind == "gaussian":
-            return GaussianDensity(
-                float(cfg.get("mean", 0.0)), float(cfg.get("variance", 1.0))
-            )
+            return GaussianDensity(real("mean", 0.0), real("variance", 1.0))
         if kind == "atoms":
-            return FiniteAtoms(tuple((float(x), float(m)) for x, m in cfg["atoms"]))
+            return FiniteAtoms(cfg["atoms"])
     except (TypeError, ValueError, KeyError) as exc:
         raise ValidationError(f"bad field in measure {cfg!r} ({exc})") from exc
     raise ValidationError(f"unknown measure type {kind!r}")

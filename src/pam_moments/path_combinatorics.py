@@ -182,6 +182,14 @@ def expand_and_verify_identity(
     product x_1 * prod (x_k + x_{k-1}); rhs sums the enumerated monomials.
     Every monomial has degree n, so with D the common denominator of the
     x_j the sum is taken over the integers X_j = D x_j and divided by D^n.
+
+    The monomials are built level by level over the offsets: s0 and s1
+    hold the products X_1^{a_1}...X_k^{a_k} of the prefixes d_1..d_k that
+    end in d_k = 0 and in d_k = 1, from (X_1) and (X_1^2) at k = 1.  As
+    a_{k+1} = 1 + d_{k+1} - d_k, appending d_{k+1} multiplies by X_{k+1}
+    or X_{k+1}^2 after d_k = 0 and by 1 or X_{k+1} after d_k = 1, and
+    a_n = 1 - d_{n-1} ends it.  All 2^{n-1} monomials are formed and only
+    then summed, in about 2^n multiplications of exact ints.
     """
     xs = [Fraction(x) for x in xs]
     n = len(xs)
@@ -193,12 +201,12 @@ def expand_and_verify_identity(
     for k in range(1, n):
         lhs *= xs[k] + xs[k - 1]
     D = math.lcm(*(x.denominator for x in xs))
-    powers = np.empty((n, 3), dtype=object)  # powers[j, e] = X_j^e, e in {0, 1, 2}
-    for j, x in enumerate(xs):
-        X = x.numerator * (D // x.denominator)
-        powers[j] = (1, X, X * X)
-    # one row of exact Python-int powers per member of A_n
-    monomials = powers[np.arange(n), exponent_matrix(n)].prod(axis=1)
+    X = [x.numerator * (D // x.denominator) for x in xs]
+    s0 = np.array([X[0]], dtype=object)
+    s1 = np.array([X[0] * X[0]], dtype=object)
+    for Xk in X[1:-1]:
+        s0, s1 = np.concatenate((s0 * Xk, s1)), np.concatenate((s0 * (Xk * Xk), s1 * Xk))
+    monomials = np.concatenate((s0 * X[-1], s1))
     return lhs, Fraction(monomials.sum(), D**n)
 
 

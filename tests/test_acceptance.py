@@ -122,6 +122,25 @@ def test_criteria_05_06_counterexamples_are_pinned():
     )
 
 
+def test_criterion_05_reads_the_all_ones_value_from_row_0(monkeypatch):
+    # check_05 takes gamma_n(1, ..., 1) from row 0 of the rows it scans:
+    # moving that one entry of one order by 1e-9 must turn its flag False
+    rows = acceptance._log_gamma_rows
+
+    def nudged(n_max, params):
+        for n, log_g in enumerate(rows(n_max, params), start=1):
+            if n == 7:
+                log_g = log_g.copy()
+                log_g[0] += 1e-9
+            yield log_g
+
+    monkeypatch.setattr(acceptance, "_log_gamma_rows", nudged)
+    detail = acceptance.check_05_gamma_max_at_ones().detail
+    assert detail.startswith("gamma(1,...,1) = 1 to 1e-12: False; ")
+    assert detail.endswith("5x5 grid: 0.586792 at (H0, H, a) = "
+                           "(0.75, 0.05, (2, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 0))")
+
+
 def test_criterion_07_gamma_ratio_monotonicity():
     _report(acceptance.check_07_gamma_ratio_monotone())
 

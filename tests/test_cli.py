@@ -358,6 +358,11 @@ def test_usage_errors_exit_2():
         ["bound-table", "--H0", "0.75", "--H", "0.3", "--p", "2,-inf"],
         ["mc-verify", "--n", "2", "--t", "inf", "--H0", "0.75", "--H", "0.3"],
         ["j0", "--t", "1", "--x", "0", "--measure", '{"type": "dirac", "x0": NaN}'],
+        # a JSON boolean or string for a number was once cast by float()
+        ["j0", "--t", "1", "--x", "0", "--measure", '{"type": "dirac", "x0": true}'],
+        ["j0", "--t", "1", "--x", "0", "--measure", '{"type": "lebesgue", "c": "2"}'],
+        ["j0", "--t", "1", "--x", "0", "--measure",
+         '{"type": "atoms", "atoms": [["1.5", 2]]}'],
         ["mc-verify", "--n", "1", "--t", "1", "--H0", "0.75", "--H", "0.3",
          "--measure", '{"type": "gaussian", "variance": Infinity}'],
     ],

@@ -164,7 +164,9 @@ def test_measure_constructors_reject_non_finite_fields(bad):
 
 def test_measure_fields_that_are_not_real_numbers_are_validation_errors():
     # each once raised a bare TypeError (from math.isfinite or a
-    # comparison) or ValueError (from float), or, for a bool, was accepted
+    # comparison) or ValueError (from float), or, for a bool, was accepted;
+    # a numeric string once built an atom, and the config reader cast a
+    # JSON boolean or numeric string with float() before the constructor
     for make, field in (
         (lambda: DiracAt("x"), "x0"),
         (lambda: DiracAt(True), "x0"),
@@ -176,13 +178,26 @@ def test_measure_fields_that_are_not_real_numbers_are_validation_errors():
         (lambda: FiniteAtoms([("x", 1.0)]), "location"),
         (lambda: FiniteAtoms([(0.0, 1.0), (1.0, None)]), "mass"),
         (lambda: FiniteAtoms([(True, 1.0)]), "location"),
+        (lambda: FiniteAtoms([("1.5", 2)]), "location"),
+        (lambda: FiniteAtoms([(1.5, "2")]), "mass"),
+        (lambda: measure_from_config({"type": "dirac", "x0": True}), "x0"),
+        (lambda: measure_from_config({"type": "lebesgue", "c": "2"}), "c"),
+        (lambda: measure_from_config({"type": "gaussian", "mean": "0"}), "mean"),
+        (lambda: measure_from_config({"type": "gaussian", "variance": False}), "variance"),
+        (lambda: measure_from_config({"type": "atoms", "atoms": [["1.5", 2.0]]}), "location"),
+        (lambda: measure_from_config({"type": "atoms", "atoms": [[0.0, True]]}), "mass"),
     ):
         with pytest.raises(ValidationError, match=f"{field} must be real"):
             make()
-    # numbers of every real type still pass
+    # numbers of every real type still pass, and a config's fields are floats
     assert DiracAt(np.float64(0.5)) == DiracAt(0.5)
     assert GaussianDensity(1, np.int64(2)) == GaussianDensity(1.0, 2.0)
     assert FiniteAtoms([(np.int32(1), 2)]).atoms == ((1.0, 2.0),)
+    assert FiniteAtoms(iter([[0.5, 2], (np.int64(-1), np.float32(1))])).atoms == (
+        (0.5, 2.0), (-1.0, 1.0))
+    m = measure_from_config({"type": "gaussian", "mean": 1, "variance": 2})
+    assert (type(m.mean), type(m.variance)) == (float, float)
+    assert type(measure_from_config({"type": "dirac", "x0": 1}).x0) is float
 
 
 def test_gaussian_integrals_match_quadrature():
@@ -216,6 +231,20 @@ def test_measure_from_config_reads_atoms():
                 {"type": "atoms", "atoms": []}):
         with pytest.raises(ValidationError):
             measure_from_config(bad)
+
+
+def test_finite_atoms_that_are_not_pairs_are_validation_errors():
+    # a non-iterable or an atom that is not a pair once raised a bare
+    # TypeError or ValueError
+    for atoms, match in (
+        (5, "atoms must be an iterable"),
+        (None, "atoms must be an iterable"),
+        ([(1,)], "must be a .location, mass. pair"),
+        ([(0.0, 1.0), (1, 2, 3)], "must be a .location, mass. pair"),
+        ([1.0], "must be a .location, mass. pair"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            FiniteAtoms(atoms)
 
 
 def test_closed_forms_past_the_float_range():

@@ -218,12 +218,17 @@ def _per_row_identity_rhs(xs):
 
 def test_identity_rhs_equals_the_per_row_sum():
     rng = random.Random(2024)
-    for n in range(2, 17):
-        for _ in range(2):
-            xs = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(n)]
-            rhs = expand_and_verify_identity(xs)[1]
-            assert rhs == _per_row_identity_rhs(xs)
-            assert type(rhs.numerator) is int
+    cases = [[Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(n)]
+             for n in range(2, 17) for _ in range(2)]
+    for n in (2, 3, 9, 16):
+        cases.append([rng.randint(1, 10**6) for _ in range(n)])  # integers, D = 1
+        # one shared denominator, so every X_j is a numerator and D = 7^k
+        cases.append([Fraction(rng.choice((1, 2, 3, 4, 5, 6)), 7**3) for _ in range(n)])
+        cases.append([Fraction(1)] * n)
+    for xs in cases:
+        lhs, rhs = expand_and_verify_identity(xs)
+        assert rhs == _per_row_identity_rhs([Fraction(x) for x in xs]) == lhs
+        assert type(rhs.numerator) is int
 
 
 def test_exponent_matrix_matches_inductive_enumeration():
