@@ -39,8 +39,9 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
+from .errors import _check_int, _check_real, _exp_or_inf
 from .initial_data import InitialMeasure, j0 as _j0
-from .path_combinatorics import ExponentVector, _check_enum_n, _check_int, _check_real, _real
+from .path_combinatorics import ExponentVector, _check_enum_n
 from .simplex_integrals import _sigma
 
 __all__ = [
@@ -80,22 +81,15 @@ class FractionalParams:
     b_H0: float = 1.0
 
     def __post_init__(self):
-        if bool in (type(self.H0), type(self.H), type(self.b_H0)):
-            _check_real(H0=self.H0, H=self.H, b_H0=self.b_H0)
-        try:
-            if not (0.5 < self.H0 < 1.0):
-                raise ValidationError(f"H0 must be in (1/2, 1), got {self.H0}")
-            if not (0.0 < self.H < 0.5):
-                raise ValidationError(f"H must be in (0, 1/2), got {self.H}")
-            if not (self.H0 + self.H > 0.75):
-                raise ValidationError(
-                    f"H0 + H must exceed 3/4, got {self.H0 + self.H}"
-                )
-            if not (0 < self.b_H0 < math.inf):
-                raise ValidationError(f"b_H0 must be finite and > 0, got {self.b_H0}")
-        except TypeError:
-            _check_real(H0=self.H0, H=self.H, b_H0=self.b_H0)
-            raise
+        _check_real(H0=self.H0, H=self.H, b_H0=self.b_H0)
+        if not (0.5 < self.H0 < 1.0):
+            raise ValidationError(f"H0 must be in (1/2, 1), got {self.H0}")
+        if not (0.0 < self.H < 0.5):
+            raise ValidationError(f"H must be in (0, 1/2), got {self.H}")
+        if not (self.H0 + self.H > 0.75):
+            raise ValidationError(f"H0 + H must exceed 3/4, got {self.H0 + self.H}")
+        if not (0 < self.b_H0 < math.inf):
+            raise ValidationError(f"b_H0 must be finite and > 0, got {self.b_H0}")
 
     @property
     def alpha_H0(self) -> float:
@@ -156,8 +150,9 @@ def verify_ab_condition(
     sum_{i<=k}(alpha~_i + beta~_i) + k + 1 (`simplex_integrals._sigma`).
 
     Vectors run along the last axis: one vector gives a bool, an (m, n)
-    batch gives a bool array of shape (m,).  A partial sum of the tilde
-    exponents that is not finite raises DomainError.
+    batch gives a bool array of shape (m,).  An entry numpy cannot read as
+    a float raises ValidationError, a partial sum of the tilde exponents
+    that is not finite DomainError.
 
     On the exponents of every a in A_n it holds, for every n: sigma_k =
     theta_k(d_{k-1}) rises with k, by (4H0+4H-3)/(4H0) + a_{k-1}(1-2H)/(4H0)
@@ -165,9 +160,11 @@ def verify_ab_condition(
     least margin over A_n is theta_1 = (2H0+H-1)/H0 > 0, at d_1 = 1,
     d_2 = 0 (`_min_ab_margins` gives it in closed form).
     """
-    at = np.atleast_1d(np.asarray(alpha_tilde, dtype=float))
-    bt = np.atleast_1d(np.asarray(beta_tilde, dtype=float))
-    al = np.atleast_1d(np.asarray(alpha, dtype=float))
+    try:
+        at, bt, al = (np.atleast_1d(np.asarray(v, dtype=float))
+                      for v in (alpha_tilde, beta_tilde, alpha))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"exponents must be arrays of real numbers: {exc}") from None
     if bt.shape != at.shape or al.shape != at.shape:
         raise ValidationError("inconsistent lengths")
     with np.errstate(over="ignore"):  # a margin past the floats is +-inf
@@ -386,10 +383,11 @@ def term_bound(
     through its square root, the term that `log_chaos_series` sums.
     """
     _check_int("n", n)
+    _check_real(t=t)
+    _check_params(params)
     if n < 1:
         raise SizeError(f"n must be >= 1, got {n}")
-    _check_params(params)
-    if not _real("t", t, lambda t: 0 < t < math.inf):
+    if not (0 < t < math.inf):
         raise DomainError(f"t must be finite and > 0, got {t}")
     time_exp = n * params.time_growth_exponent
     if mode != "exact-constants":
@@ -416,16 +414,11 @@ def stirling_lb_check(a: float, C: float) -> int:
     EstimationError where a side's log leaves the floats (a above about
     5e302) or the inequality fails for every suffix (C chosen too large).
     """
-    if bool in (type(a), type(C)):
-        _check_real(a=a, C=C)
-    try:
-        if not (0 < a < math.inf):
-            raise DomainError(f"a must be finite and > 0, got {a}")
-        if not (0 < C < math.inf):
-            raise DomainError(f"C must be finite and > 0, got {C}")
-    except TypeError:
-        _check_real(a=a, C=C)
-        raise
+    _check_real(a=a, C=C)
+    if not (0 < a < math.inf):
+        raise DomainError(f"a must be finite and > 0, got {a}")
+    if not (0 < C < math.inf):
+        raise DomainError(f"C must be finite and > 0, got {C}")
     ns = np.arange(1.0, 501.0)
     with np.errstate(over="ignore"):  # past the floats is inf, first at n = 500
         lhs = _sp.gammaln(a * ns + 1.0)
@@ -557,16 +550,12 @@ def log_chaos_series(
     err by a few ulps of log S, and they agree to 12 ulps on 17,820
     cases of the admissible grid.
     """
-    if bool in (type(p), type(t), type(C)):
-        _check_real(p=p, t=t, C=C)
-    try:
-        if not (2 <= p < math.inf):
-            raise DomainError(f"p must be finite and >= 2, got {p}")
-        if not (t > 0 and C > 0):
-            raise DomainError("t and C must be > 0")
-    except TypeError:
-        _check_real(p=p, t=t, C=C)
-        raise
+    _check_real(p=p, t=t, C=C)
+    _check_params(params)
+    if not (2 <= p < math.inf):
+        raise DomainError(f"p must be finite and >= 2, got {p}")
+    if not (t > 0 and C > 0):
+        raise DomainError("t and C must be > 0")
     a = params.H / 2.0
     L = 0.5 * math.log((p - 1.0) * C) + (
         params.time_growth_exponent / 2.0
@@ -659,14 +648,6 @@ def _envelope_exponent(p: float, t: float, params: FractionalParams) -> float:
     if not math.isfinite(g):
         raise EstimationError(f"envelope exponent g(p={p!r}, t={t!r}) is not finite")
     return g
-
-
-def _exp_or_inf(x: float) -> float:
-    """exp(x), or inf where that exceeds the float range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _lowest_vertex(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:

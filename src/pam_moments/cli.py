@@ -40,9 +40,9 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EstimationError, SizeError, ValidationError
+from .errors import DomainError, EstimationError, SizeError, ValidationError, _exp_or_inf
 from .chaos_bounds import FractionalParams, admissible_param_grid
-from .chaos_bounds import _exp_or_inf, _fit_log_envelope, _log_gamma_rows
+from .chaos_bounds import _fit_log_envelope, _log_gamma_rows
 from .initial_data import InitialMeasure, check_cond_mu0, j0 as eval_j0
 from .initial_data import measure_from_config
 from .mc_verifier import verify_lemma32, verify_term_bound
@@ -77,7 +77,7 @@ def _json(value):
 
 def _spec(value) -> SimplexIntegralSpec:
     d = _json(value)
-    return SimplexIntegralSpec(float(d["t"]), tuple(d["alphas"]), tuple(d["betas"]))
+    return SimplexIntegralSpec(d["t"], d["alphas"], d["betas"])
 
 
 class _Measure(NamedTuple):

@@ -18,8 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EstimationError, ValidationError
-from .path_combinatorics import _check_real, _real
+from .errors import DomainError, ValidationError, _check_real, _in_float_range
 
 __all__ = [
     "InitialMeasure",
@@ -36,10 +35,16 @@ __all__ = [
 ]
 
 
-def heat_kernel(t: float, x) -> float | np.ndarray:
-    """G(t, x) = (2 pi t)^{-1/2} exp(-x^2 / (2 t)) for t > 0 and x not nan."""
+def _check_t(t) -> None:
+    """Raise ValidationError unless t is real, DomainError unless t > 0."""
+    _check_real(t=t)
     if not (t > 0):
         raise DomainError(f"t must be > 0, got {t}")
+
+
+def heat_kernel(t: float, x) -> float | np.ndarray:
+    """G(t, x) = (2 pi t)^{-1/2} exp(-x^2 / (2 t)) for t > 0 and x not nan."""
+    _check_t(t)
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise DomainError("x must not be nan")
@@ -47,13 +52,6 @@ def heat_kernel(t: float, x) -> float | np.ndarray:
     with np.errstate(over="ignore"):
         out = np.exp(-(x**2) / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
     return float(out) if out.ndim == 0 else out
-
-
-def _in_float_range(value: float, what: str) -> float:
-    """value, or EstimationError where a closed form passes the float range."""
-    if not math.isfinite(value):
-        raise EstimationError(f"{what} exceeds the float range")
-    return value
 
 
 def _gaussian_weight(a: float, y: float, s: float = 1.0) -> float:
@@ -83,7 +81,8 @@ class DiracAt(InitialMeasure):
     x0: float = 0.0
 
     def __post_init__(self):
-        if not _real("x0", self.x0, math.isfinite):
+        _check_real(x0=self.x0)
+        if not math.isfinite(self.x0):
             raise ValidationError(f"x0 must be finite, got {self.x0}")
 
     def j0(self, t, x):
@@ -100,12 +99,12 @@ class LebesgueConstant(InitialMeasure):
     c: float = 1.0
 
     def __post_init__(self):
-        if not _real("c", self.c, lambda c: 0 < c < math.inf):
+        _check_real(c=self.c)
+        if not (0 < self.c < math.inf):
             raise ValidationError(f"c must be finite and > 0, got {self.c}")
 
     def j0(self, t, x):
-        if not (t > 0):
-            raise DomainError(f"t must be > 0, got {t}")
+        _check_t(t)
         return self.c
 
     def gaussian_integral(self, a):
@@ -121,8 +120,7 @@ class PolynomialDensity(InitialMeasure):
     """
 
     def j0(self, t, x):
-        if not (t > 0):
-            raise DomainError(f"t must be > 0, got {t}")
+        _check_t(t)
         try:
             value = x**2 + t
         except OverflowError:
@@ -146,14 +144,16 @@ class GaussianDensity(InitialMeasure):
     variance: float = 1.0
 
     def __post_init__(self):
-        if not _real("mean", self.mean, math.isfinite):
+        _check_real(mean=self.mean, variance=self.variance)
+        if not math.isfinite(self.mean):
             raise ValidationError(f"mean must be finite, got {self.mean}")
-        if not _real("variance", self.variance, lambda s: 0 < s < math.inf):
+        if not (0 < self.variance < math.inf):
             raise ValidationError(
                 f"variance must be finite and > 0, got {self.variance}"
             )
 
     def j0(self, t, x):
+        _check_t(t)
         return heat_kernel(t + self.variance, x - self.mean)
 
     def gaussian_integral(self, a):
@@ -165,8 +165,11 @@ class GaussianDensity(InitialMeasure):
 
 def _atom(atom) -> tuple[float, float]:
     """A (location, mass) pair as two floats; ValidationError for a value
-    that is not a pair or a coordinate that is not real (`_check_real`)."""
+    that is not a pair (a string too) or a coordinate that is not real
+    (`_check_real`)."""
     try:
+        if isinstance(atom, (str, bytes)):
+            raise TypeError
         x, m = atom
     except (TypeError, ValueError):
         raise ValidationError(
@@ -212,8 +215,7 @@ class CustomDensity(InitialMeasure):
     density: Callable[[float], float] = field(compare=False)
 
     def j0(self, t, x):
-        if not (t > 0):
-            raise DomainError(f"t must be > 0, got {t}")
+        _check_t(t)
         return _quad_over_r(lambda y: heat_kernel(t, x - y) * self.density(y))
 
     def gaussian_integral(self, a):
@@ -228,8 +230,8 @@ def _quad_over_r(f: Callable[[float], float]) -> float:
 
 def j0(t: float, x: float, measure: InitialMeasure) -> float:
     """J0(t, x) = int G(t, x - y) mu0(dy)."""
-    if not (t > 0):
-        raise DomainError(f"t must be > 0, got {t}")
+    _check_t(t)
+    _check_real(x=x)
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
     return measure.j0(t, x)
@@ -257,6 +259,7 @@ def check_cond_mu0(
     """
     values = []
     for a in a_grid:
+        _check_real(a=a)
         if not (0 < a < math.inf):
             raise DomainError(f"grid values must be finite and > 0, got {a}")
         v = measure.gaussian_integral(a)

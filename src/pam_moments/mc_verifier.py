@@ -49,10 +49,11 @@ The arithmetic works on columns: a row's n times, rough times and
 spectral draws are the n columns of (m, n) blocks, and every step is a
 ufunc on whole columns.  Each measure has one covariance formula,
 cov(lo, hi) with lo = min(tau_j, tau_k) and hi = max(tau_j, tau_k)
-(`_kernel_formulas`).  `kernel_fourier_gaussian` applies it to gathered
-(m, n, n) arrays of those times; the samplers apply it to the sorted time
-columns (at n = 2 the sort is one np.minimum and one np.maximum) and keep
-S as its lower triangle of columns, (S_11,) or (S_11, S_21, S_22).
+(`_kernel_formulas`).  The test oracle `tests/kernel_oracle.py` applies
+it to gathered (m, n, n) arrays of those times; the samplers apply it to
+the sorted time columns (at n = 2 the sort is one np.minimum and one
+np.maximum) and keep S as its lower triangle of columns, (S_11,) or
+(S_11, S_21, S_22).
 
 The smallest eigenvalue that sets the rate is computed by `_lambda_min`
 from that triangle.  For n = 1 it is S_11.  For n = 2 it repeats, in
@@ -107,14 +108,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
-from .chaos_bounds import FractionalParams, _exp_or_inf, term_bound
+from .errors import _check_int, _check_real, _exp_or_inf
+from .chaos_bounds import FractionalParams, _check_params, term_bound
 from .initial_data import (
     DiracAt,
     GaussianDensity,
     InitialMeasure,
     LebesgueConstant,
 )
-from .path_combinatorics import _check_int, _check_real
 
 MAX_MC_N = 2
 
@@ -128,29 +129,16 @@ class EstimatorResult:
     samples: int
 
 
-@dataclass(frozen=True)
-class KernelGaussian:
-    """Amplitude / mean / covariance of the Fourier-transformed kernel.
-
-    Batched: ``amp`` has shape (m,), ``mean`` (m, n), ``cov`` (m, n, n).
-    """
-
-    amp: np.ndarray
-    mean: np.ndarray
-    cov: np.ndarray
-
-
 def _check_inputs(n: int, t: float, x: float, params: FractionalParams) -> None:
     _check_int("n", n)
+    _check_real(t=t, x=x)
+    _check_params(params)
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
     if n > MAX_MC_N:
         raise SizeError(f"n={n} exceeds the Monte-Carlo limit {MAX_MC_N}")
-    _check_real(t=t, x=x)
     if not (0 < t < math.inf):
         raise DomainError(f"t must be finite and > 0, got {t}")
-    if not isinstance(params, FractionalParams):
-        raise ValidationError("params must be a FractionalParams instance")
 
 
 def _kernel_formulas(t: float, x: float, measure: InitialMeasure) -> tuple:
@@ -175,28 +163,6 @@ def _kernel_formulas(t: float, x: float, measure: InitialMeasure) -> tuple:
     raise ValidationError(
         f"no closed-form Fourier kernel for {type(measure).__name__}; "
         "use DiracAt, LebesgueConstant or GaussianDensity"
-    )
-
-
-def kernel_fourier_gaussian(
-    sorted_times: np.ndarray, t: float, x: float, measure: InitialMeasure
-) -> KernelGaussian:
-    """Closed-form Gaussian data of Ff at sorted time rows.
-
-    sorted_times: (m, n) array with nondecreasing rows in (0, t).
-    Raises ValidationError for measures without a closed-form transform.
-    """
-    tau = np.asarray(sorted_times, dtype=float)
-    if tau.ndim != 2:
-        raise ValidationError("sorted_times must be a 2-d array")
-    m, n = tau.shape
-    mean, cov = _kernel_formulas(t, x, measure)
-    # rows are sorted, so min(tau_j, tau_k) = tau_min(j, k): gathers, no compares
-    ar = np.arange(n)
-    return KernelGaussian(
-        amp=np.full(m, measure.j0(t, x)),
-        mean=np.full((m, n), mean(tau)),
-        cov=cov(tau[:, np.minimum.outer(ar, ar)], tau[:, np.maximum.outer(ar, ar)]),
     )
 
 
@@ -328,9 +294,11 @@ def _lambda_min(a, b=None, c=None) -> np.ndarray:
 
 
 def _spawn_streams(seed: int, workers: int) -> list:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    _check_int("seed", seed)
+    _check_int("workers", workers)
+    if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
+    if workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers}")
     children = np.random.SeedSequence(int(seed)).spawn(int(workers))
     return [np.random.Generator(np.random.Philox(c)) for c in children]

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, SizeError, ValidationError
+from .errors import DomainError, SizeError, ValidationError, _check_int
 
 __all__ = [
     "ExponentVector",
@@ -111,38 +110,6 @@ class ExponentVector:
 def enumerate_exponent_vectors(n: int) -> list[ExponentVector]:
     """All of A_n in lexicographic order; card(A_n) = 2^{n-1}."""
     return [ExponentVector(tuple(row)) for row in exponent_matrix(n).tolist()]
-
-
-def _check_int(name: str, value) -> None:
-    """Raise ValidationError unless value is an int or numpy integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_real(**values) -> None:
-    """Raise ValidationError naming the first value that is not a real
-    number: an int, float or numpy real, not a bool, string, complex
-    number, sequence or other object.
-
-    Range checks call it where their comparison raises TypeError or a
-    value's type is bool (which compares as 0 or 1), so a valid value
-    never pays for it.
-    """
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValidationError(f"{name} must be real, got {value!r}")
-
-
-def _real(name: str, value, check):
-    """check(value), a range test; a bool, or a value on which check raises
-    TypeError or ValueError, goes to `_check_real` (ValidationError) first."""
-    if type(value) is bool:
-        _check_real(**{name: value})
-    try:
-        return check(value)
-    except (TypeError, ValueError):
-        _check_real(**{name: value})
-        raise
 
 
 def _check_enum_n(n) -> None:

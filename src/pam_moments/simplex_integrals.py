@@ -25,6 +25,7 @@ import numpy as np
 from scipy.special import betaln, gammaln, psi
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
+from .errors import _check_int, _check_real, _exp_or_inf, _in_float_range
 
 __all__ = [
     "SimplexIntegralSpec",
@@ -43,15 +44,24 @@ _ROUNDING_EPS = 4.0 * float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SimplexIntegralSpec:
-    """(t, alpha-vector, beta-vector) describing one integral I_n."""
+    """(t, alpha-vector, beta-vector) describing one integral I_n; each
+    value must be a real number (ValidationError), kept as a float."""
 
     t: float
     alphas: tuple[float, ...]
     betas: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        _check_real(t=self.t)
+        object.__setattr__(self, "t", float(self.t))
+        for name in ("alphas", "betas"):
+            given = getattr(self, name)
+            try:
+                values = tuple(given)
+            except TypeError:
+                raise ValidationError(f"{name} must be a sequence, got {given!r}") from None
+            _check_real(**{f"{name}[{i}]": v for i, v in enumerate(values)})
+            object.__setattr__(self, name, tuple(map(float, values)))
         if len(self.alphas) != len(self.betas) or not self.alphas:
             raise ValidationError(
                 "alphas and betas must be nonempty and of equal length"
@@ -172,18 +182,6 @@ def log_closed_form(spec: SimplexIntegralSpec) -> float:
     return _checked(*_log_closed_form(spec))
 
 
-def _exp_in_range(log_value: float, name: str) -> float:
-    """exp(log_value); raises EstimationError where that is not a finite
-    float (log_value past about 709.78, inf or nan)."""
-    try:
-        value = math.exp(log_value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise EstimationError(f"{name} = exp({log_value}) exceeds the float range")
-    return value
-
-
 def closed_form(spec: SimplexIntegralSpec) -> float:
     """I_n(t, alpha, beta); see log_closed_form.  Where every log value
     within the rounding bound is below -746 or above 710, it is 0.0 or an
@@ -191,7 +189,7 @@ def closed_form(spec: SimplexIntegralSpec) -> float:
     val, bound = _log_closed_form(spec)
     if not (val + bound < -746.0 or val - bound > 710.0):
         val = _checked(val, bound)
-    return _exp_in_range(val, "I_n")
+    return _in_float_range(_exp_or_inf(val), f"I_n = exp({val})")
 
 
 def _log_spectral_integral(alpha: float, t: float) -> tuple[float, float]:
@@ -211,6 +209,7 @@ def gaussian_spectral_integral(alpha: float, t: float) -> float:
     Raises EstimationError where the value exceeds the float range or, as
     `closed_form` does, where its log's rounding bound exceeds 1e-6.
     """
+    _check_real(alpha=alpha, t=t)
     if not (-1 < alpha < math.inf):
         raise DomainError(f"alpha must be finite and > -1, got {alpha}")
     if not (0 < t < math.inf):
@@ -218,7 +217,7 @@ def gaussian_spectral_integral(alpha: float, t: float) -> float:
     val, bound = _log_spectral_integral(alpha, t)
     if math.isfinite(val) and not (val + bound < -746.0 or val - bound > 710.0):
         val = _checked(val, bound, "the log spectral integral")
-    return _exp_in_range(val, "the spectral integral")
+    return _in_float_range(_exp_or_inf(val), f"the spectral integral = exp({val})")
 
 
 @dataclass(frozen=True)
@@ -346,7 +345,10 @@ def brute_force(
     the float range (a weight or its square past it), it raises
     EstimationError.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    _check_int("budget", budget)
+    _check_int("seed", seed)
+    _check_real(rtol=rtol)
+    if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     report = check_conditions(spec)
     if not report:

@@ -679,10 +679,26 @@ def test_inputs_that_are_not_real_numbers_are_validation_errors():
         lambda: term_bound(3, True, P_REF),
         lambda: stirling_lb_check(True, 1.0),
         lambda: log_chaos_series(2, True, P_REF, 4.0),
+        # so is a numpy bool, which each of these once took for 0 or 1
+        lambda: FractionalParams(0.75, 0.3, np.True_),
+        lambda: FractionalParams(np.False_, 0.3),
+        lambda: term_bound(2, np.True_, P_REF),
+        lambda: stirling_lb_check(0.5, np.True_),
+        lambda: log_chaos_series(2.0, np.True_, P_REF, 4.0),
+        lambda: log_chaos_series(2.0, 1.0, P_REF, np.True_),
+        # an x that is not real once ended in a bare TypeError from J0
+        lambda: moment_bound(2.0, 1.0, "0", P_REF, DiracAt(0.0), 4.0,
+                             constants=(1.0, 1.0)),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="must be real"):
             call()
+    # a params that is not a FractionalParams once ended in AttributeError
+    with pytest.raises(ValidationError, match="params must be a FractionalParams"):
+        log_chaos_series(2.0, 1.0, (0.75, 0.3), 4.0)
+    # an entry numpy cannot read once raised numpy's bare ValueError
+    with pytest.raises(ValidationError, match="exponents must be arrays of real numbers"):
+        verify_ab_condition(["a"], [1.0], [1.0])
     for a in ("x", [[1.0, 2.0], "x"], [[1.0, 2.0], [3.0]]):
         with pytest.raises(ValidationError, match="a must be an array of real numbers"):
             spatial_exponents(a, P_REF)

@@ -365,6 +365,10 @@ def test_usage_errors_exit_2():
          '{"type": "atoms", "atoms": [["1.5", 2]]}'],
         ["mc-verify", "--n", "1", "--t", "1", "--H0", "0.75", "--H", "0.3",
          "--measure", '{"type": "gaussian", "variance": Infinity}'],
+        # a JSON boolean or string in a spec was once cast by float()
+        ["dirichlet", "--spec", '{"t": 1, "alphas": [true], "betas": [1]}'],
+        ["dirichlet", "--spec", '{"t": 1, "alphas": ["0.5"], "betas": [1]}'],
+        ["dirichlet", "--spec", '{"t": true, "alphas": [1], "betas": [1]}'],
     ],
 )
 def test_malformed_values_exit_2_without_traceback(argv, capsys):

@@ -170,8 +170,11 @@ def test_measure_fields_that_are_not_real_numbers_are_validation_errors():
     for make, field in (
         (lambda: DiracAt("x"), "x0"),
         (lambda: DiracAt(True), "x0"),
+        (lambda: DiracAt(np.True_), "x0"),
         (lambda: LebesgueConstant("x"), "c"),
         (lambda: LebesgueConstant(True), "c"),
+        (lambda: LebesgueConstant(np.True_), "c"),
+        (lambda: GaussianDensity(0.0, np.True_), "variance"),
         (lambda: GaussianDensity("x", 1.0), "mean"),
         (lambda: GaussianDensity(0.0, "y"), "variance"),
         (lambda: GaussianDensity(0.0, False), "variance"),
@@ -198,6 +201,36 @@ def test_measure_fields_that_are_not_real_numbers_are_validation_errors():
     m = measure_from_config({"type": "gaussian", "mean": 1, "variance": 2})
     assert (type(m.mean), type(m.variance)) == (float, float)
     assert type(measure_from_config({"type": "dirac", "x0": 1}).x0) is float
+
+
+def test_times_positions_and_grid_values_that_are_not_real_are_validation_errors():
+    # each once raised a bare TypeError from a comparison or math.isfinite,
+    # or, for a bool, returned a value
+    for call, name in (
+        (lambda: heat_kernel("1", 0.0), "t"),
+        (lambda: heat_kernel(True, 0.0), "t"),
+        (lambda: j0(np.True_, 0.0, DiracAt(0.0)), "t"),
+        (lambda: j0(1.0, "0", DiracAt(0.0)), "x"),
+        (lambda: j0(1.0, True, DiracAt(0.0)), "x"),
+        (lambda: LebesgueConstant(1.0).j0(True, 0.0), "t"),
+        (lambda: GaussianDensity(0.0, 1.0).j0(True, 0.0), "t"),
+        (lambda: PolynomialDensity().j0("1", 0.0), "t"),
+        (lambda: CustomDensity(lambda y: 1.0).j0(None, 0.0), "t"),
+        (lambda: check_cond_mu0(DiracAt(0.0), a_grid=("1",)), "a"),
+        (lambda: check_cond_mu0(DiracAt(0.0), a_grid=(1.0, True)), "a"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{name} must be real"):
+            call()
+    # real numbers of every type pass, and t <= 0 is still a domain error
+    assert heat_kernel(1, np.int64(0)) == heat_kernel(np.float64(1.0), 0.0)
+    assert j0(np.int64(1), np.float64(0.0), DiracAt(0.0)) == j0(1.0, 0.0, DiracAt(0.0))
+    for t in (0.0, -1, math.nan):
+        with pytest.raises(DomainError, match="t must be > 0"):
+            heat_kernel(t, 0.0)
+        with pytest.raises(DomainError, match="t must be > 0"):
+            LebesgueConstant(1.0).j0(t, 0.0)
+        with pytest.raises(DomainError, match="t must be > 0"):
+            GaussianDensity(0.0, 1.0).j0(t, 0.0)
 
 
 def test_gaussian_integrals_match_quadrature():
@@ -242,6 +275,9 @@ def test_finite_atoms_that_are_not_pairs_are_validation_errors():
         ([(1,)], "must be a .location, mass. pair"),
         ([(0.0, 1.0), (1, 2, 3)], "must be a .location, mass. pair"),
         ([1.0], "must be a .location, mass. pair"),
+        # a string was once unpacked into two characters
+        (["12"], "must be a .location, mass. pair"),
+        ([(0.0, 1.0), b"12"], "must be a .location, mass. pair"),
     ):
         with pytest.raises(ValidationError, match=match):
             FiniteAtoms(atoms)

@@ -2,9 +2,9 @@
 replaced, kept here as test-only oracles, and the sampler's floats pinned.
 
 The oracles are the estimator and the lemma check in their matrix form:
-np.sort, the gathered (m, n, n) covariance of `kernel_fourier_gaussian`,
-``np.linalg.eigvalsh``, ``np.sum(axis=1)`` and ``np.einsum``, each on a
-stream's whole batch.  `_lambda_min`, the 2-wide sort, the covariance
+np.sort, the gathered (m, n, n) covariance of `kernel_fourier_gaussian`
+(`kernel_oracle.py`), ``np.linalg.eigvalsh``, ``np.sum(axis=1)`` and
+``np.einsum``, each on a stream's whole batch.  `_lambda_min`, the 2-wide sort, the covariance
 triangle and the column folds repeat the operations of those calls in the
 same order, so the comparisons are exact (``==``), not within a tolerance.
 ``np.einsum`` rounds differently on batches of one or two rows, so the
@@ -40,9 +40,10 @@ from pam_moments.mc_verifier import (
     _spectral_draws,
     _worker_counts,
     chaos_norm_estimate,
-    kernel_fourier_gaussian,
     verify_lemma32,
 )
+
+from kernel_oracle import kernel_fourier_gaussian
 
 MEASURES = {
     "dirac": DiracAt(0.1),

@@ -17,10 +17,11 @@ from pam_moments.initial_data import (
 )
 from pam_moments.mc_verifier import (
     chaos_norm_estimate,
-    kernel_fourier_gaussian,
     verify_lemma32,
     verify_term_bound,
 )
+
+from kernel_oracle import kernel_fourier_gaussian
 
 P = FractionalParams(0.75, 0.3)
 
@@ -318,6 +319,13 @@ def test_sample_counts_must_be_integers_and_t_x_real_numbers():
             chaos_norm_estimate(n, 1.0, 0.0, DiracAt(0.0), P, samples=64)
         with pytest.raises(ValidationError, match="n must be an integer"):
             verify_lemma32(n, 1.0, 0.0, DiracAt(0.0), P, time_samples=3, xi_samples=64)
+    # a bool seed or worker count once ran as 1 (or 0)
+    for stream in ({"seed": True}, {"seed": np.False_}, {"workers": True}, {"workers": 1.0}):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            chaos_norm_estimate(2, 1.0, 0.0, DiracAt(0.0), P, samples=64, **stream)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            verify_lemma32(2, 1.0, 0.0, DiracAt(0.0), P, time_samples=3, xi_samples=64,
+                           **stream)
     # numpy integers and reals pass
     est = chaos_norm_estimate(2, np.float64(1.0), np.int64(0), DiracAt(0.0), P,
                               samples=np.int64(64))

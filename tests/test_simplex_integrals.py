@@ -345,6 +345,36 @@ def test_oracle_rejects_bad_seed_and_rtol():
             brute_force(spec, method="nested-quadrature", rtol=rtol)
 
 
+def test_inputs_that_are_not_real_numbers_are_validation_errors():
+    # float() once took a bool or a numeric string in a spec for a number;
+    # the rest ended in a bare TypeError (numpy's UFuncTypeError for rtol),
+    # or, for the bools, returned a value
+    spec = SimplexIntegralSpec(1.0, (1.0,), (1.0,))
+    for call, match in (
+        (lambda: SimplexIntegralSpec(True, (1.0,), (1.0,)), "t must be real"),
+        (lambda: SimplexIntegralSpec("1", (1.0,), (1.0,)), "t must be real"),
+        (lambda: SimplexIntegralSpec(1.0, (0.5, "0.5"), (1.0, 1.0)),
+         r"alphas\[1\] must be real"),
+        (lambda: SimplexIntegralSpec(1.0, (True,), (1.0,)), r"alphas\[0\] must be real"),
+        (lambda: SimplexIntegralSpec(1.0, (1.0,), (np.True_,)), r"betas\[0\] must be real"),
+        (lambda: SimplexIntegralSpec(1.0, None, (1.0,)), "alphas must be a sequence"),
+        (lambda: SimplexIntegralSpec(1.0, (1.0,), 1.0), "betas must be a sequence"),
+        (lambda: gaussian_spectral_integral("0.5", 1.0), "alpha must be real"),
+        (lambda: gaussian_spectral_integral(True, 1.0), "alpha must be real"),
+        (lambda: gaussian_spectral_integral(0.5, np.True_), "t must be real"),
+        (lambda: brute_force(spec, method="monte-carlo", seed=True), "seed must be an integer"),
+        (lambda: brute_force(spec, rtol="1e-8"), "rtol must be real"),
+        (lambda: brute_force(spec, method="monte-carlo", budget="5"),
+         "budget must be an integer"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            call()
+    # real numbers of every type pass, and the spec keeps them as floats
+    same = SimplexIntegralSpec(np.int64(1), iter([np.float32(1.0)]), np.array([1]))
+    assert same == spec and type(same.t) is float and type(same.betas[0]) is float
+    assert gaussian_spectral_integral(np.int64(1), 2) == gaussian_spectral_integral(1.0, 2.0)
+
+
 def test_spectral_integral_past_the_float_range_is_an_estimation_error():
     # exp of the log value once raised a bare OverflowError, and at
     # alpha = 1e306, where ln Gamma((1 + alpha) / 2) = inf, gave inf or nan
