@@ -781,16 +781,15 @@ def moment_bound(
     series_value = [J0(t,x) * sum_n ((p-1)C)^{n/2} (n!)^{-H/2}
     t^{n(2H0+H-1)/2}]^p; the envelope is C1^p J0^p exp(C2 p^{(H+1)/H}
     t^{(2H0+H-1)/H}) with the witness constants (C1, C2) of
-    `fit_envelope_constants` (a pair, C1 finite and > 0, C2 finite;
-    DomainError otherwise).
+    `fit_envelope_constants` (a tuple or list of two real numbers, C1
+    finite and > 0, C2 finite; DomainError or ValidationError otherwise).
     """
     log_sum, trunc = log_chaos_series(p, t, params, C)
-    try:
-        C1, C2 = constants
-        ok = 0 < C1 < math.inf and math.isfinite(C2)
-    except (TypeError, ValueError):  # not a pair, or not of numbers
-        ok = False
-    if not ok:
+    if not (isinstance(constants, (tuple, list)) and len(constants) == 2):
+        raise DomainError(f"constants must be a pair (C1, C2), got {constants}")
+    C1, C2 = constants
+    _check_real(C1=C1, C2=C2)
+    if not (0 < C1 < math.inf and math.isfinite(C2)):
         raise DomainError("constants must be a pair (C1, C2), C1 finite and > 0, "
                           f"C2 finite; got {constants}")
     j0_val = _j0(t, x, measure)

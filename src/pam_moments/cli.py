@@ -40,7 +40,8 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EstimationError, SizeError, ValidationError, _exp_or_inf
+from .errors import DomainError, EstimationError, SizeError, ValidationError
+from .errors import _check_real, _exp_or_inf
 from .chaos_bounds import FractionalParams, admissible_param_grid
 from .chaos_bounds import _fit_log_envelope, _log_gamma_rows
 from .initial_data import InitialMeasure, check_cond_mu0, j0 as eval_j0
@@ -55,6 +56,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Flag(str):
+    """Flag text (a list flag's items too), as opposed to a config file's value."""
+
+
+def _real(value) -> float:
+    """A float from flag text or a JSON number, not a JSON boolean or string."""
+    if not isinstance(value, _Flag):
+        _check_real(**{"a config value": value})
+    return float(value)
+
+
 def _int(value) -> int:
     """An int from a JSON integer or its text; 2.5 and 1e300 are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
@@ -66,7 +78,7 @@ def _list(cast):
     """A type reading "1,2", [1, 2] or 1 as a list of items read by cast."""
     def read(value) -> list:
         if isinstance(value, str):
-            value = [v for v in value.split(",") if v.strip()]
+            value = [type(value)(v) for v in value.split(",") if v.strip()]
         return [cast(v) for v in (value if isinstance(value, list) else [value])]
     return read
 
@@ -223,7 +235,7 @@ class Command(NamedTuple):
 _MEASURE = Option("measure", lambda v: _Measure(v, measure_from_config(_json(v))),
                   {"type": "lebesgue", "c": 1.0},
                   'JSON, e.g. {"type": "dirac", "x0": 0.0}')
-_HURST = (Option("H0", float, REQUIRED), Option("H", float, REQUIRED))
+_HURST = (Option("H0", _real, REQUIRED), Option("H", _real, REQUIRED))
 
 COMMANDS = {
     "paths": Command("emit the exponent vectors / lattice paths", _paths,
@@ -243,26 +255,26 @@ COMMANDS = {
         Option("spec", _spec, REQUIRED,
                'JSON {"t":..., "alphas":[...], "betas":[...]}'),
         Option("oracle", _oracle, None, metavar="{quadrature,mc}"),
-        Option("rtol", float, 1e-6),
+        Option("rtol", _real, 1e-6),
         Option("seed", _int, 0),
     )),
     "j0": Command("deterministic part of the solution", _j0, (
-        Option("t", float, REQUIRED),
-        Option("x", float, REQUIRED),
+        Option("t", _real, REQUIRED),
+        Option("x", _real, REQUIRED),
         _MEASURE,
     )),
     "bound-table": Command("CSV of moment series and envelope", _bound_table, (
         *_HURST,
-        Option("C", float, 4.0),
-        Option("p", _list(float), "2", "comma-separated moment orders"),
-        Option("t", _list(float), "1,2,4,8", "comma-separated times"),
+        Option("C", _real, 4.0),
+        Option("p", _list(_real), [2.0], "comma-separated moment orders"),
+        Option("t", _list(_real), [1.0, 2.0, 4.0, 8.0], "comma-separated times"),
     )),
     "mc-verify": Command("Monte-Carlo check of the chaos bounds", _mc_verify, (
         Option("n", _int, REQUIRED),
-        Option("t", float, REQUIRED),
-        Option("x", float, 0.0),
+        Option("t", _real, REQUIRED),
+        Option("x", _real, 0.0),
         *_HURST,
-        Option("b", float, 1.0),
+        Option("b", _real, 1.0),
         _MEASURE,
         Option("samples", _int, 200_000),
         Option("seed", _int, 0),
@@ -283,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--output", help="output path (default stdout)")
         for opt in command.options:
-            p.add_argument("--" + opt.key.replace("_", "-"), dest=opt.key,
+            p.add_argument("--" + opt.key.replace("_", "-"), dest=opt.key, type=_Flag,
                            help=opt.help, metavar=opt.metavar)
     return parser
 

@@ -9,6 +9,7 @@ raised before any range test.
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -38,12 +39,15 @@ def _check_int(name: str, value) -> None:
 def _check_real(**values) -> None:
     """Raise ValidationError naming the first value that is not a real
     number: an int, float or numpy real, not a bool or numpy bool, string,
-    complex number, array or other object.  A float (np.float64 too)
-    passes at once."""
+    complex number, array, other object or int past the float range.  A
+    float (np.float64 too) passes at once."""
     for name, value in values.items():
-        if not isinstance(value, float) and (
-                isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)):
+        if isinstance(value, float):
+            continue
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
             raise ValidationError(f"{name} must be real, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValidationError(f"{name} must be real, got an int past the float range")
 
 
 def _exp_or_inf(x: float) -> float:

@@ -96,7 +96,8 @@ floats).
 Reproducibility: a single integer seed is expanded through
 ``SeedSequence(seed).spawn(workers)`` into independent Philox streams, one
 per worker; the per-worker batches are always accumulated in worker order,
-so the result depends only on (seed, workers, samples), never on timing.
+so the result depends only on (seed, workers and the sample counts, which
+every caller states: they have no defaults), never on timing.
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ def chaos_norm_estimate(
     x: float,
     measure: InitialMeasure,
     params: FractionalParams,
-    samples: int = 200_000,
+    samples: int,
     seed: int = 0,
     workers: int = 1,
 ) -> EstimatorResult:
@@ -419,11 +420,9 @@ class SpectralComparison:
     either value alone.
     """
 
-    times: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     diff_stderr: np.ndarray
-    sigmas: float
 
     @property
     def margins(self) -> np.ndarray:
@@ -431,20 +430,19 @@ class SpectralComparison:
 
     @property
     def ok(self) -> bool:
-        # the round-off slack matters in the exact-equality cases, where the
-        # paired difference has zero variance
-        slack = self.sigmas * self.diff_stderr + 1e-12 * np.abs(self.rhs)
+        # four standard errors of the difference; the round-off slack matters
+        # in the exact-equality cases, where the difference has zero variance
+        slack = 4.0 * self.diff_stderr + 1e-12 * np.abs(self.rhs)
         return bool(np.all(self.lhs <= self.rhs + slack))
 
 
-def _majorant_form(sorted_times: np.ndarray, t: float) -> np.ndarray:
+def _majorant_form(tau: np.ndarray, t: float) -> np.ndarray:
     """Quadratic form R with sum_k w_k |sum_{j<=k} tau_j xi_j|^2 = xi^T R xi,
 
     w_k = (tau_{k+1} - tau_k) / (tau_{k+1} tau_k), tau_{n+1} = t.
-    Batched over rows of sorted_times.  Raises EstimationError where R is
-    not finite, as when tau_{k+1} tau_k underflows to 0 at tiny t.
+    Batched over the rows of tau, each sorted.  Raises EstimationError where
+    R is not finite, as when tau_{k+1} tau_k underflows to 0 at tiny t.
     """
-    tau = np.asarray(sorted_times, dtype=float)
     m, n = tau.shape
     nxt = np.concatenate([tau[:, 1:], np.full((m, 1), t)], axis=1)
     idx = np.maximum(np.arange(n)[:, None], np.arange(n)[None, :])
@@ -477,41 +475,32 @@ def verify_lemma32(
     x: float,
     measure: InitialMeasure,
     params: FractionalParams,
-    time_samples: int = 32,
-    xi_samples: int = 20_000,
+    time_samples: int,
+    xi_samples: int,
     seed: int = 0,
     workers: int = 1,
-    sigmas: float = 4.0,
-    ordered_times: np.ndarray | None = None,
 ) -> SpectralComparison:
     """Check the Gaussian majorant of the kernel's spectral norm numerically.
 
-    For random sorted time vectors, estimate both
+    For `time_samples` sorted time vectors, drawn uniformly on (0, t) from
+    the first worker stream, estimate both
 
         lhs = int |Ff(tau)(xi)|^2 mu^n(dxi)   and
         rhs = J0^2 int prod_k exp(-w_k |sum_{j<=k} tau_j xi_j|^2) mu^n(dxi)
 
-    from shared spectral draws and require lhs <= rhs within `sigmas`
-    standard errors of the difference.  For n = 1 and a point mass the two
-    integrands coincide exactly, which pins down all constants.
+    from `xi_samples` shared spectral draws and require lhs <= rhs within
+    four standard errors of the difference.  For n = 1 and a point mass the
+    two integrands coincide exactly, which pins down all constants.
     """
     _check_inputs(n, t, x, params)
     _check_int("time_samples", time_samples)
     _check_int("xi_samples", xi_samples)
-    if xi_samples < 1 or (ordered_times is None and time_samples < 1):
+    if time_samples < 1 or xi_samples < 1:
         raise DomainError("time_samples and xi_samples must be >= 1, "
                           f"got {time_samples} and {xi_samples}")
     h = params.H
     streams = _spawn_streams(seed, workers)
-    if ordered_times is not None:
-        tau = np.atleast_2d(np.asarray(ordered_times, dtype=float))
-        if tau.shape[1] != n or np.any(np.diff(tau, axis=1) < 0):
-            raise ValidationError("ordered_times must be (m, n) with sorted rows")
-        if np.any(tau <= 0) or np.any(tau >= t):
-            raise DomainError("ordered_times must lie strictly inside (0, t)")
-        time_samples = tau.shape[0]
-    else:
-        tau = np.sort(streams[0].uniform(0.0, t, size=(time_samples, n)), axis=1)
+    tau = np.sort(streams[0].uniform(0.0, t, size=(time_samples, n)), axis=1)
     _, cov = _kernel_formulas(t, x, measure)
     cov_tri = _cov_triangle(cov, tuple(tau.T))
     j0sq = measure.j0(t, x) ** 2
@@ -519,18 +508,15 @@ def verify_lemma32(
     lam = np.minimum(_lambda_min(*(2.0 * e for e in cov_tri)),
                      _lambda_min(*(2.0 * e for e in r_tri)))
     rate = np.maximum(0.25 * lam, 1e-300)
-    log_norm = n * (math.log(params.c_H) + math.lgamma(1.0 - h)) + n * (
-        h - 1.0
-    ) * np.log(rate)
+    log_norm = (n * (math.log(params.c_H) + math.lgamma(1.0 - h))
+                + n * (h - 1.0) * np.log(rate))
     # per time sample: its exponent, rate and the triangles of S and R
     rows = list(zip(log_norm, rate, zip(*cov_tri), zip(*r_tri)))
 
     lhs = np.zeros(time_samples)
     rhs = np.zeros(time_samples)
     dvar = np.zeros(time_samples)
-    counts = _worker_counts(xi_samples, len(streams))
-    done = 0
-    for rng, m in zip(streams, counts):
+    for rng, m in zip(streams, _worker_counts(xi_samples, workers)):
         if m == 0:
             continue
         for i, row in enumerate(rows):
@@ -538,13 +524,10 @@ def verify_lemma32(
             lhs[i] += float(np.sum(a))
             rhs[i] += float(np.sum(b))
             dvar[i] += float(np.sum((b - a) ** 2))
-        done += m
-    lhs /= done
-    rhs /= done
-    diff_stderr = np.sqrt(
-        np.maximum(dvar / done - (rhs - lhs) ** 2, 0.0) / done
-    )
-    return SpectralComparison(tau, lhs, rhs, diff_stderr, sigmas)
+    lhs /= xi_samples
+    rhs /= xi_samples
+    diff_stderr = np.sqrt(np.maximum(dvar / xi_samples - (rhs - lhs) ** 2, 0.0) / xi_samples)
+    return SpectralComparison(lhs, rhs, diff_stderr)
 
 
 @dataclass(frozen=True)
@@ -568,7 +551,7 @@ def verify_term_bound(
     x: float,
     measure: InitialMeasure,
     params: FractionalParams,
-    samples: int = 400_000,
+    samples: int,
     seed: int = 0,
     workers: int = 1,
 ) -> TermBoundCheck:

@@ -15,7 +15,7 @@ from pam_moments import cli
 SIGNATURES = {
     "admissible_param_grid": "size=",
     "brute_force": "spec, method=, budget=, rtol=, seed=",
-    "chaos_norm_estimate": "n, t, x, measure, params, samples=, seed=, workers=",
+    "chaos_norm_estimate": "n, t, x, measure, params, samples, seed=, workers=",
     "check_cond_mu0": "measure, a_grid=",
     "check_conditions": "spec",
     "closed_form": "spec",
@@ -41,9 +41,9 @@ SIGNATURES = {
     "stirling_lb_check": "a, C",
     "term_bound": "n, t, params, mode=",
     "verify_ab_condition": "alpha_tilde, beta_tilde, alpha",
-    "verify_lemma32": "n, t, x, measure, params, time_samples=, xi_samples=, seed=, "
-                      "workers=, sigmas=, ordered_times=",
-    "verify_term_bound": "n, t, x, measure, params, samples=, seed=, workers=",
+    "verify_lemma32": "n, t, x, measure, params, time_samples, xi_samples, seed=, "
+                      "workers=",
+    "verify_term_bound": "n, t, x, measure, params, samples, seed=, workers=",
 }
 
 FIELDS = {
@@ -60,7 +60,7 @@ FIELDS = {
     "MomentBoundResult": ("log_series_value", "log_envelope_value", "truncation_index"),
     "PolynomialDensity": (),
     "SimplexIntegralSpec": ("t", "alphas", "betas"),
-    "SpectralComparison": ("times", "lhs", "rhs", "diff_stderr", "sigmas"),
+    "SpectralComparison": ("lhs", "rhs", "diff_stderr"),
     "TermBoundCheck": ("estimate", "bound", "minimal_b", "passed"),
 }
 
@@ -116,10 +116,10 @@ def test_cli_option_keys():
 
 
 def test_surface_counts():
-    # 90 parameters (26 with a default), 36 fields, 29 options; before the
-    # audit that dropped unused knobs and echo fields: 91 (29), 46, 30
+    # 88 parameters (20 with a default), 34 fields, 29 options; before the
+    # audits that dropped unused knobs, defaults and echo fields: 91 (29), 46, 30
     params = [p.strip() for s in SIGNATURES.values() for p in s.split(",")]
     params = [p for p in params if p != "*"]
-    assert (len(params), sum(p.endswith("=") for p in params)) == (90, 26)
-    assert sum(map(len, FIELDS.values())) == 36
+    assert (len(params), sum(p.endswith("=") for p in params)) == (88, 20)
+    assert sum(map(len, FIELDS.values())) == 34
     assert sum(map(len, CLI_OPTIONS.values())) == 29

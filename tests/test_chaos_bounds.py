@@ -636,10 +636,10 @@ def test_inputs_that_once_got_past_validation():
     for t in (math.inf, math.nan):
         with pytest.raises(DomainError, match="finite"):
             term_bound(3, t, P_REF)
-    # (1.0,) and the other values that are not a pair of numbers once
-    # raised a bare ValueError or TypeError from unpacking or comparing
+    # (1.0,) and the other values that are not a pair once raised a bare
+    # ValueError or TypeError from unpacking or comparing
     for constants in ((0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1.0, math.nan),
-                      (1.0,), (1.0, 2.0, 3.0), (), 1.0, ("a", 1.0), [[1.0], 2.0]):
+                      (1.0,), (1.0, 2.0, 3.0), (), 1.0, None):
         with pytest.raises(DomainError, match="constants must be a pair"):
             moment_bound(2.0, 1.0, 0.0, P_REF, DiracAt(0.0), 4.0, constants=constants)
     # polyfit on one point, or on two equal ones, warns instead of fitting
@@ -689,6 +689,16 @@ def test_inputs_that_are_not_real_numbers_are_validation_errors():
         # an x that is not real once ended in a bare TypeError from J0
         lambda: moment_bound(2.0, 1.0, "0", P_REF, DiracAt(0.0), 4.0,
                              constants=(1.0, 1.0)),
+        # an int past the float range was once kept as a 401-digit b_H0
+        lambda: FractionalParams(0.75, 0.3, 10**400),
+        # a constant that is not a number: (True, 1.0) once ran with C1 = 1,
+        # and the others raised a DomainError that called them not a pair
+        lambda: moment_bound(2.0, 1.0, 0.0, P_REF, DiracAt(0.0), 4.0,
+                             constants=(True, 1.0)),
+        lambda: moment_bound(2.0, 1.0, 0.0, P_REF, DiracAt(0.0), 4.0,
+                             constants=("a", 1.0)),
+        lambda: moment_bound(2.0, 1.0, 0.0, P_REF, DiracAt(0.0), 4.0,
+                             constants=[[1.0], 2.0]),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="must be real"):

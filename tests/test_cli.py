@@ -392,6 +392,13 @@ def test_malformed_values_exit_2_without_traceback(argv, capsys):
         ("j0", {"t": 1, "x": math.nan}, "x"),
         ("bound-table", {"H0": 0.75, "H": 0.3, "t": [1, math.inf]}, "t"),
         ("mc-verify", {"n": 2, "t": -math.inf, "H0": 0.75, "H": 0.3}, "t"),
+        # a float option's config value is a JSON number: float() once
+        # read a boolean or numeric string, alone or in a list, as one
+        ("j0", {"t": True, "x": 0}, "t"),
+        ("j0", {"t": "1", "x": 0}, "t"),
+        ("mc-verify", {"n": 2, "t": 1, "H0": 0.75, "H": 0.3, "b": False}, "b"),
+        ("bound-table", {"H0": 0.75, "H": 0.3, "p": [2, True]}, "p"),
+        ("bound-table", {"H0": 0.75, "H": 0.3, "p": "2,4"}, "p"),
     ],
 )
 def test_config_file_values_are_cast_like_flags(command, cfg, key, tmp_path, capsys):
@@ -458,7 +465,7 @@ _FUZZ_KEYS = {
     "dirichlet": {"spec": {"t": 1.0, "alphas": [1.0], "betas": [1.0]},
                   "oracle": "mc", "rtol": 1e-3, "seed": 3},
     "j0": {"t": 1.0, "x": 0.0, "measure": {"type": "dirac", "x0": 0.0}},
-    "bound-table": {"H0": 0.75, "H": 0.3, "C": 4.0, "p": "2,4",
+    "bound-table": {"H0": 0.75, "H": 0.3, "C": 4.0, "p": [2, 4],
                     "t": [1, 8]},
     "mc-verify": {"n": 2, "t": 1.0, "x": 0.0, "H0": 0.75, "H": 0.3, "b": 1.0,
                   "measure": {"type": "dirac", "x0": 0.0}, "samples": 64,

@@ -189,6 +189,9 @@ def test_measure_fields_that_are_not_real_numbers_are_validation_errors():
         (lambda: measure_from_config({"type": "gaussian", "variance": False}), "variance"),
         (lambda: measure_from_config({"type": "atoms", "atoms": [["1.5", 2.0]]}), "location"),
         (lambda: measure_from_config({"type": "atoms", "atoms": [[0.0, True]]}), "mass"),
+        # an int past the float range once ended in a bare OverflowError
+        (lambda: DiracAt(10**400), "x0"),
+        (lambda: measure_from_config({"type": "dirac", "x0": 10**400}), "x0"),
     ):
         with pytest.raises(ValidationError, match=f"{field} must be real"):
             make()

@@ -220,21 +220,6 @@ def test_lemma_check_exact_for_dirac():
     assert float(np.max(np.abs(cmp.margins))) <= 1e-12 * float(np.max(cmp.rhs))
 
 
-def test_lemma_check_with_supplied_times():
-    times = np.array([[0.2, 0.5], [0.1, 0.9], [0.45, 0.55]])
-    cmp = verify_lemma32(
-        2, 1.0, 0.0, LebesgueConstant(1.0), P,
-        xi_samples=4_000, seed=2, ordered_times=times,
-    )
-    assert cmp.times.shape == (3, 2)
-    assert cmp.ok
-    with pytest.raises(ValidationError):
-        verify_lemma32(
-            2, 1.0, 0.0, LebesgueConstant(1.0), P,
-            ordered_times=np.array([[0.9, 0.1]]),
-        )
-
-
 def test_lemma_check_gaussian_measure():
     cmp = verify_lemma32(
         2, 1.0, 0.0, GaussianDensity(0.1, 0.5), P,
@@ -267,13 +252,13 @@ def test_minimal_b_consistency():
 
 def test_input_validation():
     with pytest.raises(SizeError):
-        chaos_norm_estimate(3, 1.0, 0.0, DiracAt(0.0), P)
+        chaos_norm_estimate(3, 1.0, 0.0, DiracAt(0.0), P, samples=64)
     with pytest.raises(DomainError):
-        chaos_norm_estimate(1, -1.0, 0.0, DiracAt(0.0), P)
+        chaos_norm_estimate(1, -1.0, 0.0, DiracAt(0.0), P, samples=64)
     with pytest.raises(ValidationError):
-        chaos_norm_estimate(1, 1.0, 0.0, DiracAt(0.0), P, seed=-1)
+        chaos_norm_estimate(1, 1.0, 0.0, DiracAt(0.0), P, samples=64, seed=-1)
     with pytest.raises(ValidationError):
-        chaos_norm_estimate(1, 1.0, 0.0, DiracAt(0.0), P, workers=0)
+        chaos_norm_estimate(1, 1.0, 0.0, DiracAt(0.0), P, samples=64, workers=0)
 
 
 def test_degenerate_inputs_give_inf_or_a_library_error():

@@ -353,6 +353,8 @@ def test_inputs_that_are_not_real_numbers_are_validation_errors():
     for call, match in (
         (lambda: SimplexIntegralSpec(True, (1.0,), (1.0,)), "t must be real"),
         (lambda: SimplexIntegralSpec("1", (1.0,), (1.0,)), "t must be real"),
+        # an int past the float range once ended in a bare OverflowError
+        (lambda: SimplexIntegralSpec(10**400, (1.0,), (1.0,)), "t must be real"),
         (lambda: SimplexIntegralSpec(1.0, (0.5, "0.5"), (1.0, 1.0)),
          r"alphas\[1\] must be real"),
         (lambda: SimplexIntegralSpec(1.0, (True,), (1.0,)), r"alphas\[0\] must be real"),
