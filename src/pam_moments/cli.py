@@ -10,6 +10,11 @@ a file key that names no option is a usage error), cast every value
 through its option's type, log the resolved config on stderr, call the
 command, and only then open ``--output`` (a relative path is placed under
 ``$PAM_MOMENTS_OUTDIR`` when set; default stdout) and write the lines.
+A command may yield a block of up to `_BLOCK_ROWS` lines joined by
+newlines as one item, and `run` writes it with one newline after it:
+`paths` and `gamma-scan` format each block by one template ('%d' for
+ints, which prints them as json.dumps does, and '%.17g' for gamma_n),
+not by one json.dumps or format call and one write per line.
 Floats are printed with 17 significant digits, so equal configs and seeds
 produce byte-identical files.  Exit code 0 on success, 1 when a
 verification fails, 2 on usage errors (a missing option, a value its type
@@ -50,6 +55,9 @@ from .mc_verifier import verify_lemma32, verify_term_bound
 from .path_combinatorics import MAX_ENUM_N, _offset_matrix, expand_and_verify_identity
 from .path_combinatorics import exponent_matrix
 from .simplex_integrals import SimplexIntegralSpec, brute_force, closed_form
+
+
+_BLOCK_ROWS = 4096  # most lines in one block of `paths` or `gamma-scan` output
 
 
 def _fmt(x: float) -> str:
@@ -105,10 +113,14 @@ def _oracle(value) -> str:
 
 def _paths(o: dict):
     n = o["n"]
-    a = exponent_matrix(n).tolist()
-    heights = (np.arange(1, n + 1) - _offset_matrix(n)[:, :-1]).tolist()  # k - d_{k-1}
-    return (json.dumps({"n": n, "a": a_row, "path_heights": h_row})
-            for a_row, h_row in zip(a, heights)), 0
+    a = exponent_matrix(n)
+    heights = np.arange(1, n + 1) - _offset_matrix(n)[:, :-1]  # k - d_{k-1}
+    # one template per block of rows; it prints ints as json.dumps does
+    ints = ", ".join(["%d"] * n)
+    line = f'{{"n": {n}, "a": [{ints}], "path_heights": [{ints}]}}'
+    return ("\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
+            for i in range(0, len(a), _BLOCK_ROWS)
+            for rows in [np.hstack((a[i:i + _BLOCK_ROWS], heights[i:i + _BLOCK_ROWS]))]), 0
 
 
 def _identity(o: dict):
@@ -131,16 +143,23 @@ def _gamma_scan(o: dict):
     if n_max > MAX_ENUM_N:
         raise SizeError(f"n_max must be <= {MAX_ENUM_N}, got {n_max}")
     grid = admissible_param_grid(o["grid_size"])
-    # "n,a," per vector for n = 2..n_max and "H0,H," per grid point are
-    # formatted once; each grid point takes one pass of the recursion
-    labels = [[f"{n},{''.join(map(str, a))}," for a in exponent_matrix(n).tolist()]
-              for n in range(2, n_max + 1)]
-    rows = (h0_h + row + format(gv, ".17g")
-            for params in grid for h0_h in [f"{_fmt(params.H0)},{_fmt(params.H)},"]
-            for n_labels, log_g in zip(
-                labels, itertools.islice(_log_gamma_rows(n_max, params), 1, None))
-            for row, gv in zip(n_labels, np.exp(log_g).tolist()))
-    return itertools.chain(["H0,H,n,a,gamma_n"], rows), 0
+    # "n,a,%.17g" per vector for n = 2..n_max is built once; each grid point
+    # takes one pass of the recursion, and each block of rows of an order is
+    # formatted by one template
+    templates = [[f"{n},{''.join(map(str, a))},%.17g" for a in exponent_matrix(n).tolist()]
+                 for n in range(2, n_max + 1)]
+
+    def blocks():
+        for params in grid:
+            h0_h = f"{_fmt(params.H0)},{_fmt(params.H)},"
+            log_rows = itertools.islice(_log_gamma_rows(n_max, params), 1, None)
+            for n_templates, log_g in zip(templates, log_rows):
+                values = np.exp(log_g).tolist()
+                for i in range(0, len(values), _BLOCK_ROWS):
+                    block = ("\n" + h0_h).join(n_templates[i:i + _BLOCK_ROWS])
+                    yield (h0_h + block) % tuple(values[i:i + _BLOCK_ROWS])
+
+    return itertools.chain(["H0,H,n,a,gamma_n"], blocks()), 0
 
 
 def _dirichlet(o: dict):
@@ -301,7 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str | None) -> dict:
-    loaded = json.loads(pathlib.Path(path).read_text()) if path else {}
+    try:
+        loaded = json.loads(pathlib.Path(path).read_text()) if path else {}
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past 4,300 digits
+        raise ValidationError(str(exc)) from None
     if not isinstance(loaded, dict):
         raise ValidationError("config file must contain a JSON object")
     return loaded
@@ -361,8 +383,7 @@ def run(argv=None, stdout=None) -> int:
         with _output(args.output, stdout) as out:
             out.writelines(line + "\n" for line in lines)
         return code
-    except (ValidationError, DomainError, SizeError, OSError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValidationError, DomainError, SizeError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except EstimationError as exc:

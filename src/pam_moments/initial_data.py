@@ -297,5 +297,6 @@ def measure_from_config(cfg: dict) -> InitialMeasure:
         if kind == "atoms":
             return FiniteAtoms(cfg["atoms"])
     except (TypeError, ValueError, KeyError) as exc:
-        raise ValidationError(f"bad field in measure {cfg!r} ({exc})") from exc
+        # no repr of cfg: an int past 4,300 digits has none
+        raise ValidationError(f"bad field in measure of type {kind!r} ({exc})") from exc
     raise ValidationError(f"unknown measure type {kind!r}")

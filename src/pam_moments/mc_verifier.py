@@ -569,10 +569,8 @@ def verify_term_bound(
         raise EstimationError(f"J0(t, x)^2 underflows to 0 at t={t!r}, x={x!r}")
     ratio = est.value / j0sq
     ratio_err = est.stderr / j0sq
-    log_b1 = term_bound(
-        n, t, FractionalParams(params.H0, params.H, 1.0), mode="exact-constants"
-    ).log_bound
-    bound = term_bound(n, t, params, mode="exact-constants").bound
+    log_b1 = term_bound(n, t, FractionalParams(params.H0, params.H, 1.0)).log_bound
+    bound = term_bound(n, t, params).bound
     minimal_b = _exp_or_inf((math.log(max(ratio, 1e-300)) - log_b1) / n)
     passed = ratio - 3.0 * ratio_err <= bound
     return TermBoundCheck(est, bound, minimal_b, passed)

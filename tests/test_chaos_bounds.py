@@ -4,6 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import special as _sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from pam_moments import chaos_bounds
@@ -28,12 +30,13 @@ from pam_moments.chaos_bounds import (
 from pam_moments.chaos_bounds import (
     _envelope_exponent,
     _fit_log_envelope,
+    MAX_EXACT_N,
     _finish_term_sum,
-    _gamma_factor_table,
     _log_gamma_rows,
     _log_term_sums,
     _logsumexp,
     _min_ab_margins,
+    _term_log_gammas,
     _theta,
     _tilde_matrix,
 )
@@ -211,12 +214,22 @@ def test_gamma_matrix_agrees_with_scalar():
             assert gamma_n_matrix(n, p).tolist() == [gamma_n(a, p) for a in vecs]
 
 
+def _array_factor_table(n: int, params: FractionalParams) -> np.ndarray:
+    """The log gamma factor table as numpy arrays built it: theta_k over
+    index arrays of k and d_{k-1}, the arguments by one broadcast, two
+    gammaln calls (the formulation the scalar arguments replaced)."""
+    c = (1.0 - 2.0 * params.H) / (4.0 * params.H0)
+    d = np.array([0.0, 1.0])
+    th = _theta(np.arange(1, n)[:, None, None], d[:, None], params)
+    return _sp.gammaln(th + c * (d[None, :] - d[:, None])) - _sp.gammaln(th)
+
+
 def _gather_log_gamma(n: int, params: FractionalParams) -> np.ndarray:
     """Oracle for the prefix recursion: log gamma_n per row of A_n by one
     gather from the factor table per k over the offset matrix, added in k
     order from 0.0 (the formulation the recursion replaced)."""
     d = _offset_matrix(n)
-    g = _gamma_factor_table(n, params)
+    g = _array_factor_table(n, params)
     log_g = np.zeros(d.shape[0])
     for k in range(1, n):
         log_g += g[k - 1, d[:, k - 1], d[:, k + 1]]
@@ -370,8 +383,9 @@ def test_term_bound_size_cap():
 
 def _log_term_sums_finished(n_max, params):
     """(log sum, max gamma_n) for n = 1..n_max from one pass of the generator."""
-    return [_finish_term_sum(n, *state, params)
-            for n, state in enumerate(_log_term_sums(n_max, params), start=1)]
+    log_entry, log_first, table, _, _ = _term_log_gammas(n_max, params)
+    return [_finish_term_sum(n, *state, _term_log_gammas(n, params)[3], params)
+            for n, state in enumerate(_log_term_sums(log_entry, log_first, table), start=1)]
 
 
 def test_log_term_sum_small_n_by_hand():
@@ -390,8 +404,9 @@ def test_log_term_sum_small_n_by_hand():
 
 
 def _log_term_sum_per_n(n: int, params: FractionalParams) -> tuple[float, float]:
-    """Oracle for `_log_term_sums`: the per-order pass it replaced, which
-    restarts at k = 1 for each n over the factor table for n itself."""
+    """Oracle for `_log_term_sums`: the per-order pass on 2x2 numpy arrays it
+    replaced, which restarts at k = 1 for each n over the factor table for
+    n itself and takes each ln Gamma in its own gammaln call."""
     H, H0 = params.H, params.H0
     q = 4.0 * H0
     d = np.array([0.0, 1.0])
@@ -402,7 +417,7 @@ def _log_term_sum_per_n(n: int, params: FractionalParams) -> tuple[float, float]
     log_sum[0] = _sp.gammaln(at[0] + 1.0) + log_entry[0]
     log_gam = np.full((2, 2), -np.inf)
     log_gam[0] = 0.0
-    for g_k in _gamma_factor_table(n, params):
+    for g_k in _array_factor_table(n, params):
         log_sum = (
             np.logaddexp(log_sum[0][:, None] + g_k[0], log_sum[1][:, None] + g_k[1])
             + log_entry
@@ -424,9 +439,37 @@ def test_log_term_sums_are_the_per_order_pass_bit_for_bit():
         got = _log_term_sums_finished(60, p)
         assert got == [_log_term_sum_per_n(n, p) for n in range(1, 61)]
     # a shorter pass yields the same states as the first orders of a longer one
-    for n, (a, b) in enumerate(zip(_log_term_sums(7, P_REF), _log_term_sums(30, P_REF))):
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    short, long = (_term_log_gammas(n, P_REF)[:3] for n in (7, 30))
+    for n, (a, b) in enumerate(zip(_log_term_sums(*short), _log_term_sums(*long))):
+        assert a == b
     assert n == 6
+
+
+def _hurst_in(lo, hi):
+    """Floats in (lo, hi) at least 1e-12 inside, a third within 1e-6 of each
+    end (an H of a few ulps above 0 underflows c_H to 0, see CHANGES.md)."""
+    near = st.floats(1e-12, 1e-6)
+    return st.one_of(st.floats(lo + 1e-12, hi - 1e-12),
+                     near.map(lambda e: lo + e), near.map(lambda e: hi - e))
+
+
+@st.composite
+def _admissible_params(draw):
+    H0 = draw(_hurst_in(0.5, 1.0))
+    H = draw(_hurst_in(max(0.0, 0.75 - H0), 0.5).filter(lambda H: H0 + H > 0.75))
+    return FractionalParams(H0, H, draw(st.floats(1e-3, 1e3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_admissible_params(), st.integers(1, MAX_EXACT_N), st.floats(1e-3, 1e3))
+def test_term_bound_is_the_numpy_oracle_bit_for_bit(p, n, t):
+    log_sum, max_g = _log_term_sum_per_n(n, p)
+    want = (n * math.log(p.b_H0) + (2.0 * p.H0 - 1.0) * _sp.gammaln(n + 1.0)
+            + 2.0 * p.H0 * log_sum + n * p.time_growth_exponent * math.log(t))
+    got = term_bound(n, t, p)
+    assert (got.log_bound, got.gamma_n) == (float(want), max_g)
+    # the factor table too, where a changed bit need not reach the sum
+    assert _term_log_gammas(n, p)[2] == _array_factor_table(n, p).tolist()
 
 
 def _theta_matrix(a_mat: np.ndarray, params: FractionalParams) -> np.ndarray:

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import pam_moments
 from pam_moments import cli
+from pam_moments.chaos_bounds import admissible_param_grid, gamma_n_matrix
+from pam_moments.path_combinatorics import enumerate_exponent_vectors, path_of
 
 
 def run_cli(*argv):
@@ -278,6 +280,33 @@ def test_gamma_scan_csv():
     assert float(g) == pytest.approx(1.0)
 
 
+# the default block size, and blocks of 3 rows that split every order past n = 2
+BLOCK_SIZES = pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 3])
+
+
+@BLOCK_SIZES
+def test_paths_rows_are_json_dumps_of_the_record(block_rows, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    for n in range(1, 13):
+        want = [json.dumps({"n": n, "a": list(a), "path_heights": list(path_of(a))})
+                for a in enumerate_exponent_vectors(n)]
+        assert run_cli("paths", "--n", str(n)) == (0, "\n".join(want) + "\n")
+
+
+@BLOCK_SIZES
+def test_gamma_scan_rows_are_the_per_value_format_oracle(block_rows, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    for grid_size in (0, 1, 3):
+        for n_max in range(2, 11):
+            want = ["H0,H,n,a,gamma_n"] + [
+                ",".join((format(p.H0, ".17g"), format(p.H, ".17g"), str(n),
+                          "".join(map(str, a)), format(g, ".17g")))
+                for p in admissible_param_grid(grid_size) for n in range(2, n_max + 1)
+                for a, g in zip(enumerate_exponent_vectors(n), gamma_n_matrix(n, p).tolist())]
+            argv = ("gamma-scan", "--n-max", str(n_max), "--grid-size", str(grid_size))
+            assert run_cli(*argv) == (0, "\n".join(want) + "\n")
+
+
 def test_gamma_scan_rejects_n_max_past_the_enumeration_cap_first(monkeypatch, capsys):
     # --n-max 25 once formatted every label for n = 2..20 (4.6 s, 300 MB)
     # before failing with a message about n = 21
@@ -407,6 +436,17 @@ def test_config_file_values_are_cast_like_flags(command, cfg, key, tmp_path, cap
     assert cli.run([command, "--config", str(path)], stdout=io.StringIO()) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"usage error: bad value for {key}: ")
+
+
+def test_config_with_an_int_past_4300_digits_is_a_usage_error(tmp_path, capsys):
+    # json.loads raises a bare ValueError for such an int, which once ended
+    # in a traceback; the file text is written directly, as json.dumps
+    # cannot write the int either
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"t": 1, "x": 0, "measure": {"type": "dirac", "x0": ' + "9" * 5000 + "}}")
+    assert run_cli("j0", "--config", str(cfg)) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: Exceeds the limit (4300 digits)")
 
 
 def test_config_key_that_names_no_option_is_a_usage_error(tmp_path, capsys):

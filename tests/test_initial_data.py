@@ -162,6 +162,16 @@ def test_measure_constructors_reject_non_finite_fields(bad):
         measure_from_config({"type": "gaussian", "variance": bad})
 
 
+def test_bad_field_message_holds_no_repr_of_the_config():
+    # the message once held repr(cfg), which raises a bare ValueError for
+    # an int past Python's 4,300-digit limit
+    for cfg, field in (({"type": "dirac", "x0": 10**5000}, "x0"),
+                       ({"type": "atoms", "atoms": [[10**5000, 1.0]]}, "location")):
+        with pytest.raises(ValidationError, match=f"bad field in measure of type "
+                           f"'{cfg['type']}' \\({field} must be real"):
+            measure_from_config(cfg)
+
+
 def test_measure_fields_that_are_not_real_numbers_are_validation_errors():
     # each once raised a bare TypeError (from math.isfinite or a
     # comparison) or ValueError (from float), or, for a bool, was accepted;
