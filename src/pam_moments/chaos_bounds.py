@@ -81,9 +81,10 @@ _SADDLE_MAXITER = 100
 class FractionalParams:
     """Hurst pair (H0, H) with the derived noise constants.
 
-    Requires H0 in (1/2, 1), H in (0, 1/2) and H0 + H > 3/4.  b_H0 is
-    the constant of the external convolution inequality, never pinned by
-    the theory (default 1); only `term_bound` reads it, as a factor b_H0^n.
+    Requires H0 in (1/2, 1), H in (0, 1/2), H0 + H > 3/4, and c_H and H/2
+    above 0 (H >= 1e-323).  b_H0 is the constant of the external
+    convolution inequality, never pinned by the theory (default 1); only
+    `term_bound` reads it, as a factor b_H0^n.
     """
 
     H0: float
@@ -100,6 +101,10 @@ class FractionalParams:
             raise ValidationError(f"H0 + H must exceed 3/4, got {self.H0 + self.H}")
         if not (0 < self.b_H0 < math.inf):
             raise ValidationError(f"b_H0 must be finite and > 0, got {self.b_H0}")
+        # at H = 5e-324 both underflow, and the logs and divisions of the
+        # chain would end in bare math errors
+        if self.c_H == 0.0 or self.H / 2.0 == 0.0:
+            raise ValidationError(f"H={self.H!r} is too small: c_H or H/2 underflows to 0")
 
     @property
     def alpha_H0(self) -> float:

@@ -143,11 +143,11 @@ def _gamma_scan(o: dict):
     if n_max > MAX_ENUM_N:
         raise SizeError(f"n_max must be <= {MAX_ENUM_N}, got {n_max}")
     grid = admissible_param_grid(o["grid_size"])
-    # "n,a,%.17g" per vector for n = 2..n_max is built once; each grid point
-    # takes one pass of the recursion, and each block of rows of an order is
-    # formatted by one template
+    # "n,a,%.17g" per vector for n = 2..n_max is built once, if the grid has
+    # a point; each grid point takes one pass of the recursion, and each
+    # block of rows of an order is formatted by one template
     templates = [[f"{n},{''.join(map(str, a))},%.17g" for a in exponent_matrix(n).tolist()]
-                 for n in range(2, n_max + 1)]
+                 for n in range(2, n_max + 1)] if grid else []
 
     def blocks():
         for params in grid:

@@ -37,7 +37,7 @@ def kernel_fourier_gaussian(
     if tau.ndim != 2:
         raise ValidationError("sorted_times must be a 2-d array")
     m, n = tau.shape
-    mean, cov = _kernel_formulas(t, x, measure)
+    mean, cov, _ = _kernel_formulas(t, x, measure)  # the mean formed even where fixed
     # rows are sorted, so min(tau_j, tau_k) = tau_min(j, k): gathers, no compares
     ar = np.arange(n)
     return KernelGaussian(

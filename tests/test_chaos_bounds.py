@@ -651,6 +651,16 @@ def test_inputs_beyond_the_float_range_raise_library_errors():
             FractionalParams(0.75, 0.3, p)
 
 
+def test_an_H_whose_constants_underflow_is_a_validation_error():
+    # at H = 5e-324, c_H and H/2 are 0.0: term_bound once raised a bare
+    # ValueError (math domain error) and log_chaos_series a ZeroDivisionError
+    with pytest.raises(ValidationError, match="too small: c_H or H/2 underflows"):
+        FractionalParams(0.999999999999, 5e-324)
+    params = FractionalParams(0.999999999999, 1e-323)
+    assert params.c_H > 0.0 and params.H / 2.0 > 0.0
+    assert math.isfinite(term_bound(2, 1.0, params).log_bound)
+
+
 def test_bound_and_envelope_past_the_float_range_are_inf():
     # exp(log_bound) once raised a bare OverflowError
     tb = term_bound(30, 1e300, FractionalParams(0.75, 0.3))

@@ -125,6 +125,15 @@ def test_estimation_error_exits_2_without_traceback(capsys):
         assert not any("Traceback" in line for line in err)
 
 
+def test_an_H_whose_constants_underflow_is_a_usage_error(capsys):
+    # c_H and H/2 underflow to 0 at H = 5e-324; this once printed a traceback
+    argv = ("bound-table", "--H0", "0.999999999999", "--H", "5e-324")
+    assert run_cli(*argv) == (2, "")
+    config, *err = capsys.readouterr().err.splitlines()
+    assert config.startswith("config: ")
+    assert err == ["usage error: H=5e-324 is too small: c_H or H/2 underflows to 0"]
+
+
 def test_values_near_the_float_range_raise_no_numpy_warning(capsys):
     dirac = '{"type": "dirac", "x0": 0.0}'
     with warnings.catch_warnings():
@@ -321,6 +330,19 @@ def test_gamma_scan_rejects_n_max_past_the_enumeration_cap_first(monkeypatch, ca
     # n_max <= 1 leaves no order to scan: the header alone, exit 0
     for n_max in ("1", "0", "-3"):
         assert run_cli("gamma-scan", "--n-max", n_max) == (0, "H0,H,n,a,gamma_n\n")
+
+
+def test_gamma_scan_on_an_empty_grid_enumerates_nothing(monkeypatch):
+    # an empty grid once built the row templates of every order first:
+    # at --n-max 18, 0.96 s and 117 MB to print the header; grid size 1's
+    # one point is inadmissible
+    def no_enumeration(n):
+        raise AssertionError("exponent_matrix called")
+
+    monkeypatch.setattr(cli, "exponent_matrix", no_enumeration)
+    for grid_size in ("0", "1"):
+        argv = ("gamma-scan", "--n-max", "20", "--grid-size", grid_size)
+        assert run_cli(*argv) == (0, "H0,H,n,a,gamma_n\n")
 
 
 def test_mc_verify_byte_stability(tmp_path):

@@ -14,6 +14,7 @@ size at all.
 """
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -50,6 +51,9 @@ MEASURES = {
     "lebesgue": LebesgueConstant(1.5),
     "gaussian": GaussianDensity(0.0, 0.5),
 }
+# an x where each measure's Fourier mean does not depend on the times: the
+# point mass and the Gaussian centre, and any x for Lebesgue
+CENTRES = {"dirac": 0.1, "lebesgue": -3.0, "gaussian": 0.0}
 
 
 def _kernel_cov_broadcast(sorted_times, t, measure):
@@ -193,24 +197,29 @@ TWO_SAMPLES = {
 @pytest.mark.parametrize("n", [1, 2])
 def test_chunked_estimate_is_the_whole_array_estimate(n, kind, workers):
     """Same bits as the matrix form at t from 1e-3 to 1e3, x away from the
-    measure's centre, and on either side of a chunk boundary: a chunk less
-    one, one chunk, one more, and a ragged last chunk, per stream.  At two
-    samples, one-row streams and an empty one, the pinned bits."""
+    measure's centre and at it, and on either side of a chunk boundary: a
+    chunk less one, one chunk, one more, and a ragged last chunk, per
+    stream.  At the centre the estimator leaves out the phase, which the
+    matrix form still takes the cosine of.  At two samples, one-row streams
+    and an empty one, the pinned bits."""
     params = FractionalParams(0.75, 0.3)
     est = chaos_norm_estimate(n, 0.8, 0.2, MEASURES[kind], params, samples=2, seed=9,
                               workers=workers)
     assert (est.value.hex(), est.stderr.hex()) == TWO_SAMPLES[n, kind, workers]
     samples = 4 * workers + 1
-    for t in (1e-3, 0.8, 1e3):
-        args = (n, t, 0.2, MEASURES[kind], params)
-        est = chaos_norm_estimate(*args, samples=samples, seed=9, workers=workers)
-        assert (est.value, est.stderr) == _whole_array_estimate(*args, samples, 9, workers), t
-    args = (n, 0.8, -0.7, MEASURES[kind], FractionalParams(0.85, 0.2))
-    for per_stream in (_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 17):
-        samples = workers * per_stream - (workers - 1)
+    for t, x in itertools.product((1e-3, 0.8, 1e3), (0.2, CENTRES[kind])):
+        args = (n, t, x, MEASURES[kind], params)
         est = chaos_norm_estimate(*args, samples=samples, seed=9, workers=workers)
         want = _whole_array_estimate(*args, samples, 9, workers)
-        assert (est.value, est.stderr) == want, samples
+        assert (est.value, est.stderr) == want, (t, x)
+    for x in (-0.7, CENTRES[kind]):
+        args = (n, 0.8, x, MEASURES[kind], FractionalParams(0.85, 0.2))
+        for per_stream in (_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                           2 * _CHUNK_ROWS + 17):
+            samples = workers * per_stream - (workers - 1)
+            est = chaos_norm_estimate(*args, samples=samples, seed=9, workers=workers)
+            want = _whole_array_estimate(*args, samples, 9, workers)
+            assert (est.value, est.stderr) == want, (x, samples)
 
 
 def test_chunked_estimate_at_the_cli_size_is_the_whole_array_estimate():
@@ -323,7 +332,7 @@ def test_gathered_kernel_is_the_broadcast_formula(n):
             got = kernel_fourier_gaussian(tau, t, 0.3, measure).cov
             assert np.array_equal(got, _kernel_cov_broadcast(tau, t, measure)), kind
             if n <= 2:  # the samplers' triangle of the same covariance
-                _, cov = _kernel_formulas(t, 0.3, measure)
+                _, cov, _ = _kernel_formulas(t, 0.3, measure)
                 tri = _cov_triangle(cov, _sorted_columns(tau))
                 want = _lower_triangle(got)
                 assert all(np.array_equal(u, v) for u, v in zip(tri, want)), kind

@@ -273,12 +273,24 @@ def test_degenerate_inputs_give_inf_or_a_library_error():
         with pytest.raises(DomainError):
             verify_lemma32(2, 1.0, 0.0, DiracAt(0.0), P, time_samples=time_samples,
                            xi_samples=xi_samples)
-    # a non-finite horizon is a domain error, not a numpy range error
+    # a non-finite horizon or point is a domain error, not a numpy range
+    # error; an infinite x once ended in a non-finite accumulator only
+    # because inf - inf made the phase nan, and Lebesgue's estimate, which
+    # forms no phase, would be finite there
     for t in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError, match="t must be"):
             chaos_norm_estimate(2, t, 0.0, DiracAt(0.0), P, samples=64)
         with pytest.raises(DomainError, match="t must be"):
             verify_lemma32(2, t, 0.0, DiracAt(0.0), P, time_samples=3, xi_samples=64)
+    for x, measure in itertools.product(
+            (math.inf, -math.inf, math.nan),
+            (DiracAt(0.0), LebesgueConstant(1.0), GaussianDensity(0.0, 0.5))):
+        with pytest.raises(DomainError, match="x must be finite"):
+            chaos_norm_estimate(2, 1.0, x, measure, P, samples=64)
+        with pytest.raises(DomainError, match="x must be finite"):
+            verify_term_bound(2, 1.0, x, measure, P, samples=64)
+        with pytest.raises(DomainError, match="x must be finite"):
+            verify_lemma32(2, 1.0, x, measure, P, time_samples=3, xi_samples=64)
 
 
 def test_sample_counts_must_be_integers_and_t_x_real_numbers():
