@@ -229,7 +229,14 @@ def _quad_over_r(f: Callable[[float], float]) -> float:
 
 
 def j0(t: float, x: float, measure: InitialMeasure) -> float:
-    """J0(t, x) = int G(t, x - y) mu0(dy)."""
+    """J0(t, x) = int G(t, x - y) mu0(dy).
+
+    J0(t, 0) = int exp(-y^2 / (2t)) mu0(dy) / sqrt(2 pi t) is the
+    integral of `check_cond_mu0` at a = 1/(2t).  Its default grid reaches
+    down to a = 0.01 only, so for a `CustomDensity`, whose integrals are
+    quadratures, its verdict covers t <= 1/(2 * 0.01) = 50 and no larger t.
+    The built-in measures are admissible by construction.
+    """
     _check_t(t)
     _check_real(x=x)
     if not math.isfinite(x):
@@ -253,7 +260,12 @@ def check_cond_mu0(
 ) -> CondMu0Report:
     """Evaluate int exp(-a x^2) mu0(dx) over a grid of finite a > 0.
 
-    All values finite -> ok; otherwise reports the first offending a.
+    All values finite -> ok; otherwise reports the first offending a.  The
+    verdict covers the a checked, and so J0(t, .), which needs a = 1/(2t),
+    up to t = 1/(2 min a): with the default grid, whose smallest a is 0.01,
+    up to t = 50.  That matters only for a `CustomDensity`, whose
+    integrals are quadratures; the built-in measures are admissible by
+    construction.
     A closed form past the float range raises EstimationError instead, as
     the measure is admissible; only a quadrature value can be non-finite.
     """

@@ -38,10 +38,11 @@ The mean does not depend on the times for c * Lebesgue, and for the
 point mass at x = y0 or the Gaussian at x = m0, where 0 times a finite
 factor of tau_j is 0.  There the estimator's phase xi . (m(tau) - m(sigma))
 is identically zero, a sum of signed zeros whose cosine is exactly 1.0,
-and `_sample_values` forms neither the phase nor its cosine; the result
-has the same bits.  That is the case at every configuration of check_09,
-check_13 and the CLI's default x; only x away from the centre forms the
-phase (about a tenth of a 4096-row chunk's arithmetic at n = 2).
+and the estimator forms neither the mean differences nor the phase nor
+its cosine; the result has the same bits.  That is the case at every
+configuration of check_09, check_13 and the CLI's default x; only x away
+from the centre forms the phase (about a tenth of a 4096-row chunk's
+arithmetic at n = 2).
 
 Everything is estimated by importance sampling with explicit densities:
 
@@ -84,41 +85,68 @@ row-major (j, k) order: these are the terms and orders of
 them).  `verify_lemma32` uses the same pieces with one S and one R per
 time sample, their entries scalars against the xi columns.
 
-Draws first, then fixed chunks: each worker stream first draws all its
-blocks, in the order the stream has always used them: the uniform times,
-the side and distance uniforms of the rough times, the Gamma(1 - H) block
-and the sign uniforms.  No draw depends on a computed value (the rate
-only rescales the gamma draws afterwards), so the stream is unchanged.
-The arithmetic then runs over chunks of a fixed `_CHUNK_ROWS` rows, each
-writing its values into one array per worker, which is summed once.
-Every step in between is a ufunc on columns, which acts row by row, so a
-row's value has the same bits in whatever chunk it falls, and ``np.sum``
-sees the same array: no result depends on the chunking, nor, in
-`verify_lemma32`, on a stream's batch size.  ``np.einsum`` itself would
-not do here: it was seen to round differently on batches of one or two
-rows, which a last chunk or a small stream's batch can be.  Memory is
-the five (samples, n) draw blocks and the value array, so
-O(samples * n), plus a chunk working set of under 1 MiB at n = 2
-(tracemalloc peak 0.95 MiB, about thirty columns of `_CHUNK_ROWS`
-floats).
+Draws in the stream's order, arithmetic in two halves: each worker stream
+draws its blocks in the order the stream has always used them: the
+uniform times, the side and distance uniforms of the rough times, the
+Gamma(1 - H) block and the sign uniforms.  No draw depends on a computed
+value (the rate only rescales the gamma draws afterwards), so the stream
+is unchanged.  The arithmetic splits where the draws do.  The time half
+(`_time_half`) reads only the first three blocks: it forms the rough
+times, the triangle of S = S_tau + S_sigma, the rate, base = sum_j log z_j
++ n (h - 1) log rate, and off the centre the mean differences.  The xi
+half (`_xi_half`) reads the last two blocks and that state: the log
+weight sum_j log z_j + n (h - 1) log rate + rate |xi|^2 - xi^T S xi / 2,
+folded left to right on from base, its first partial sum, then the
+weight and the phase.  Both halves run over chunks of a fixed
+`_CHUNK_ROWS` rows, and the xi half writes its values into one array per
+worker, which is summed once.  Every step in between is a ufunc on
+columns, which acts row by row, so a row's value has the same bits in
+whatever chunk it falls, and ``np.sum`` sees the same array: no result
+depends on the chunking, nor, in `verify_lemma32`, on a stream's batch
+size.  ``np.einsum`` itself would not do here: it was seen to round
+differently on batches of one or two rows, which a last chunk or a small
+stream's batch can be.  Memory is the five (samples, n) draw blocks and the
+value array, so O(samples * n).  The time half's per-row state of
+n (n + 1) / 2 + 2 floats, plus n mean differences off the centre, is
+written over the row's 3n time draws once they are read; only the last
+mean difference off the centre takes memory of its own.  The traced
+peak is 5.5 blocks at the centre and 6.0 off it (400k samples, n = 2),
+where drawing everything first and then computing took 5.7.  A state in
+fresh memory took 7.6 and 8.6 blocks, and on one CPU its page faults
+made the estimator about 4% slower.  The chunk working set stays under
+1 MiB at n = 2 (tracemalloc peak 0.95 MiB, about thirty columns of
+`_CHUNK_ROWS` floats).
 
 Reproducibility: a single integer seed is expanded through
 ``SeedSequence(seed).spawn(workers)`` into independent Philox streams, one
 per worker; the per-worker batches are always accumulated in worker order,
 so the result depends only on (seed, workers and the sample counts, which
 every caller states: they have no defaults), never on timing.  The
-streams run one after another.  On a 2-vCPU Xeon, a 60k-sample n = 2
-estimate at two workers ran at 0.57-0.78x the serial speed with each
-stream's 4096-row chunks on a 2-thread pool, and at 1.06-1.21x with the
-two streams on two threads (same bits; medians of 15, three
-measurements): a gain that small and that unsteady does not pay for a
-thread pool.
+streams run one after another.  Within a stream's turn, a helper thread
+draws the Gamma(1 - H) block and the sign uniforms while the calling
+thread runs the time half.  numpy releases the GIL while it fills a
+block, and a gamma draw costs about 75 ns against about 9 ns for a
+uniform, so the two overlap on a second CPU.  The helper is the stream's
+only user from its start until it is joined, so the stream hands out the
+same numbers in the same order, and it touches nothing but the stream
+and the blocks it returns, so no bit depends on which thread runs
+first.  The helper is started and joined inside the stream's turn, also
+when either half raises, and the draw's exception is re-raised in the
+caller: no thread outlives a call.  On a 2-vCPU Xeon the benchmark's
+mc-verify round took 0.84x its serial time (12 alternating pairs, all
+lower); pinned to one CPU, where nothing overlaps, it took 1.005x.
+Other splits do not pay on that box: a 60k-sample n = 2 estimate at two
+workers ran at 0.57-0.78x the serial speed with each stream's 4096-row
+chunks on a 2-thread pool, and at 1.06-1.21x with the two streams on two
+threads (same bits; medians of 15, three measurements).  So ``workers`` changes the result, not the
+speed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,40 +367,104 @@ def _worker_counts(samples: int, workers: int) -> list:
 _CHUNK_ROWS = 4096
 
 
-def _sample_values(
-    tt, side_u, dist_u, g, sign_u, t, j0, kernel, q, h, log_const
-) -> np.ndarray:
-    """The weighted integrand of `chaos_norm_estimate` at the rows drawn.
+def _time_half(tt, side_u, dist_u, t, kernel, q, h) -> tuple:
+    """What the weight of `chaos_norm_estimate` needs from the time draws,
+    as columns over the rows drawn: (*S, rate, base, *dm).
 
-    j0 is J0(t, x), the kernel's amplitude; kernel the (mean, cov, fixed)
-    triple of `_kernel_formulas`.  Where the mean is fixed the phase
-    xi . (m(tau) - m(sigma)) is a sum of signed zeros, its cosine 1.0 and
-    (j0 j0) * 1.0 = j0 j0, so neither is formed and the bits are the same
-    (xi is finite, or nan with a nan log weight).  Near the top of the
-    float range (t or x about 1e300) a kernel entry or a weight overflows to inf, and inf - inf or
-    inf * 0 downstream gives nan.  Such a row's value is inf or nan, which
-    the accumulator check reports, or the exact limit exp(-inf) = 0;
-    numpy's overflow and invalid flags are therefore silenced here.
+    S is the lower triangle of the covariance sum S_tau + S_sigma, rate
+    the proposal rate lambda_min(S) / 4 and base = sum_j log z_j +
+    n (h - 1) log rate, the first partial sum of the log weight.  dm holds
+    m(tau_j) - m(sigma_j) where the kernel's mean is not fixed, and is
+    empty where it is (kernel is the (mean, cov, fixed) triple of
+    `_kernel_formulas`).  The columns are written over tt, side_u and
+    dist_u, which are read by then: their 3n columns' worth of memory
+    holds the whole state but one mean difference off the centre, which
+    gets its own.  Near the top of the float range (t or x about 1e300) a
+    kernel entry overflows to inf, and inf - inf downstream gives nan;
+    numpy's overflow and invalid flags are therefore silenced here and in
+    `_xi_half`.
     """
     n = tt.shape[1]
     mean, cov, fixed = kernel
     ss, z = _rough_times(tt, side_u, dist_u, t, q)
     with np.errstate(over="ignore", invalid="ignore"):
         tau, sig = _sorted_columns(tt), _sorted_columns(ss)
-        big_s = [u + v for u, v in zip(_cov_triangle(cov, tau), _cov_triangle(cov, sig))]
-        rate = np.maximum(0.25 * _lambda_min(*big_s), 1e-300)
+        free = (col for d in (tt, side_u, dist_u) for col in d.reshape(n, -1))
+        big_s = [np.add(u, v, out=next(free))
+                 for u, v in zip(_cov_triangle(cov, tau), _cov_triangle(cov, sig))]
+        rate = np.maximum(0.25 * _lambda_min(*big_s), 1e-300, out=next(free))
+        base = np.add(_row_sum(np.log(z).T), n * (h - 1.0) * np.log(rate), out=next(free))
+        dm = [] if fixed else [np.subtract(mean(tj), mean(sj), out=next(free, None))
+                               for tj, sj in zip(tau, sig)]
+    return (*big_s, rate, base, *dm)
+
+
+def _xi_half(g, sign_u, state, j0, log_const) -> np.ndarray:
+    """The weighted integrand of `chaos_norm_estimate` at the samples drawn,
+    from the blocks of `_spectral_draws` and the columns of `_time_half`.
+
+    log_weight = base + rate |xi|^2 - xi^T S xi / 2 folds left to right
+    on from base, the first partial sum of the weight's whole exponent.
+    j0 is J0(t, x), the kernel's amplitude.  Where the mean is fixed (dm
+    empty) the phase xi . dm is a sum of signed zeros, its cosine 1.0 and
+    (j0 j0) * 1.0 = j0 j0, so neither is formed and the bits are the same
+    (xi is finite, or nan with a nan log weight).  A sample whose weight
+    overflows is inf or nan, which the accumulator check reports, or the
+    exact limit exp(-inf) = 0.
+    """
+    k = g.shape[1] * (g.shape[1] + 1) // 2
+    big_s, (rate, base), dm = state[:k], state[k:k + 2], state[k + 2:]
+    with np.errstate(over="ignore", invalid="ignore"):
         xi = _spectral_xi(g, sign_u, rate)
         log_weight = (
-            _row_sum(np.log(z).T)
-            + n * (h - 1.0) * np.log(rate)
+            base
             + rate * _row_sum(xj**2 for xj in xi)
             - 0.5 * _quadform(big_s, xi)
         )
         weight = np.exp(log_const + log_weight)
-        if fixed:
+        if len(dm) == 0:
             return j0 * j0 * weight
-        phase = _row_sum(xj * (mean(tj) - mean(sj)) for xj, tj, sj in zip(xi, tau, sig))
+        phase = _row_sum(xj * dj for xj, dj in zip(xi, dm))
         return j0 * j0 * np.cos(phase) * weight
+
+
+def _stream_values(rng, m, n, t, kernel, q, h, j0, log_const) -> np.ndarray:
+    """The weighted integrand of `chaos_norm_estimate` at one worker
+    stream's m samples; the stream's blocks die with the call.
+
+    The draws come in the stream's order: the times and the side and
+    distance uniforms of the rough times here, then the Gamma(1 - H) block
+    and the sign uniforms on a helper thread, the stream's only user until
+    it is joined, while this thread runs the time half (whose state takes
+    the time blocks' place).  The helper is joined also when the time half
+    raises, and an error of the draw is re-raised here.  A plain thread
+    takes about half as long as a one-worker ThreadPoolExecutor to start
+    and join (48 against 93 us on one CPU of a 2-vCPU Xeon), and the
+    difference was 1% of a 60k-sample n = 1 estimate there.
+    """
+    times = (rng.uniform(0.0, t, size=(m, n)), rng.random((m, n)), rng.random((m, n)))
+    chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, m, _CHUNK_ROWS)]
+    drawn = []  # the spectral blocks, or the error that ended the draw
+
+    def draw():
+        try:
+            drawn.append(_spectral_draws(rng, m, n, h))
+        except BaseException as exc:
+            drawn.append(exc)
+
+    helper = threading.Thread(target=draw)
+    helper.start()
+    try:
+        states = [_time_half(*(d[rows] for d in times), t, kernel, q, h) for rows in chunks]
+    finally:
+        helper.join()
+    if isinstance(drawn[0], BaseException):
+        raise drawn[0]
+    g, sign_u = drawn[0]
+    vals = np.empty(m)
+    for rows, state in zip(chunks, states):
+        vals[rows] = _xi_half(g[rows], sign_u[rows], state, j0, log_const)
+    return vals
 
 
 def chaos_norm_estimate(
@@ -390,7 +482,10 @@ def chaos_norm_estimate(
     One spectral draw per time sample; see the module docstring for the
     densities and weights.  Deterministic in (seed, workers, samples).
     The ``workers`` streams run one after another in this process, so
-    ``workers`` changes the result, not the speed.
+    ``workers`` changes the result, not the speed.  Within each stream's
+    turn one helper thread draws the spectral block while this thread
+    runs the time half; it is joined before the turn ends, also when
+    either half raises, and an exception of the draw is re-raised here.
     """
     _check_inputs(n, t, x, params)
     _check_int("samples", samples)
@@ -413,20 +508,7 @@ def chaos_norm_estimate(
     for rng, m in zip(_spawn_streams(seed, workers), _worker_counts(samples, workers)):
         if m == 0:
             continue
-        # every draw first, in the stream's order: no draw depends on a value
-        draws = (
-            rng.uniform(0.0, t, size=(m, n)),  # the times
-            rng.random((m, n)),  # the side and distance of each rough time
-            rng.random((m, n)),
-            *_spectral_draws(rng, m, n, h),
-        )
-        vals = np.empty(m)
-        for lo in range(0, m, _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
-            vals[rows] = _sample_values(
-                *(d[rows] for d in draws), t, j0, kernel, q, h, log_const
-            )
-        del draws  # freed before the next stream draws its blocks
+        vals = _stream_values(rng, m, n, t, kernel, q, h, j0, log_const)
         total += float(np.sum(vals))
         with np.errstate(over="ignore"):
             total_sq += float(np.sum(vals**2))

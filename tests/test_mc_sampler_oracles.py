@@ -35,11 +35,12 @@ from pam_moments.mc_verifier import (
     _quadform,
     _rough_times,
     _row_sum,
-    _sample_values,
     _sorted_columns,
     _spawn_streams,
     _spectral_draws,
+    _time_half,
     _worker_counts,
+    _xi_half,
     chaos_norm_estimate,
     verify_lemma32,
 )
@@ -248,17 +249,29 @@ def test_lemma_check_is_the_matrix_form(n, kind, workers):
 @pytest.mark.parametrize("kind", sorted(MEASURES))
 @pytest.mark.parametrize("n", [1, 2])
 def test_row_values_do_not_depend_on_the_batch_size(n, kind):
-    """Each row of the estimator's and the lemma's integrands has the same
-    bits alone, in batches of two or three, and in the whole batch (np.einsum
-    did not: on one or two rows it rounds differently)."""
+    """Each row of the estimator's two halves and of the lemma's integrands
+    has the same bits alone, in batches of two or three, and in the whole
+    batch (np.einsum did not: on one or two rows it rounds differently).
+    The point mass and the Gaussian run off their centre, where the time
+    half keeps the mean differences and the xi half forms the phase.  The
+    time half writes its columns over its draws, so it gets copies."""
     rng = np.random.default_rng(50 + n)
     t, x, params, measure = 0.8, 0.2, FractionalParams(0.75, 0.3), MEASURES[kind]
     m = 60
-    draws = (rng.uniform(0.0, t, size=(m, n)), rng.random((m, n)), rng.random((m, n)),
-             *_spectral_draws(rng, m, n, params.H))
-    rest = (t, measure.j0(t, x), _kernel_formulas(t, x, measure), 2.0 * params.H0 - 1.0,
-            params.H, _log_const(n, t, params))
-    whole = _sample_values(*draws, *rest)
+    times = (rng.uniform(0.0, t, size=(m, n)), rng.random((m, n)), rng.random((m, n)))
+    xi_draws = _spectral_draws(rng, m, n, params.H)
+    kernel = _kernel_formulas(t, x, measure)
+    args = (t, kernel, 2.0 * params.H0 - 1.0, params.H)
+    rest = (measure.j0(t, x), _log_const(n, t, params))
+    draws = tuple(d.copy() for d in times)
+    whole_state = _time_half(*draws, *args)
+    # the triangle of S, rate and base, and off the centre the n mean
+    # differences, all in the draws' memory but the last mean difference
+    k = n * (n + 1) // 2 + 2 + (0 if kernel[2] else n)
+    in_draws = [any(np.shares_memory(c, d) for d in draws) for c in whole_state]
+    assert in_draws == [True] * (k - 1) + [kernel[2]]
+    whole_state = np.array(whole_state)
+    whole = _xi_half(*xi_draws, whole_state, *rest)
     spectral = _spectral_draws(rng, m, n, params.H)
     tau = np.array([[0.3, 0.6][:n]])
     tri = _lower_triangle(kernel_fourier_gaussian(tau, t, x, measure).cov)
@@ -268,8 +281,10 @@ def test_row_values_do_not_depend_on_the_batch_size(n, kind):
     for size in (1, 2, 3):
         for lo in range(0, m, size):
             rows = slice(lo, lo + size)
-            assert np.array_equal(_sample_values(*(d[rows] for d in draws), *rest),
-                                  whole[rows]), (size, lo)
+            state = _time_half(*(d[rows].copy() for d in times), *args)
+            assert np.array_equal(np.array(state), whole_state[:, rows]), (size, lo)
+            vals = _xi_half(*(d[rows] for d in xi_draws), state, *rest)
+            assert np.array_equal(vals, whole[rows]), (size, lo)
             lhs, rhs = _majorant_terms(tuple(d[rows] for d in spectral), 0.9, *row)
             assert np.array_equal(lhs, whole_lhs[rows]), (size, lo)
             assert np.array_equal(rhs, whole_rhs[rows]), (size, lo)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -8,6 +10,7 @@ import pytest
 from scipy import integrate, special
 
 from pam_moments.chaos_bounds import FractionalParams
+from pam_moments import mc_verifier
 from pam_moments.errors import DomainError, EstimationError, SizeError, ValidationError
 from pam_moments.initial_data import (
     DiracAt,
@@ -141,6 +144,37 @@ def test_estimate_memory_is_linear_in_the_draws():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * samples * n * 8, peak / (samples * n * 8)
+
+
+class _Raised(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["_spectral_draws", "_rough_times"])
+def test_a_failing_half_reaches_the_caller_and_leaves_no_thread(failing, monkeypatch):
+    """The spectral block is drawn on a helper thread while the time half
+    runs on the caller's.  An exception in either half reaches the caller
+    as itself, no thread reports an unhandled one, and the helper is joined
+    before the call ends: the draw, failing or not, is slowed, so a helper
+    left running would still be alive."""
+    def fail(*args):
+        raise _Raised(failing)
+
+    monkeypatch.setattr(mc_verifier, failing, fail)
+    draw = mc_verifier._spectral_draws
+
+    def slow_draw(*args):
+        time.sleep(0.2)
+        return draw(*args)
+
+    monkeypatch.setattr(mc_verifier, "_spectral_draws", slow_draw)
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    before = threading.active_count()
+    with pytest.raises(_Raised, match=failing):
+        chaos_norm_estimate(2, 1.0, 0.3, DiracAt(0.0), P, samples=10_000)
+    assert threading.active_count() == before
+    assert unhandled == []
 
 
 def test_estimates_past_the_float_range_are_estimation_errors():
