@@ -22,7 +22,7 @@ print(f"conditions satisfied: {bool(check_conditions(spec))}")
 
 exact = closed_form(spec)
 quad = brute_force(spec, method="nested-quadrature", rtol=1e-10)
-mc = brute_force(spec, method="monte-carlo", budget=400_000, seed=12)
+mc = brute_force(spec, method="monte-carlo", seed=12)
 print(f"closed form        : {exact:.12g}")
 print(f"nested quadrature  : {quad.estimate:.12g}  ({quad.evaluations} evals)")
 print(f"monte carlo        : {mc.estimate:.12g}  +- {mc.error_bound:.2g}")

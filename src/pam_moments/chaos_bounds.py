@@ -324,28 +324,18 @@ class ChaosTermBound:
 
 
 def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a 1-d float array, with the bits of
-    scipy.special.logsumexp (scipy 1.17.1) for real input, without its
-    array-API dispatch.
-
-    It repeats scipy's steps: the max m_a; the mask of entries equal to
-    it and their count m; exp of the other entries shifted by m_a, the
-    tied entries set to -inf; their sum s, divided by m when s != 0; and
-    log1p(s) + log(m) + m_a.  Where that is not finite (an entry +inf,
-    all entries -inf, a nan), scipy returns log(sum(exp(a))) instead, and
-    so does this.
+    """log(sum(exp(a))) of a 1-d float array with a finite maximum, as
+    the largest entry a_i plus log1p of the sum of exp(a_j - a_i) over the
+    other entries: the largest term leaves the sum, so a sum that is
+    mostly that term keeps its low digits.  Where the maximum is unique
+    these are the steps of scipy.special.logsumexp, so the bits are its
+    bits; where it is tied, the other copies stay in the sum, and the error
+    exceeds scipy's by at most an ulp of the larger of a_i and the result.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a)
-        tied = a == a_max
-        m = np.float64(np.count_nonzero(tied))
-        s = np.sum(np.exp(np.where(tied, -np.inf, a) - a_max))
-        if s != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a)))
-    return float(out)
+    i = np.argmax(a)
+    e = np.exp(a - a[i])
+    e[i] = 0.0
+    return float(a[i] + np.log1p(np.sum(e)))
 
 
 def _term_log_gammas(n: int, params: FractionalParams):
@@ -395,7 +385,7 @@ def _log_term_sums(log_entry, log_first, table):
     The pass over the states (d_{k-1}, d_k) sums all 2^{n-1} summands by
     log-sum-exp and maximizes the gamma factors alone by max-plus; order
     n's state, (log sums, log gamma maxima) indexed [d_{n-1}][d_n], comes
-    after n-1 steps.  A finish (one `_logsumexp`) costs about four steps,
+    after n-1 steps.  A finish (one `_logsumexp`) costs about three steps,
     so callers finish only the orders they take.
 
     The states are 2x2 nested lists of Python floats: on 2x2 arrays each
@@ -585,8 +575,10 @@ def log_chaos_series(
     n* = e^{L/a}.  Returns (log_sum, peak_index), the peak index being the
     integer n of the largest term, but in Laplace's branch int(n*), within 1
     of that n (floor(n*) or floor(n*) + 1).  The sums keep the terms
-    within e^-40 (about 1e-16) of the largest.  Where the bump lies
-    decides the rule, with edges n* - 9w - 50 (left) and n* + 12w + 50:
+    within e^-40 (about 1e-16) of the largest and add them by `_logsumexp`,
+    the largest term plus log1p of the others relative to it.  Where the
+    bump lies decides the rule, with edges n* - 9w - 50 (left) and
+    n* + 12w + 50:
       - Left edge <= 0: the integer sum from n = 0 to the first integer
         past the right edge.  Near n = 0 the terms can fall slower than
         the width says, so while the last term is within the cutoff the

@@ -113,14 +113,15 @@ def _oracle(value) -> str:
 
 def _paths(o: dict):
     n = o["n"]
-    a = exponent_matrix(n)
-    heights = np.arange(1, n + 1) - _offset_matrix(n)[:, :-1]  # k - d_{k-1}
+    d, ks = _offset_matrix(n), np.arange(1, n + 1)
     # one template per block of rows; it prints ints as json.dumps does
     ints = ", ".join(["%d"] * n)
     line = f'{{"n": {n}, "a": [{ints}], "path_heights": [{ints}]}}'
+    # a_k = 1 + d_k - d_{k-1} and the heights k - d_{k-1}, a block at a time
     return ("\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
-            for i in range(0, len(a), _BLOCK_ROWS)
-            for rows in [np.hstack((a[i:i + _BLOCK_ROWS], heights[i:i + _BLOCK_ROWS]))]), 0
+            for i in range(0, len(d), _BLOCK_ROWS)
+            for b in [d[i:i + _BLOCK_ROWS]]
+            for rows in [np.hstack((1 + b[:, 1:] - b[:, :-1], ks - b[:, :-1]))]), 0
 
 
 def _identity(o: dict):

@@ -120,21 +120,22 @@ def _check_enum_n(n) -> None:
         raise SizeError(f"n must be in [1, {MAX_ENUM_N}], got {n}")
 
 
-def _offset_matrix(n: int, dtype=np.int64) -> np.ndarray:
+def _offset_matrix(n: int) -> np.ndarray:
     """Offsets d_0..d_n of each row of `exponent_matrix(n)`, a (2^{n-1}, n+1)
-    array of dtype (int64 as always; int8 for A_n's smaller peak): row i's
+    int8 array: A_n's one array form, n+1 bytes a row, from which callers
+    form a_k = 1 + d_k - d_{k-1} and the heights k - d_{k-1}.  Row i's
     d_1..d_{n-1} are i's n-1 binary digits, high first, d_0 = d_n = 0."""
     _check_enum_n(n)
     rows = np.arange(1 << (n - 1), dtype=">u4").view(np.uint8).reshape(-1, 4)
-    offsets = np.zeros((rows.shape[0], n + 1), dtype=dtype)
+    offsets = np.zeros((rows.shape[0], n + 1), dtype=np.int8)
     offsets[:, 1:n] = np.unpackbits(rows, axis=1)[:, 33 - n:]
     return offsets
 
 
 def exponent_matrix(n: int) -> np.ndarray:
-    """A_n as a (2^{n-1}, n) int array, rows in lexicographic order: row
-    i has the offsets of `_offset_matrix(n)` row i, a_k = 1 + d_k - d_{k-1}."""
-    d = _offset_matrix(n, np.int8)
+    """A_n as a (2^{n-1}, n) int64 array, rows in lexicographic order: row
+    i is a_k = 1 + d_k - d_{k-1} of `_offset_matrix(n)` row i."""
+    d = _offset_matrix(n)
     a = np.subtract(d[:, 1:], d[:, :-1], dtype=np.int64)
     a += 1
     return a

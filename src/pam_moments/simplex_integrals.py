@@ -41,6 +41,9 @@ __all__ = [
 # the rounding allowance per quadrature factor, relative (4 ulps)
 _ROUNDING_EPS = 4.0 * float(np.finfo(float).eps)
 
+# samples of brute_force's monte-carlo estimate
+MC_SAMPLES = 200_000
+
 
 @dataclass(frozen=True)
 class SimplexIntegralSpec:
@@ -323,14 +326,13 @@ def _monte_carlo(spec: SimplexIntegralSpec, samples: int, seed: int):
 def brute_force(
     spec: SimplexIntegralSpec,
     method: str = "nested-quadrature",
-    budget: int = 200_000,
     rtol: float = 1e-8,
     seed: int = 0,
 ) -> BruteForceResult:
     """Independent numerical estimate of I_n with an error report.
 
     ``nested-quadrature`` supports n <= 3; ``monte-carlo`` supports
-    n <= 5 with ``budget`` samples.  An estimate whose reported error
+    n <= 5 with `MC_SAMPLES` samples.  An estimate whose reported error
     bound misses the target is returned as-is (the error_bound field is
     the contract), never silently tightened.  The seed must be a
     nonnegative integer and quadrature's rtol above 50 machine epsilons.
@@ -345,7 +347,6 @@ def brute_force(
     the float range (a weight or its square past it), it raises
     EstimationError.
     """
-    _check_int("budget", budget)
     _check_int("seed", seed)
     _check_real(rtol=rtol)
     if seed < 0:
@@ -362,10 +363,8 @@ def brute_force(
     elif method == "monte-carlo":
         if spec.n > 5:
             raise SizeError("monte-carlo supports n <= 5")
-        if budget < 2:
-            raise EstimationError("monte-carlo budget must be >= 2")
-        est, stderr = _monte_carlo(spec, budget, seed)
-        err, evals = 3.0 * stderr, budget
+        est, stderr = _monte_carlo(spec, MC_SAMPLES, seed)
+        err, evals = 3.0 * stderr, MC_SAMPLES
     else:
         raise DomainError(f"unknown method {method!r}")
     if not (math.isfinite(est) and math.isfinite(err)):

@@ -14,7 +14,7 @@ from pam_moments import cli
 # "p=" has a default; "*" starts the keyword-only parameters
 SIGNATURES = {
     "admissible_param_grid": "size=",
-    "brute_force": "spec, method=, budget=, rtol=, seed=",
+    "brute_force": "spec, method=, rtol=, seed=",
     "chaos_norm_estimate": "n, t, x, measure, params, samples, seed=, workers=",
     "check_cond_mu0": "measure, a_grid=",
     "check_conditions": "spec",
@@ -116,10 +116,10 @@ def test_cli_option_keys():
 
 
 def test_surface_counts():
-    # 88 parameters (20 with a default), 34 fields, 29 options; before the
+    # 87 parameters (19 with a default), 34 fields, 29 options; before the
     # audits that dropped unused knobs, defaults and echo fields: 91 (29), 46, 30
     params = [p.strip() for s in SIGNATURES.values() for p in s.split(",")]
     params = [p for p in params if p != "*"]
-    assert (len(params), sum(p.endswith("=") for p in params)) == (88, 20)
+    assert (len(params), sum(p.endswith("=") for p in params)) == (87, 19)
     assert sum(map(len, FIELDS.values())) == 34
     assert sum(map(len, CLI_OPTIONS.values())) == 29

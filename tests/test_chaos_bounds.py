@@ -377,8 +377,9 @@ def test_term_bound_b_homogeneity():
 
 
 def test_term_bound_size_cap():
-    with pytest.raises(SizeError):
-        term_bound(31, 1.0, P_REF)
+    for n, match in ((31, "n <= 30"), (0, "n must be >= 1"), (-2, "n must be >= 1")):
+        with pytest.raises(SizeError, match=match):
+            term_bound(n, 1.0, P_REF)
 
 
 def _log_term_sums_finished(n_max, params):
@@ -637,6 +638,9 @@ def test_inputs_beyond_the_float_range_raise_library_errors():
     with pytest.raises(EstimationError):
         moment_bound(1e75, 1.0, 0.0, FractionalParams(0.75, 0.3), DiracAt(0.0), C=4.0,
                      constants=(1.0, 1.0))
+    # far from a point mass J0(t, x) underflows to 0, which has no log
+    with pytest.raises(DomainError, match="J0"):
+        moment_bound(2.0, 1.0, 100.0, P_REF, DiracAt(0.0), C=4.0, constants=(1.0, 1.0))
     for p_grid, t_grid in (((), (1.0,)), ((2.0,), ())):
         with pytest.raises(ValidationError):
             _fit_log_envelope(P_REF, 4.0, p_grid, t_grid)

@@ -488,6 +488,11 @@ def test_config_key_that_names_no_option_is_a_usage_error(tmp_path, capsys):
     assert cli.run(["paths", "--config", str(path)], stdout=io.StringIO()) == 2
     assert capsys.readouterr().err.splitlines() == [
         "usage error: config key 'output' names no option of paths"]
+    # a file that holds no JSON object has no keys to read
+    path.write_text(json.dumps([{"n": 3}]))
+    assert cli.run(["paths", "--config", str(path)], stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: config file must contain a JSON object"]
     path.write_text(json.dumps({"n": 3}))
     assert run_cli("paths", "--config", str(path), "--output", os.devnull) == (0, "")
     assert cli.run(["selfcheck", "--config", str(path)], stdout=io.StringIO()) == 2

@@ -16,7 +16,7 @@ import pytest
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "01_lattice_paths": "e20fcc295ac7aad47f9e528b05a49b838581236a1ff78228e8d6f62e67fa60cf",
-    "02_simplex_integrals": "f335a258edeb8475f950c8fbd8bdd5bce0c07b09efdbac9cc6780d04f333f082",
+    "02_simplex_integrals": "423cc2c40d86c668e7b4f3adec5a645de823533c30060f62bfb8b5ebcf8f52c6",
     "03_initial_data": "768acc03c77056210389a717eb525e01cf0df2d87481f552ab24233ff100d7a4",
     "04_chaos_bounds": "27263357800a0a98251fd01e4b07ab4f3e99ac364756476d2d591c0bd73e5063",
     "05_monte_carlo_verification":

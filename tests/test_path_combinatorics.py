@@ -164,6 +164,15 @@ def test_identity_exact_small_cases():
     assert lhs == rhs == Fraction(3, 7) * Fraction(5, 2) + Fraction(9, 49)
 
 
+def test_identity_rejects_orders_and_inputs_outside_its_range():
+    for xs in ([Fraction(1, 2)], [], [1] * 17):
+        with pytest.raises(SizeError, match="2 <= n <= 16"):
+            expand_and_verify_identity(xs)
+    for xs in ([1, 0, 2], [Fraction(-1, 3), 1]):
+        with pytest.raises(DomainError, match="positive"):
+            expand_and_verify_identity(xs)
+
+
 def test_identity_random_rationals():
     rng = random.Random(99)
     for n in range(2, 13):
@@ -251,7 +260,7 @@ def test_offsets_and_exponents_equal_the_broadcast_construction():
     for n in (*range(1, 17), 20):
         want = _offset_matrix_broadcast(n)
         got = _offset_matrix(n)
-        assert got.dtype == np.int64 and np.array_equal(got, want), n
+        assert got.dtype == np.int8 and np.array_equal(got, want), n
         del got
         want = np.diff(want, axis=1) + 1
         got = exponent_matrix(n)
