@@ -49,7 +49,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
-from .errors import _check_int, _check_real, _exp_or_inf
+from .errors import _check_int, _check_real, _exp_or_inf, _real_array
 from .initial_data import InitialMeasure, j0 as _j0
 from .path_combinatorics import ExponentVector, _check_enum_n
 from .simplex_integrals import _sigma
@@ -138,10 +138,8 @@ def admissible_param_grid(size: int = 5) -> list[FractionalParams]:
 
 def spatial_exponents(a, params: FractionalParams) -> np.ndarray:
     """alpha_j = (1 - 2H) a_j, for a vector (or ExponentVector) or a matrix."""
-    try:
-        return (1.0 - 2.0 * params.H) * np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"a must be an array of real numbers: {exc}") from None
+    _check_params(params)
+    return (1.0 - 2.0 * params.H) * _real_array(a, "a must be an array of real numbers")
 
 
 def _alpha_tilde_first(alpha_1, params: FractionalParams):
@@ -173,9 +171,9 @@ def verify_ab_condition(
     sum_{i<=k}(alpha~_i + beta~_i) + k + 1 (`simplex_integrals._sigma`).
 
     Vectors run along the last axis: one vector gives a bool, an (m, n)
-    batch gives a bool array of shape (m,).  An entry numpy cannot read as
-    a float raises ValidationError, a partial sum of the tilde exponents
-    that is not finite DomainError.
+    batch gives a bool array of shape (m,).  An input that is not an array
+    of real numbers (`errors._real_array`) raises ValidationError, a
+    partial sum of the tilde exponents that is not finite DomainError.
 
     On the exponents of every a in A_n it holds, for every n: sigma_k =
     theta_k(d_{k-1}) rises with k, by (4H0+4H-3)/(4H0) + a_{k-1}(1-2H)/(4H0)
@@ -183,11 +181,8 @@ def verify_ab_condition(
     least margin over A_n is theta_1 = (2H0+H-1)/H0 > 0, at d_1 = 1,
     d_2 = 0 (`_min_ab_margins` gives it in closed form).
     """
-    try:
-        at, bt, al = (np.atleast_1d(np.asarray(v, dtype=float))
-                      for v in (alpha_tilde, beta_tilde, alpha))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"exponents must be arrays of real numbers: {exc}") from None
+    at, bt, al = (np.atleast_1d(_real_array(v, "exponents must be arrays of real numbers"))
+                  for v in (alpha_tilde, beta_tilde, alpha))
     if bt.shape != at.shape or al.shape != at.shape:
         raise ValidationError("inconsistent lengths")
     with np.errstate(over="ignore"):  # a margin past the floats is +-inf

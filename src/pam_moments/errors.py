@@ -50,6 +50,20 @@ def _check_real(**values) -> None:
             raise ValidationError(f"{name} must be real, got an int past the float range")
 
 
+def _real_array(value, what: str) -> np.ndarray:
+    """value as a float array, or ValidationError, its message starting
+    with what, where numpy cannot read it as an array or reads it with a
+    dtype other than an integer or float one (a bool, string or object
+    such as None)."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what}, got dtype {arr.dtype}")
+    return arr.astype(float)
+
+
 def _exp_or_inf(x: float) -> float:
     """exp(x), or inf where that exceeds the float range."""
     try:

@@ -50,10 +50,10 @@ Everything is estimated by importance sampling with explicit densities:
   * s_j | t_j with density proportional to |t_j - s_j|^{2 H0 - 2} on (0, t),
     drawn by inverse CDF (integrable since 2 H0 - 2 > -1);
   * xi_j with density proportional to |xi|^{1 - 2H} exp(-r xi^2), i.e.
-    xi^2 ~ Gamma(1 - H, rate r) with a random sign; the rate is adapted per
-    sample to r = lambda_min(S_t + S_s) / 4 so the weight
-    exp(r |xi|^2 - xi^T (S_t + S_s) xi / 2) stays bounded by
-    exp(-r |xi|^2) and the estimator has finite variance.
+    xi^2 ~ Gamma(1 - H, rate r) with a random sign.  Any r > 0 leaves the
+    estimator unbiased; r = lambda_min(S_t + S_s) / 4, per sample, bounds
+    the weight exp(r |xi|^2 - xi^T (S_t + S_s) xi / 2) by exp(-r |xi|^2),
+    so the estimator has finite variance.
 
 The arithmetic works on columns: a row's n times, rough times and
 spectral draws are the n columns of (m, n) blocks, and every step is a
@@ -66,24 +66,17 @@ np.maximum) and keep S as its lower triangle of columns, (S_11,) or
 (S_11, S_21, S_22).
 
 The smallest eigenvalue that sets the rate is computed by `_lambda_min`
-from that triangle.  For n = 1 it is S_11.  For n = 2 it repeats, in
-numpy, the arithmetic LAPACK does for a 2x2 symmetric matrix on the path
-that ``np.linalg.eigvalsh`` takes (``dsyevd``, whose tridiagonal reduction
-leaves a 2x2 matrix as it is, then ``dsterf``): ``dsterf``'s two split
-tests, after which the eigenvalues are the diagonal, and otherwise
-``dlae2`` on the squared and re-rooted off-diagonal entry.  Each step is
-the same correctly rounded IEEE operation on the same operands, in the
-same order, so the result is LAPACK's bit for bit, as long as LAPACK is
-built without fused multiply-adds there (the tests compare it with
-``eigvalsh`` on the sampler's own matrices).  Rows whose largest entry
-lies outside [2^-405, 2^485], where ``dsyevd`` or ``dsterf`` would
-rescale, go to ``eigvalsh`` itself.  Row sums fold the columns left to
-right, and `_quadform` sums the terms (xi_j S_jk) xi_k of xi^T S xi in
-row-major (j, k) order: these are the terms and orders of
-``np.sum(axis=1)`` and ``np.einsum``, so for n <= 2 the bits are theirs
-(einsum's on batches of four rows or more, where the tests compare
-them).  `verify_lemma32` uses the same pieces with one S and one R per
-time sample, their entries scalars against the xi columns.
+from that triangle: S_11 for n = 1, and for n = 2 the closed form
+(S_11 + S_22) / 2 - hypot((S_11 - S_22) / 2, S_21), which the tests
+find within 4 ulps of lambda_max from a 50-digit eigenvalue.  Its bits
+depend on numpy alone, not on how a linear-algebra library was built,
+as none is called.  Row sums fold the columns left to right, and `_quadform` sums
+the terms (xi_j S_jk) xi_k of xi^T S xi in row-major (j, k) order: these
+are the terms and orders of ``np.sum(axis=1)`` and ``np.einsum``, so for
+n <= 2 the bits are theirs (einsum's on batches of four rows or more,
+where the tests compare them).  `verify_lemma32` uses the same pieces
+with one S and one R per time sample, their entries scalars against the
+xi columns.
 
 Draws in the stream's order, arithmetic in two halves: each worker stream
 draws its blocks in the order the stream has always used them: the
@@ -118,28 +111,29 @@ made the estimator about 4% slower.  The chunk working set stays under
 `_CHUNK_ROWS` floats).
 
 Reproducibility: a single integer seed is expanded through
-``SeedSequence(seed).spawn(workers)`` into independent Philox streams, one
-per worker; the per-worker batches are always accumulated in worker order,
-so the result depends only on (seed, workers and the sample counts, which
-every caller states: they have no defaults), never on timing.  The
-streams run one after another.  Within a stream's turn, a helper thread
-draws the Gamma(1 - H) block and the sign uniforms while the calling
-thread runs the time half.  numpy releases the GIL while it fills a
-block, and a gamma draw costs about 75 ns against about 9 ns for a
-uniform, so the two overlap on a second CPU.  The helper is the stream's
-only user from its start until it is joined, so the stream hands out the
-same numbers in the same order, and it touches nothing but the stream
-and the blocks it returns, so no bit depends on which thread runs
-first.  The helper is started and joined inside the stream's turn, also
-when either half raises, and the draw's exception is re-raised in the
-caller: no thread outlives a call.  On a 2-vCPU Xeon the benchmark's
-mc-verify round took 0.84x its serial time (12 alternating pairs, all
-lower); pinned to one CPU, where nothing overlaps, it took 1.005x.
-Other splits do not pay on that box: a 60k-sample n = 2 estimate at two
-workers ran at 0.57-0.78x the serial speed with each stream's 4096-row
-chunks on a 2-thread pool, and at 1.06-1.21x with the two streams on two
-threads (same bits; medians of 15, three measurements).  So ``workers`` changes the result, not the
-speed.
+``SeedSequence(seed).spawn`` into independent Philox streams, one per
+worker that gets a row (a child does not depend on how many are spawned,
+so workers past the rows are not made and change nothing); the batches
+are always accumulated in worker order, so the result depends only on
+(seed, workers and the sample counts, which every caller states: they
+have no defaults), never on timing.  The streams run one after another.
+Within a stream's turn, a helper thread draws the Gamma(1 - H) block and
+the sign uniforms while the calling thread runs the time half.  numpy
+releases the GIL while it fills a block, and a gamma draw costs about 75
+ns against about 9 ns for a uniform, so the two overlap on a second CPU.
+The helper is the stream's only user from its start until it is joined,
+so the stream hands out the same numbers in the same order, and it
+touches nothing but the stream and the blocks it returns, so no bit
+depends on which thread runs first.  The helper is started and joined
+inside the stream's turn, also when either half raises, and the draw's
+exception is re-raised in the caller: no thread outlives a call.  On a
+2-vCPU Xeon the benchmark's mc-verify round took 0.84x its serial time
+(12 alternating pairs, all lower); pinned to one CPU, where nothing
+overlaps, it took 1.005x.  Other splits do not pay on that box: a
+60k-sample n = 2 estimate at two workers ran at 0.57-0.78x the serial
+speed with each stream's 4096-row chunks on a 2-thread pool, and at
+1.06-1.21x with the two streams on two threads (same bits; medians of 15,
+three measurements).  So ``workers`` changes the result, not the speed.
 """
 
 from __future__ import annotations
@@ -300,66 +294,30 @@ def _quadform(tri, v) -> np.ndarray:
     return v0 * a * v0 + v0 * b * v1 + v1 * b * v0 + v1 * c * v1
 
 
-# LAPACK's dlamch('E'): the unit roundoff 2^-53
-_EPS = 2.0**-53
-# dsyevd rescales a matrix whose largest entry is outside [2^-485, 2^485],
-# dsterf a 2x2 block outside [2^-405, 2^511 / 3]
-_UNSCALED = (2.0**-405, 2.0**485)
-
-
 def _lambda_min(a, b=None, c=None) -> np.ndarray:
     """Smallest eigenvalue of the symmetric matrices with lower triangle
-    (a,) or (a, b, c), entries given as columns over the batch.
-
-    Bit for bit np.linalg.eigvalsh(mats)[:, 0]: see the module docstring.
-    """
+    (a,) or (a, b, c), entries given as columns over the batch: a, or
+    the closed form (a + c) / 2 - hypot((a - c) / 2, b), with a and c
+    halved before they are summed, so that a + c cannot overflow."""
     if b is None:
         return a
-    abs_a, abs_b, abs_c = np.abs(a), np.abs(b), np.abs(c)
-    anorm = np.maximum(np.maximum(abs_a, abs_b), abs_c)
-    # a 0 / 0 below falls on a split block (b = 0) or on a row out of range
-    # (zero, huge, nan), which eigvalsh recomputes
-    with np.errstate(all="ignore"):
-        # dsterf: off-diagonal negligible before, or after squaring it
-        e = b * b
-        split = (abs_b <= np.sqrt(abs_a) * np.sqrt(abs_c) * _EPS) | (
-            e <= _EPS**2 * np.abs(a * c)
-        )
-        # dlae2(a, sqrt(e), c), its arguments swapped when |c| < |a|
-        rte = np.sqrt(e)
-        sm = a + c
-        adf = np.abs(a - c)
-        ab = np.abs(rte + rte)
-        big, small = np.maximum(adf, ab), np.minimum(adf, ab)
-        rt = big * np.sqrt(1.0 + (small / big) ** 2)
-        rt1 = np.where(sm < 0.0, 0.5 * (sm - rt), 0.5 * (sm + rt))
-        a_first = abs_a > abs_c
-        acmx, acmn = np.where(a_first, a, c), np.where(a_first, c, a)
-        rt2 = np.where(
-            sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (rte / rt1) * rte
-        )
-        lam = np.where(split, np.minimum(a, c), np.minimum(rt1, rt2))
-    rescaled = ~((anorm >= _UNSCALED[0]) & (anorm <= _UNSCALED[1]))
-    if rescaled.any():
-        mats = np.stack([a, b, b, c], axis=-1)[rescaled].reshape(-1, 2, 2)
-        lam[rescaled] = np.linalg.eigvalsh(mats)[:, 0]
-    return lam
+    return 0.5 * a + 0.5 * c - np.hypot(0.5 * a - 0.5 * c, b)
 
 
-def _spawn_streams(seed: int, workers: int) -> list:
+def _worker_streams(seed: int, workers: int, rows: int) -> list:
+    """(Philox stream, its rows) of each worker that gets a row, the first
+    min(workers, rows), in worker order (see the module docstring)."""
     _check_int("seed", seed)
     _check_int("workers", workers)
     if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     if workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers}")
-    children = np.random.SeedSequence(int(seed)).spawn(int(workers))
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
-
-
-def _worker_counts(samples: int, workers: int) -> list:
-    base, extra = divmod(int(samples), int(workers))
-    return [base + (1 if i < extra else 0) for i in range(workers)]
+    streams = min(int(workers), int(rows))
+    base, extra = divmod(int(rows), streams)
+    children = np.random.SeedSequence(int(seed)).spawn(streams)
+    return [(np.random.Generator(np.random.Philox(c)), base + (1 if i < extra else 0))
+            for i, c in enumerate(children)]
 
 
 # rows per chunk of the per-sample arithmetic (under 1 MiB of temporaries
@@ -505,9 +463,7 @@ def chaos_norm_estimate(
     total = 0.0
     total_sq = 0.0
     count = 0
-    for rng, m in zip(_spawn_streams(seed, workers), _worker_counts(samples, workers)):
-        if m == 0:
-            continue
+    for rng, m in _worker_streams(seed, workers, samples):
         vals = _stream_values(rng, m, n, t, kernel, q, h, j0, log_const)
         total += float(np.sum(vals))
         with np.errstate(over="ignore"):
@@ -611,8 +567,8 @@ def verify_lemma32(
         raise DomainError("time_samples and xi_samples must be >= 1, "
                           f"got {time_samples} and {xi_samples}")
     h = params.H
-    streams = _spawn_streams(seed, workers)
-    tau = np.sort(streams[0].uniform(0.0, t, size=(time_samples, n)), axis=1)
+    streams = _worker_streams(seed, workers, xi_samples)
+    tau = np.sort(streams[0][0].uniform(0.0, t, size=(time_samples, n)), axis=1)
     _, cov, _ = _kernel_formulas(t, x, measure)
     cov_tri = _cov_triangle(cov, tuple(tau.T))
     j0sq = measure.j0(t, x) ** 2
@@ -628,9 +584,7 @@ def verify_lemma32(
     lhs = np.zeros(time_samples)
     rhs = np.zeros(time_samples)
     dvar = np.zeros(time_samples)
-    for rng, m in zip(streams, _worker_counts(xi_samples, workers)):
-        if m == 0:
-            continue
+    for rng, m in streams:
         for i, row in enumerate(rows):
             a, b = _majorant_terms(_spectral_draws(rng, m, n, h), j0sq, *row)
             lhs[i] += float(np.sum(a))

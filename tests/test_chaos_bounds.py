@@ -146,8 +146,10 @@ def _enumerated_margins(n, params):
     """Oracle for `_min_ab_margins`: sigma_k + alpha_{k+1}, k < n, on every
     row of exponent_matrix(n), from the cumulative tilde sums (acceptance
     check 8 enumerated these before its closed form), with the spatial
-    and tilde exponents it fed to verify_ab_condition."""
-    alpha = spatial_exponents(exponent_matrix(n), params)
+    and tilde exponents it fed to verify_ab_condition.  The spatial
+    exponents are written out: params may be one of OUTSIDE_PARAMS, which
+    `spatial_exponents` refuses as not a FractionalParams."""
+    alpha = (1.0 - 2.0 * params.H) * exponent_matrix(n).astype(float)
     at, bt = _tilde_matrix(alpha, params)
     return _sigma(at, bt)[:, :-1] + alpha[:, 1:], (at, bt, alpha)
 
@@ -766,9 +768,19 @@ def test_inputs_that_are_not_real_numbers_are_validation_errors():
     # an entry numpy cannot read once raised numpy's bare ValueError
     with pytest.raises(ValidationError, match="exponents must be arrays of real numbers"):
         verify_ab_condition(["a"], [1.0], [1.0])
-    for a in ("x", [[1.0, 2.0], "x"], [[1.0, 2.0], [3.0]]):
+    for a in ("x", [[1.0, 2.0], "x"], [[1.0, 2.0], [3.0]],
+              # these once gave nan or numbers: numpy reads None, a string
+              # and a bool as floats
+              None, "1", True, [1, "2"]):
         with pytest.raises(ValidationError, match="a must be an array of real numbers"):
             spatial_exponents(a, P_REF)
+    # a params that is not a FractionalParams once ended in AttributeError
+    with pytest.raises(ValidationError, match="params must be a FractionalParams"):
+        spatial_exponents((1, 1), "x")
+    # a string and a bool once passed as the numbers 1
+    for args in ((["1"], [True], [1.0]), ([1.0], [True], [1.0]), ([None], [1.0], [1.0])):
+        with pytest.raises(ValidationError, match="exponents must be arrays of real numbers"):
+            verify_ab_condition(*args)
     # numbers of every real type still pass, and nan is a domain error
     assert FractionalParams(np.float64(0.75), 0.3, 2) == FractionalParams(0.75, 0.3, 2.0)
     assert np.array_equal(spatial_exponents(np.array([2, 0]), P_REF),

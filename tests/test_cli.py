@@ -167,6 +167,20 @@ def test_mc_verify_at_a_tiny_horizon_is_an_estimation_error(capsys):
             ]
 
 
+def test_mc_verify_with_more_workers_than_samples_exits_0(capsys):
+    # 1e20 workers once ended in an OverflowError traceback from
+    # SeedSequence.spawn; streams past the rows are not made, so the
+    # estimate at 2 samples is that of 2 workers
+    base = ("mc-verify", "--n", "2", "--t", "1", "--H0", "0.75", "--H", "0.3",
+            "--samples", "2", "--workers")
+    code, out = run_cli(*base, "100000000000000000000")
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    report, want = json.loads(out), json.loads(run_cli(*base, "2")[1])
+    assert report["config"]["workers"] == 100000000000000000000
+    for key in ("estimate", "stderr", "minimal_b", "bound_passed"):
+        assert report[key] == want[key], key
+
+
 def test_dirichlet_beyond_the_float_range_names_its_input(capsys):
     # a partial sum of alphas and betas overflowing once leaked numpy's
     # overflow warning and blamed an input `x` the spec does not have; a

@@ -3,20 +3,22 @@ replaced, kept here as test-only oracles, and the sampler's floats pinned.
 
 The oracles are the estimator and the lemma check in their matrix form:
 np.sort, the gathered (m, n, n) covariance of `kernel_fourier_gaussian`
-(`kernel_oracle.py`), ``np.linalg.eigvalsh``, ``np.sum(axis=1)`` and
-``np.einsum``, each on a stream's whole batch.  `_lambda_min`, the 2-wide sort, the covariance
-triangle and the column folds repeat the operations of those calls in the
-same order, so the comparisons are exact (``==``), not within a tolerance.
-``np.einsum`` rounds differently on batches of one or two rows, so the
-oracles are run on at least four rows per stream, and the estimate at two
-samples is pinned instead; the column form does not depend on the batch
-size at all.
+(`kernel_oracle.py`), the closed-form smallest eigenvalue on those
+matrices, ``np.sum(axis=1)`` and ``np.einsum``, each on a stream's whole
+batch.  `_lambda_min`, the 2-wide sort, the covariance triangle and the
+column folds repeat the operations of those calls in the same order, so
+the comparisons are exact (``==``), not within a tolerance; the closed
+form itself is checked against a 50-digit eigenvalue.  ``np.einsum``
+rounds differently on batches of one or two rows, so the oracles are run
+on at least four rows per stream, and the estimate at two samples is
+pinned instead; the column form does not depend on the batch size at all.
 """
 
 import io
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -36,10 +38,9 @@ from pam_moments.mc_verifier import (
     _rough_times,
     _row_sum,
     _sorted_columns,
-    _spawn_streams,
     _spectral_draws,
     _time_half,
-    _worker_counts,
+    _worker_streams,
     _xi_half,
     chaos_norm_estimate,
     verify_lemma32,
@@ -101,6 +102,15 @@ def _log_const(n, t, params):
     ) - math.lgamma(n + 1.0)
 
 
+def _smallest_eigenvalue(mats):
+    """The smallest eigenvalue of each symmetric (m, n, n) matrix, n <= 2,
+    in closed form: M_11, or (M_11 + M_22) / 2 - hypot((M_11 - M_22) / 2, M_21)."""
+    if mats.shape[1] == 1:
+        return mats[:, 0, 0]
+    a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+    return 0.5 * a + 0.5 * c - np.hypot(0.5 * a - 0.5 * c, b)
+
+
 def _matrix_form_values(tt, side_u, dist_u, g, sign_u, t, x, measure, params):
     """The weighted integrand of `chaos_norm_estimate` in its matrix form."""
     n, h = tt.shape[1], params.H
@@ -109,7 +119,7 @@ def _matrix_form_values(tt, side_u, dist_u, g, sign_u, t, x, measure, params):
         gt = kernel_fourier_gaussian(np.sort(tt, axis=1), t, x, measure)
         gs = kernel_fourier_gaussian(np.sort(ss, axis=1), t, x, measure)
         big_s = gt.cov + gs.cov
-        rate = np.maximum(0.25 * np.linalg.eigvalsh(big_s)[:, 0], 1e-300)
+        rate = np.maximum(0.25 * _smallest_eigenvalue(big_s), 1e-300)
         sign = np.where(sign_u < 0.5, -1.0, 1.0)
         xi = sign * np.sqrt(g / rate[:, None])
         log_weight = (
@@ -131,7 +141,7 @@ def _whole_array_estimate(n, t, x, measure, params, samples, seed, workers):
     worker's draws taken in the stream's order and all its rows at once."""
     total = total_sq = 0.0
     count = 0
-    for rng, m in zip(_spawn_streams(seed, workers), _worker_counts(samples, workers)):
+    for rng, m in _worker_streams(seed, workers, samples):
         draws = (rng.uniform(0.0, t, size=(m, n)), rng.random((m, n)), rng.random((m, n)),
                  *_spectral_draws(rng, m, n, params.H))
         vals = _matrix_form_values(*draws, t, x, measure, params)
@@ -146,17 +156,16 @@ def _matrix_form_lemma(n, t, x, measure, params, time_samples, xi_samples, seed,
     """(lhs, rhs, diff_stderr) of `verify_lemma32` in its matrix form, with
     np.einsum on each stream's batch of spectral draws."""
     h = params.H
-    streams = _spawn_streams(seed, workers)
-    tau = np.sort(streams[0].uniform(0.0, t, size=(time_samples, n)), axis=1)
+    streams = _worker_streams(seed, workers, xi_samples)
+    tau = np.sort(streams[0][0].uniform(0.0, t, size=(time_samples, n)), axis=1)
     gk = kernel_fourier_gaussian(tau, t, x, measure)
     rform = _majorant_form(tau, t)
     j0sq = measure.j0(t, x) ** 2
-    lam = np.minimum(np.linalg.eigvalsh(2.0 * gk.cov)[:, 0],
-                     np.linalg.eigvalsh(2.0 * rform)[:, 0])
+    lam = np.minimum(_smallest_eigenvalue(2.0 * gk.cov), _smallest_eigenvalue(2.0 * rform))
     rate = np.maximum(0.25 * lam, 1e-300)
     log_norm = n * (math.log(params.c_H) + math.lgamma(1.0 - h)) + n * (h - 1.0) * np.log(rate)
     lhs, rhs, dvar = np.zeros(time_samples), np.zeros(time_samples), np.zeros(time_samples)
-    for rng, m in zip(streams, _worker_counts(xi_samples, workers)):
+    for rng, m in streams:
         for i in range(time_samples):
             g, sign_u = _spectral_draws(rng, m, n, h)
             xi = np.where(sign_u < 0.5, -1.0, 1.0) * np.sqrt(g / np.full(m, rate[i])[:, None])
@@ -184,11 +193,11 @@ TWO_SAMPLES = {
     (1, "lebesgue", 3): ("0x1.461ca9625c1f5p-3", "0x1.b2282203fe063p-5"),
     (1, "gaussian", 1): ("0x1.288ec897fef62p-9", "0x1.562c69d857ad4p-10"),
     (1, "gaussian", 3): ("0x1.6c4c34b90565ep-7", "0x1.ba95709b44eacp-9"),
-    (2, "dirac", 1): ("0x1.511a3f587b9e2p-9", "0x1.194817a6b5a34p-10"),
+    (2, "dirac", 1): ("0x1.511a3f587b9e3p-9", "0x1.194817a6b5a31p-10"),
     (2, "dirac", 3): ("0x1.e5e93c8627589p-10", "0x1.579706e3375d7p-10"),
-    (2, "lebesgue", 1): ("0x1.7b0fd693152a4p-19", "0x1.0c09862868b52p-19"),
+    (2, "lebesgue", 1): ("0x1.7b0fd693152afp-19", "0x1.0c09862868b5bp-19"),
     (2, "lebesgue", 3): ("0x1.96745b5fcc1c6p-12", "0x1.1f68208f073bep-12"),
-    (2, "gaussian", 1): ("0x1.131ba449643e6p-15", "0x1.84a526e58aa8ap-16"),
+    (2, "gaussian", 1): ("0x1.131ba449643f3p-15", "0x1.84a526e58aa9cp-16"),
     (2, "gaussian", 3): ("0x1.f48566e7d57a4p-13", "0x1.61ebfe84e4370p-13"),
 }
 
@@ -290,32 +299,32 @@ def test_row_values_do_not_depend_on_the_batch_size(n, kind):
             assert np.array_equal(rhs, whole_rhs[rows]), (size, lo)
 
 
-def _lambda_min_is_eigvalsh(mats):
-    return np.array_equal(_lambda_min(*_lower_triangle(mats)), np.linalg.eigvalsh(mats)[:, 0])
+def _lambda_min_error_in_ulps(mats):
+    """|lambda_min - lambda| per matrix, for lambda the smallest eigenvalue
+    by mpmath's Jacobi solver at 50 digits, in ulps of the largest one."""
+    got = _lambda_min(*_lower_triangle(mats))
+    errors = []
+    with mpmath.workdps(50):
+        for m, lam in zip(mats, got.tolist()):
+            lo, hi = sorted(mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True))
+            ulp = np.spacing(abs(float(hi)))
+            errors.append(float(abs(mpmath.mpf(lam) - lo)) / ulp)
+    return np.array(errors)
 
 
-@pytest.mark.parametrize("kind", sorted(MEASURES))
-def test_lambda_min_is_eigvalsh_on_the_sampler_matrices(kind):
-    """Bit for bit on the covariance sums the sampler's own formulas
-    produce, for t from 1e-3 to 1e3 and with tied times.
-
-    The test is kept to these matrices, which are what the sampler's bits
-    rest on.  It is not widened to arbitrary symmetric matrices: there the
-    equality also depends on how LAPACK's dlae2 was compiled (a fused
-    multiply-add in its last line moves the result by up to an ulp)."""
+def test_lambda_min_is_within_four_ulps_of_the_largest_eigenvalue():
+    """The closed form against a 50-digit eigenvalue, on the 2x2 matrices
+    the samplers take it of (t from 1e-3 to 1e3, with tied times),
+    near-diagonal blocks, whose off-diagonal entry lies a few ulps around
+    sqrt(a c) 2^-53, and PSD blocks scaled by 0 and across the float range.
+    Where lambda_min is much smaller than lambda_max the closed form's last
+    subtraction cancels, so its error is counted in ulps of lambda_max; a
+    missing half, min(a, c) or + hypot miss by far more."""
     rng = np.random.default_rng(11)
-    for t in np.geomspace(1e-3, 1e3, 7):
-        for h0 in (0.51, 0.75, 0.94):
-            mats = _sampler_matrices(rng, MEASURES[kind], float(t), h0)
-            assert _lambda_min_is_eigvalsh(mats), (t, h0)
-
-
-def test_lambda_min_split_blocks_are_eigvalsh():
-    """Near-diagonal blocks.  Below dsterf's first split threshold the
-    eigenvalues are the diagonal, which dlae2 would round differently; a
-    few ulps above it only the squared test b^2 <= eps^2 |a c| can split."""
-    rng = np.random.default_rng(14)
-    m = 20_000
+    for kind, t, h0 in itertools.product(sorted(MEASURES), (1e-3, 1.0, 1e3), (0.51, 0.94)):
+        mats = _sampler_matrices(rng, MEASURES[kind], t, h0, m=150)
+        assert _lambda_min_error_in_ulps(mats).max() <= 4.0, (kind, t, h0)
+    m = 400
     a = rng.uniform(0.5, 2.0, m)
     c = a * (1.0 + rng.uniform(-1e-8, 1e-8, m))
     threshold = np.sqrt(a) * np.sqrt(c) * 2.0**-53
@@ -324,18 +333,13 @@ def test_lambda_min_split_blocks_are_eigvalsh():
         mats = np.empty((m, 2, 2))
         mats[:, 0, 0], mats[:, 1, 1] = a, c
         mats[:, 0, 1] = mats[:, 1, 0] = b * rng.choice([-1.0, 1.0], m)
-        assert _lambda_min_is_eigvalsh(mats)
-
-
-def test_lambda_min_rescaled_blocks_and_other_sizes_are_eigvalsh():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((200, 2, 2))
-    psd = a @ np.transpose(a, (0, 2, 1))
-    # outside [2^-405, 2^485] LAPACK rescales; those rows take eigvalsh
+        assert _lambda_min_error_in_ulps(mats).max() <= 4.0
+    half = rng.standard_normal((200, 2, 2))
+    psd = half @ np.transpose(half, (0, 2, 1))
     for scale in (0.0, 1e-300, 1e-125, 1e140, 1e300):
-        assert _lambda_min_is_eigvalsh(psd * scale)
-    assert _lambda_min_is_eigvalsh(np.concatenate([psd, psd * 1e-300, np.zeros((3, 2, 2))]))
-    assert _lambda_min_is_eigvalsh(rng.standard_normal((50, 1, 1)) ** 2)
+        assert _lambda_min_error_in_ulps(psd * scale).max() <= 4.0, scale
+    one = rng.standard_normal(50) ** 2
+    assert _lambda_min(one) is one
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -424,37 +428,37 @@ PINNED = {
         [0.00018359326253019823, 0.00034900090798740453],
     ),
     (2, "dirac", 1): (
-        (0.03580018455022495, 0.0018749704409412307),
+        (0.03580018455022496, 0.001874970440941232),
         [0.0751649072637798, 0.12220065527986347],
         [0.07516490726377982, 0.1222006552798635],
         [1.7869025729349354e-18, 5.4466830000895075e-18],
     ),
     (2, "dirac", 3): (
-        (0.03596484904339001, 0.0018435549389509511),
+        (0.03596484904339001, 0.0018435549389509505),
         [0.07561179040198726, 0.12671348669821617],
         [0.07561179040198726, 0.1267134866982162],
         [2.0919685385711572e-18, 5.285477886897292e-18],
     ),
     (2, "lebesgue", 1): (
-        (0.18430069253660267, 0.014079901427747527),
+        (0.18430069253660267, 0.014079901427747524),
         [0.5498392579077656, 1.1304376087498489],
         [0.860787953372796, 1.3994409863372006],
         [0.025357223737668338, 0.0300469962910307],
     ),
     (2, "lebesgue", 3): (
-        (0.18517333949687304, 0.014405194912768138),
+        (0.18517333949687304, 0.014405194912768112),
         [0.5563450530255795, 1.1558196903152858],
         [0.8659056557147206, 1.4511218978413933],
         [0.025463530607582892, 0.029857152831254393],
     ),
     (2, "gaussian", 1): (
-        (0.012984997765176264, 0.0008117491727104721),
+        (0.012984997765176264, 0.000811749172710472),
         [0.036911579546079605, 0.06730503092455786],
         [0.045417950699559104, 0.07383902327554816],
         [0.0006672742800274167, 0.0007169932463914208],
     ),
     (2, "gaussian", 3): (
-        (0.01297636793680422, 0.0008275312083984255),
+        (0.012976367936804225, 0.000827531208398427),
         [0.03723592469648394, 0.06913116036751611],
         [0.045687977193017586, 0.07656587497184408],
         [0.0006759214849504028, 0.0007394669238678427],
@@ -478,12 +482,12 @@ README_MC_VERIFY = (
     '{"bound": "0.99221758123139325", "bound_passed": true, "config": {"H": '
     '"0.29999999999999999", "H0": "0.75", "b": "1", "measure": "{\\"type\\": '
     '\\"dirac\\", \\"x0\\": 0.0}", "n": 2, "samples": 200000, "seed": 7, "t": "1", '
-    '"workers": 4, "x": "0"}, "estimate": "0.04234310361244107", "minimal_b": '
-    '"0.51781880573510697", "spectral_majorant_passed": true, "spectral_margins": '
+    '"workers": 4, "x": "0"}, "estimate": "0.042343103612441063", "minimal_b": '
+    '"0.51781880573510686", "spectral_majorant_passed": true, "spectral_margins": '
     '["0", "-1.1102230246251565e-15", "-2.7755575615628914e-17", "0", "0", '
-    '"6.9388939039072284e-18", "0", "-2.7755575615628914e-17", '
-    '"1.1102230246251565e-16", "2.7755575615628914e-17"], "stderr": '
-    '"0.0004073962624199049"}\n'
+    '"6.9388939039072284e-18", "6.9388939039072284e-18", "-2.7755575615628914e-17", '
+    '"1.6653345369377348e-16", "2.7755575615628914e-17"], "stderr": '
+    '"0.00040739626241990425"}\n'
 )
 
 

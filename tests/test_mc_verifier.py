@@ -307,13 +307,17 @@ def test_degenerate_inputs_give_inf_or_a_library_error():
         with pytest.raises(DomainError):
             verify_lemma32(2, 1.0, 0.0, DiracAt(0.0), P, time_samples=time_samples,
                            xi_samples=xi_samples)
-    # more worker streams than spectral draws: the streams past the draws
-    # draw nothing, and the first ones are those of fewer workers
+    # more worker streams than spectral draws or samples: the streams past
+    # the rows are not made, and the first ones are those of fewer workers;
+    # 2**70 workers once ended in an OverflowError from SeedSequence.spawn
     args = (2, 1.0, 0.2, LebesgueConstant(1.0), P)
-    many = verify_lemma32(*args, time_samples=3, xi_samples=2, seed=3, workers=5)
     two = verify_lemma32(*args, time_samples=3, xi_samples=2, seed=3, workers=2)
-    for side in ("lhs", "rhs", "diff_stderr"):
-        assert np.array_equal(getattr(many, side), getattr(two, side)), side
+    for workers in (5, 2**70):
+        many = verify_lemma32(*args, time_samples=3, xi_samples=2, seed=3, workers=workers)
+        for side in ("lhs", "rhs", "diff_stderr"):
+            assert np.array_equal(getattr(many, side), getattr(two, side)), side
+    many = chaos_norm_estimate(*args, samples=2, seed=3, workers=2**70)
+    assert many == chaos_norm_estimate(*args, samples=2, seed=3, workers=2)
     # a non-finite horizon or point is a domain error, not a numpy range
     # error; an infinite x once ended in a non-finite accumulator only
     # because inf - inf made the phase nan, and Lebesgue's estimate, which
