@@ -312,18 +312,27 @@ def _lambda_min_error_in_ulps(mats):
     return np.array(errors)
 
 
-def test_lambda_min_is_within_four_ulps_of_the_largest_eigenvalue():
-    """The closed form against a 50-digit eigenvalue, on the 2x2 matrices
-    the samplers take it of (t from 1e-3 to 1e3, with tied times),
-    near-diagonal blocks, whose off-diagonal entry lies a few ulps around
-    sqrt(a c) 2^-53, and PSD blocks scaled by 0 and across the float range.
-    Where lambda_min is much smaller than lambda_max the closed form's last
-    subtraction cancels, so its error is counted in ulps of lambda_max; a
-    missing half, min(a, c) or + hypot miss by far more."""
+def _lambda_min_is_within_four_ulps(mats):
+    """Where lambda_min is much smaller than lambda_max the closed form's
+    last subtraction cancels, so its error is counted in ulps of
+    lambda_max; a missing half, min(a, c) or + hypot miss by far more."""
+    return _lambda_min_error_in_ulps(mats).max() <= 4.0
+
+
+@pytest.mark.parametrize("kind", sorted(MEASURES))
+def test_lambda_min_is_accurate_on_the_sampler_matrices(kind):
+    """The 2x2 matrices the samplers take it of, for t from 1e-3 to 1e3
+    and with tied times."""
     rng = np.random.default_rng(11)
-    for kind, t, h0 in itertools.product(sorted(MEASURES), (1e-3, 1.0, 1e3), (0.51, 0.94)):
+    for t, h0 in itertools.product((1e-3, 1.0, 1e3), (0.51, 0.94)):
         mats = _sampler_matrices(rng, MEASURES[kind], t, h0, m=150)
-        assert _lambda_min_error_in_ulps(mats).max() <= 4.0, (kind, t, h0)
+        assert _lambda_min_is_within_four_ulps(mats), (t, h0)
+
+
+def test_lambda_min_is_accurate_on_near_diagonal_blocks():
+    """Blocks whose off-diagonal entry lies a few ulps around
+    sqrt(a c) 2^-53."""
+    rng = np.random.default_rng(14)
     m = 400
     a = rng.uniform(0.5, 2.0, m)
     c = a * (1.0 + rng.uniform(-1e-8, 1e-8, m))
@@ -333,11 +342,17 @@ def test_lambda_min_is_within_four_ulps_of_the_largest_eigenvalue():
         mats = np.empty((m, 2, 2))
         mats[:, 0, 0], mats[:, 1, 1] = a, c
         mats[:, 0, 1] = mats[:, 1, 0] = b * rng.choice([-1.0, 1.0], m)
-        assert _lambda_min_error_in_ulps(mats).max() <= 4.0
+        assert _lambda_min_is_within_four_ulps(mats)
+
+
+def test_lambda_min_is_accurate_on_rescaled_blocks_and_keeps_1x1_blocks():
+    """PSD blocks scaled by 0 and across the float range; a 1x1 block is
+    its own eigenvalue, returned as it came."""
+    rng = np.random.default_rng(12)
     half = rng.standard_normal((200, 2, 2))
     psd = half @ np.transpose(half, (0, 2, 1))
     for scale in (0.0, 1e-300, 1e-125, 1e140, 1e300):
-        assert _lambda_min_error_in_ulps(psd * scale).max() <= 4.0, scale
+        assert _lambda_min_is_within_four_ulps(psd * scale), scale
     one = rng.standard_normal(50) ** 2
     assert _lambda_min(one) is one
 
