@@ -320,17 +320,20 @@ class ChaosTermBound:
 
 def _logsumexp(a: np.ndarray) -> float:
     """log(sum(exp(a))) of a 1-d float array with a finite maximum, as
-    the largest entry a_i plus log1p of the sum of exp(a_j - a_i) over the
-    other entries: the largest term leaves the sum, so a sum that is
-    mostly that term keeps its low digits.  Where the maximum is unique
-    these are the steps of scipy.special.logsumexp, so the bits are its
-    bits; where it is tied, the other copies stay in the sum, and the error
-    exceeds scipy's by at most an ulp of the larger of a_i and the result.
+    the largest value a_max plus log m plus log1p of s / m, where m
+    entries equal a_max and s is the sum of exp(a_j - a_max) over the
+    others: the largest terms leave the sum, so a sum that is mostly
+    those terms keeps its low digits.  Where the maximum is unique (m = 1,
+    log m = 0) these are the steps of scipy.special.logsumexp, so the
+    bits are its bits; where it is tied, the error stays within scipy's
+    plus an ulp of the larger of a_max and the result.
     """
-    i = np.argmax(a)
-    e = np.exp(a - a[i])
-    e[i] = 0.0
-    return float(a[i] + np.log1p(np.sum(e)))
+    a_max = a.max()
+    top = a == a_max
+    m = np.count_nonzero(top)
+    e = np.exp(a - a_max)
+    e[top] = 0.0
+    return float(a_max + math.log(m) + np.log1p(np.sum(e) / m))
 
 
 def _term_log_gammas(n: int, params: FractionalParams):

@@ -78,37 +78,40 @@ where the tests compare them).  `verify_lemma32` uses the same pieces
 with one S and one R per time sample, their entries scalars against the
 xi columns.
 
-Draws in the stream's order, arithmetic in two halves: each worker stream
-draws its blocks in the order the stream has always used them: the
-uniform times, the side and distance uniforms of the rough times, the
-Gamma(1 - H) block and the sign uniforms.  No draw depends on a computed
-value (the rate only rescales the gamma draws afterwards), so the stream
-is unchanged.  The arithmetic splits where the draws do.  The time half
-(`_time_half`) reads only the first three blocks: it forms the rough
-times, the triangle of S = S_tau + S_sigma, the rate, base = sum_j log z_j
-+ n (h - 1) log rate, and off the centre the mean differences.  The xi
-half (`_xi_half`) reads the last two blocks and that state: the log
-weight sum_j log z_j + n (h - 1) log rate + rate |xi|^2 - xi^T S xi / 2,
-folded left to right on from base, its first partial sum, then the
-weight and the phase.  Both halves run over chunks of a fixed
-`_CHUNK_ROWS` rows, and the xi half writes its values into one array per
-worker, which is summed once.  Every step in between is a ufunc on
-columns, which acts row by row, so a row's value has the same bits in
-whatever chunk it falls, and ``np.sum`` sees the same array: no result
-depends on the chunking, nor, in `verify_lemma32`, on a stream's batch
-size.  ``np.einsum`` itself would not do here: it was seen to round
-differently on batches of one or two rows, which a last chunk or a small
-stream's batch can be.  Memory is the five (samples, n) draw blocks and the
-value array, so O(samples * n).  The time half's per-row state of
-n (n + 1) / 2 + 2 floats, plus n mean differences off the centre, is
-written over the row's 3n time draws once they are read; only the last
-mean difference off the centre takes memory of its own.  The traced
-peak is 5.5 blocks at the centre and 6.0 off it (400k samples, n = 2),
-where drawing everything first and then computing took 5.7.  A state in
-fresh memory took 7.6 and 8.6 blocks, and on one CPU its page faults
-made the estimator about 4% slower.  The chunk working set stays under
-1 MiB at n = 2 (tracemalloc peak 0.95 MiB, about thirty columns of
-`_CHUNK_ROWS` floats).
+Draws in the stream's order, a chunk at a time: each worker stream hands
+out its blocks in the order it always has: the uniform times, the side
+and distance uniforms of the rough times, the Gamma(1 - H) block and the
+sign uniforms.  No draw depends on a computed value (the rate only
+rescales the gamma draws afterwards).  Philox is counter-based, so a
+copy of a stream can start at any 64-bit word (`_positioned`), and a
+uniform double takes one word: in a stream of m rows the times are
+words 0 to m n - 1, the side uniforms the next m n words, the distance
+uniforms the m n after those, and the spectral draws start at word
+3 m n.  A gamma draw takes a varying number of words, so the Gamma block
+and the sign uniforms are drawn whole, from a copy at word 3 m n.  The
+three time blocks are drawn one `_CHUNK_ROWS` chunk at a time, from the
+stream itself and from copies at words m n and 2 m n, and are the same
+numbers the whole blocks would be.  Each chunk then runs two halves.
+The time half (`_time_half`) reads the chunk's time draws: it forms the
+rough times, the triangle of S = S_tau + S_sigma, the rate, base =
+sum_j log z_j + n (h - 1) log rate, and off the centre the mean
+differences.  The xi half (`_xi_half`) reads the chunk's rows of the
+spectral blocks and that state: the log weight sum_j log z_j + n (h - 1)
+log rate + rate |xi|^2 - xi^T S xi / 2, folded left to right on from
+base, its first partial sum, then the weight and the phase.  It writes
+its values into one array per worker, which is summed once.  Every step
+in between is a ufunc on columns, which acts row by row, so a row's
+value has the same bits in whatever chunk it falls, and ``np.sum`` sees
+the same array: no result depends on the chunking, nor, in
+`verify_lemma32`, on a stream's batch size.  ``np.einsum`` itself would
+not do here: it was seen to round differently on batches of one or two
+rows, which a last chunk or a small stream's batch can be.  Memory is
+the two spectral blocks, the value array and one chunk's working set,
+so O(samples * n): the traced peak is 2.65 (samples, n) blocks at the
+centre and off it (400k samples, n = 2), where holding all five draw
+blocks whole took 5.5 and 6.0.  The chunk working set stays under 1 MiB
+at n = 2 (0.88 MiB traced at the centre and 0.94 off it, about thirty
+columns of `_CHUNK_ROWS` floats).
 
 Reproducibility: a single integer seed is expanded through
 ``SeedSequence(seed).spawn`` into independent Philox streams, one per
@@ -116,31 +119,25 @@ worker that gets a row (a child does not depend on how many are spawned,
 so workers past the rows are not made and change nothing); the batches
 are always accumulated in worker order, so the result depends only on
 (seed, workers and the sample counts, which every caller states: they
-have no defaults), never on timing.  The streams run one after another.
-Within a stream's turn, a helper thread draws the Gamma(1 - H) block and
-the sign uniforms while the calling thread runs the time half.  numpy
-releases the GIL while it fills a block, and a gamma draw costs about 75
-ns against about 9 ns for a uniform, so the two overlap on a second CPU.
-The helper is the stream's only user from its start until it is joined,
-so the stream hands out the same numbers in the same order, and it
-touches nothing but the stream and the blocks it returns, so no bit
-depends on which thread runs first.  The helper is started and joined
-inside the stream's turn, also when either half raises, and the draw's
-exception is re-raised in the caller: no thread outlives a call.  On a
-2-vCPU Xeon the benchmark's mc-verify round took 0.84x its serial time
-(12 alternating pairs, all lower); pinned to one CPU, where nothing
-overlaps, it took 1.005x.  Other splits do not pay on that box: a
-60k-sample n = 2 estimate at two workers ran at 0.57-0.78x the serial
-speed with each stream's 4096-row chunks on a 2-thread pool, and at
-1.06-1.21x with the two streams on two threads (same bits; medians of 15,
-three measurements).  So ``workers`` changes the result, not the speed.
+have no defaults), never on timing.  The streams run one after another
+on the calling thread, and nothing runs beside them.  A helper thread
+that drew a stream's spectral block while the time half ran (numpy
+releases the GIL while it fills a block) bought no time on a 2-vCPU
+Xeon: the benchmark's mc-verify round took 0.70 s of raw time with it
+and 0.69 s without it (medians of 10 alternating pairs), while two
+gamma blocks drawn on two threads ran 1.5-1.8x as fast as one after the
+other before 9 of those pairs and 1.0x before one.  Other splits did
+not pay there either: a 60k-sample n = 2 estimate at two workers ran at
+0.57-0.78x the serial speed with each stream's 4096-row chunks on a
+2-thread pool, and at 1.06-1.21x with the two streams on two threads
+(same bits; medians of 15, three measurements).
+So ``workers`` changes the result, not the speed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,8 +317,9 @@ def _worker_streams(seed: int, workers: int, rows: int) -> list:
             for i, c in enumerate(children)]
 
 
-# rows per chunk of the per-sample arithmetic (under 1 MiB of temporaries
-# at n = 2); every step is row by row, so the chunking cannot change a bit
+# rows per chunk of the time draws and the per-sample arithmetic (under
+# 1 MiB at n = 2); the draws come from positioned copies and every step is
+# row by row, so the chunking cannot change a bit
 _CHUNK_ROWS = 4096
 
 
@@ -334,26 +332,20 @@ def _time_half(tt, side_u, dist_u, t, kernel, q, h) -> tuple:
     n (h - 1) log rate, the first partial sum of the log weight.  dm holds
     m(tau_j) - m(sigma_j) where the kernel's mean is not fixed, and is
     empty where it is (kernel is the (mean, cov, fixed) triple of
-    `_kernel_formulas`).  The columns are written over tt, side_u and
-    dist_u, which are read by then: their 3n columns' worth of memory
-    holds the whole state but one mean difference off the centre, which
-    gets its own.  Near the top of the float range (t or x about 1e300) a
-    kernel entry overflows to inf, and inf - inf downstream gives nan;
-    numpy's overflow and invalid flags are therefore silenced here and in
-    `_xi_half`.
+    `_kernel_formulas`).  Near the top of the float range (t or x about
+    1e300) a kernel entry overflows to inf, and inf - inf downstream gives
+    nan; numpy's overflow and invalid flags are therefore silenced here
+    and in `_xi_half`.
     """
     n = tt.shape[1]
     mean, cov, fixed = kernel
     ss, z = _rough_times(tt, side_u, dist_u, t, q)
     with np.errstate(over="ignore", invalid="ignore"):
         tau, sig = _sorted_columns(tt), _sorted_columns(ss)
-        free = (col for d in (tt, side_u, dist_u) for col in d.reshape(n, -1))
-        big_s = [np.add(u, v, out=next(free))
-                 for u, v in zip(_cov_triangle(cov, tau), _cov_triangle(cov, sig))]
-        rate = np.maximum(0.25 * _lambda_min(*big_s), 1e-300, out=next(free))
-        base = np.add(_row_sum(np.log(z).T), n * (h - 1.0) * np.log(rate), out=next(free))
-        dm = [] if fixed else [np.subtract(mean(tj), mean(sj), out=next(free, None))
-                               for tj, sj in zip(tau, sig)]
+        big_s = [u + v for u, v in zip(_cov_triangle(cov, tau), _cov_triangle(cov, sig))]
+        rate = np.maximum(0.25 * _lambda_min(*big_s), 1e-300)
+        base = _row_sum(np.log(z).T) + n * (h - 1.0) * np.log(rate)
+        dm = [] if fixed else [mean(tj) - mean(sj) for tj, sj in zip(tau, sig)]
     return (*big_s, rate, base, *dm)
 
 
@@ -386,41 +378,41 @@ def _xi_half(g, sign_u, state, j0, log_const) -> np.ndarray:
         return j0 * j0 * np.cos(phase) * weight
 
 
+def _positioned(seed_seq, offset: int):
+    """A Generator over the Philox stream seeded by seed_seq, from its
+    offset-th 64-bit word on.
+
+    Philox is counter-based: ``advance`` moves its counter by whole blocks
+    of four words (and empties the buffer), and ``random_raw`` takes the
+    rest.  A uniform double takes one word, so the copy hands out the
+    numbers the stream would after its first offset words.
+    """
+    bits = np.random.Philox(seed_seq)
+    bits.advance(offset // 4)
+    bits.random_raw(offset % 4)
+    return np.random.Generator(bits)
+
+
 def _stream_values(rng, m, n, t, kernel, q, h, j0, log_const) -> np.ndarray:
     """The weighted integrand of `chaos_norm_estimate` at one worker
-    stream's m samples; the stream's blocks die with the call.
+    stream's m samples, from the untouched stream rng.
 
-    The draws come in the stream's order: the times and the side and
-    distance uniforms of the rough times here, then the Gamma(1 - H) block
-    and the sign uniforms on a helper thread, the stream's only user until
-    it is joined, while this thread runs the time half (whose state takes
-    the time blocks' place).  The helper is joined also when the time half
-    raises, and an error of the draw is re-raised here.  A plain thread
-    takes about half as long as a one-worker ThreadPoolExecutor to start
-    and join (48 against 93 us on one CPU of a 2-vCPU Xeon), and the
-    difference was 1% of a 60k-sample n = 1 estimate there.
+    The stream's blocks are, in its order, the times, the side and the
+    distance uniforms of the rough times (one word per entry each), the
+    Gamma(1 - H) block and the sign uniforms.  The last two are drawn
+    whole from a copy at word 3 m n; the three time blocks are drawn a
+    chunk at a time, from rng itself and from copies at words m n and
+    2 m n, and each chunk runs the time half and then the xi half.
     """
-    times = (rng.uniform(0.0, t, size=(m, n)), rng.random((m, n)), rng.random((m, n)))
-    chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, m, _CHUNK_ROWS)]
-    drawn = []  # the spectral blocks, or the error that ended the draw
-
-    def draw():
-        try:
-            drawn.append(_spectral_draws(rng, m, n, h))
-        except BaseException as exc:
-            drawn.append(exc)
-
-    helper = threading.Thread(target=draw)
-    helper.start()
-    try:
-        states = [_time_half(*(d[rows] for d in times), t, kernel, q, h) for rows in chunks]
-    finally:
-        helper.join()
-    if isinstance(drawn[0], BaseException):
-        raise drawn[0]
-    g, sign_u = drawn[0]
+    seq = rng.bit_generator.seed_seq
+    side, dist = _positioned(seq, m * n), _positioned(seq, 2 * m * n)
+    g, sign_u = _spectral_draws(_positioned(seq, 3 * m * n), m, n, h)
     vals = np.empty(m)
-    for rows, state in zip(chunks, states):
+    for lo in range(0, m, _CHUNK_ROWS):
+        shape = (min(_CHUNK_ROWS, m - lo), n)
+        state = _time_half(rng.uniform(0.0, t, size=shape), side.random(shape),
+                           dist.random(shape), t, kernel, q, h)
+        rows = slice(lo, lo + _CHUNK_ROWS)
         vals[rows] = _xi_half(g[rows], sign_u[rows], state, j0, log_const)
     return vals
 
@@ -439,11 +431,10 @@ def chaos_norm_estimate(
 
     One spectral draw per time sample; see the module docstring for the
     densities and weights.  Deterministic in (seed, workers, samples).
-    The ``workers`` streams run one after another in this process, so
-    ``workers`` changes the result, not the speed.  Within each stream's
-    turn one helper thread draws the spectral block while this thread
-    runs the time half; it is joined before the turn ends, also when
-    either half raises, and an exception of the draw is re-raised here.
+    The ``workers`` streams run one after another on the calling thread,
+    so ``workers`` changes the result, not the speed; each stream draws
+    its time blocks a chunk at a time and holds only its spectral blocks
+    whole.
     """
     _check_inputs(n, t, x, params)
     _check_int("samples", samples)

@@ -34,11 +34,13 @@ from pam_moments.mc_verifier import (
     _lower_triangle,
     _majorant_form,
     _majorant_terms,
+    _positioned,
     _quadform,
     _rough_times,
     _row_sum,
     _sorted_columns,
     _spectral_draws,
+    _stream_values,
     _time_half,
     _worker_streams,
     _xi_half,
@@ -238,6 +240,43 @@ def test_chunked_estimate_at_the_cli_size_is_the_whole_array_estimate():
     assert (est.value, est.stderr) == _whole_array_estimate(*args, 200_000, 7, 2)
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (7, 1), (_CHUNK_ROWS + 1, 2)])
+def test_a_positioned_copy_reads_the_stream_from_its_offset(m, n):
+    """Uniform doubles from a copy at word k are those of words k, k + 1,
+    ... of the sequential stream (a double is a word's top 53 bits), at
+    offsets inside and across Philox's 4-word blocks and where a stream's
+    spectral draws start, word 3 m n."""
+    seq = np.random.SeedSequence(35).spawn(2)[1]
+    for k in (0, 1, 2, 3, 4, 5, 8194, 3 * m * n):
+        words = np.random.Philox(seq).random_raw(k + 64)[k:]
+        got = _positioned(seq, k).random(64)
+        assert np.array_equal(got, (words >> np.uint64(11)) * 2.0**-53), k
+        sequential = np.random.Generator(np.random.Philox(seq)).random(k + 64)[k:]
+        assert np.array_equal(got, sequential), k
+
+
+@pytest.mark.parametrize("kind", sorted(MEASURES))
+@pytest.mark.parametrize("n", [1, 2])
+def test_stream_values_across_a_chunk_boundary_are_the_whole_array_values(n, kind):
+    """A stream drawn a chunk at a time from positioned copies gives, row
+    by row, the matrix form's values on the whole blocks drawn in the
+    stream's order, and the estimate is the whole-array estimate."""
+    params, measure = FractionalParams(0.85, 0.2), MEASURES[kind]
+    m = _CHUNK_ROWS + 5
+    for x in (-0.7, CENTRES[kind]):
+        (rng, _), = _worker_streams(4, 1, m)
+        vals = _stream_values(rng, m, n, 0.8, _kernel_formulas(0.8, x, measure),
+                              2.0 * params.H0 - 1.0, params.H, measure.j0(0.8, x),
+                              _log_const(n, 0.8, params))
+        (rng, _), = _worker_streams(4, 1, m)
+        draws = (rng.uniform(0.0, 0.8, size=(m, n)), rng.random((m, n)), rng.random((m, n)),
+                 *_spectral_draws(rng, m, n, params.H))
+        assert np.array_equal(vals, _matrix_form_values(*draws, 0.8, x, measure, params)), x
+        args = (n, 0.8, x, measure, params)
+        est = chaos_norm_estimate(*args, samples=2 * m, seed=4, workers=2)
+        assert np.array_equal((est.value, est.stderr), _whole_array_estimate(*args, 2 * m, 4, 2))
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("kind", sorted(MEASURES))
 @pytest.mark.parametrize("n", [1, 2])
@@ -263,7 +302,7 @@ def test_row_values_do_not_depend_on_the_batch_size(n, kind):
     batch (np.einsum did not: on one or two rows it rounds differently).
     The point mass and the Gaussian run off their centre, where the time
     half keeps the mean differences and the xi half forms the phase.  The
-    time half writes its columns over its draws, so it gets copies."""
+    time half leaves its draws as they were."""
     rng = np.random.default_rng(50 + n)
     t, x, params, measure = 0.8, 0.2, FractionalParams(0.75, 0.3), MEASURES[kind]
     m = 60
@@ -273,13 +312,8 @@ def test_row_values_do_not_depend_on_the_batch_size(n, kind):
     args = (t, kernel, 2.0 * params.H0 - 1.0, params.H)
     rest = (measure.j0(t, x), _log_const(n, t, params))
     draws = tuple(d.copy() for d in times)
-    whole_state = _time_half(*draws, *args)
-    # the triangle of S, rate and base, and off the centre the n mean
-    # differences, all in the draws' memory but the last mean difference
-    k = n * (n + 1) // 2 + 2 + (0 if kernel[2] else n)
-    in_draws = [any(np.shares_memory(c, d) for d in draws) for c in whole_state]
-    assert in_draws == [True] * (k - 1) + [kernel[2]]
-    whole_state = np.array(whole_state)
+    whole_state = np.array(_time_half(*draws, *args))
+    assert all(np.array_equal(d, c) for d, c in zip(draws, times))
     whole = _xi_half(*xi_draws, whole_state, *rest)
     spectral = _spectral_draws(rng, m, n, params.H)
     tau = np.array([[0.3, 0.6][:n]])
@@ -290,7 +324,7 @@ def test_row_values_do_not_depend_on_the_batch_size(n, kind):
     for size in (1, 2, 3):
         for lo in range(0, m, size):
             rows = slice(lo, lo + size)
-            state = _time_half(*(d[rows].copy() for d in times), *args)
+            state = _time_half(*(d[rows] for d in times), *args)
             assert np.array_equal(np.array(state), whole_state[:, rows]), (size, lo)
             vals = _xi_half(*(d[rows] for d in xi_draws), state, *rest)
             assert np.array_equal(vals, whole[rows]), (size, lo)

@@ -133,17 +133,20 @@ def test_determinism_bit_identical_across_runs():
 
 
 def test_estimate_memory_is_linear_in_the_draws():
-    """The draws are held whole, the arithmetic runs in fixed chunks: the
-    traced peak stays within 10 (samples, n) float blocks, where the
-    whole-array arithmetic took about 21."""
+    """The spectral draws are held whole, the time draws and the arithmetic
+    come in fixed chunks: the traced peak stays within 3 (samples, n)
+    float blocks at the centre and off it (about 2.65; holding the five
+    draw blocks whole took 5.5 and 6.0, the whole-array arithmetic about
+    21)."""
     samples, n = 400_000, 2
-    tracemalloc.start()
-    try:
-        chaos_norm_estimate(n, 1.0, 0.0, DiracAt(0.0), P, samples=samples)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10 * samples * n * 8, peak / (samples * n * 8)
+    for x in (0.0, 0.3):
+        tracemalloc.start()
+        try:
+            chaos_norm_estimate(n, 1.0, x, DiracAt(0.0), P, samples=samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * samples * n * 8, (x, peak / (samples * n * 8))
 
 
 class _Raised(Exception):
@@ -152,11 +155,10 @@ class _Raised(Exception):
 
 @pytest.mark.parametrize("failing", ["_spectral_draws", "_rough_times"])
 def test_a_failing_half_reaches_the_caller_and_leaves_no_thread(failing, monkeypatch):
-    """The spectral block is drawn on a helper thread while the time half
-    runs on the caller's.  An exception in either half reaches the caller
-    as itself, no thread reports an unhandled one, and the helper is joined
-    before the call ends: the draw, failing or not, is slowed, so a helper
-    left running would still be alive."""
+    """An exception in the spectral draw or in the time half reaches the
+    caller as itself, and the call leaves no thread behind and none that
+    reports an unhandled exception: the draw, failing or not, is slowed,
+    so a thread that drew it and outlived the call would still be alive."""
     def fail(*args):
         raise _Raised(failing)
 

@@ -500,6 +500,9 @@ _lse_arrays = st.one_of(
 @example([5.0])
 @example([2.0, 2.0, 2.0, -1e3])
 @example([-math.log(2.0), -math.log(2.0), -38.4, -37.6])
+@example([-math.log(2.0)] * 2 + [-32.875] * 4)
+@example([-math.log(2.0)] * 2 + [-34.0] * 4)
+@example([-math.log(7.0)] * 7 + [-30.0] * 5)
 def test_inline_logsumexp_is_scipy_on_a_unique_maximum_and_as_accurate_on_ties(values):
     # with one largest entry the helper takes scipy's steps and returns its
     # bits; with ties, or a log sum near zero, its error against a 50-digit

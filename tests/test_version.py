@@ -18,9 +18,9 @@ def test_import_leaves_scipy_integrate_and_optimize_unloaded():
     # scipy.integrate, which loads scipy.optimize, once came with every
     # import; only the quadrature paths load it, on first use.  A fresh
     # bound-table process pays for whatever the series path and the
-    # envelope fit import, and scipy.optimize is a slow import.  The
-    # estimator's helper thread lives only inside a call: after the import,
-    # bound-table and mc-verify, the main thread is the only one
+    # envelope fit import, and scipy.optimize is a slow import.  Nothing
+    # starts a thread that outlives a call: after the import, bound-table
+    # and mc-verify, the main thread is the only one
     src = Path(pam_moments.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
