@@ -15,11 +15,14 @@ newlines as one item, and `run` writes it with one newline after it:
 `paths` and `gamma-scan` format each block by one template ('%d' for
 ints, which prints them as json.dumps does, and '%.17g' for gamma_n),
 not by one json.dumps or format call and one write per line.
-Floats are printed with 17 significant digits, so equal configs and seeds
-produce byte-identical files.  Exit code 0 on success, 1 when a
-verification fails, 2 on usage errors (a missing option, a value its type
-cannot read) and when the numerics cannot produce a value (an
-EstimationError, e.g. a series peak beyond the float range); exit code 2
+`gamma-scan`, `bound-table` and `mc-verify` print floats with 17
+significant digits ('%.17g'; `mc-verify` as JSON strings); `j0` and
+`dirichlet` print json.dumps' shortest repr, which reads back to the same
+float.  Either way equal configs and seeds produce byte-identical files.
+Exit code 0 on success, 1 when a verification fails, 2 on usage errors (a
+missing option, a value its type cannot read), when the numerics cannot
+produce a value (an EstimationError, e.g. a series peak beyond the float
+range) and when an array cannot be allocated (a MemoryError); exit code 2
 prints a one-line message on stderr, never a traceback.
 
 CSV column orders (also documented in the README):
@@ -389,6 +392,9 @@ def run(argv=None, stdout=None) -> int:
         return 2
     except EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. --samples past any address space
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
 

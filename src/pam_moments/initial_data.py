@@ -202,10 +202,12 @@ class FiniteAtoms(InitialMeasure):
             raise ValidationError("all masses must be finite and > 0")
 
     def j0(self, t, x):
-        return sum(m * heat_kernel(t, x - y) for y, m in self.atoms)
+        value = sum(m * heat_kernel(t, x - y) for y, m in self.atoms)
+        return _in_float_range(value, "J0 = sum_i m_i G(t, x - y_i)")
 
     def gaussian_integral(self, a):
-        return sum(m * _gaussian_weight(a, y) for y, m in self.atoms)
+        value = sum(m * _gaussian_weight(a, y) for y, m in self.atoms)
+        return _in_float_range(value, "sum_i m_i exp(-a y_i^2)")
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,11 @@ def check_cond_mu0(
     construction.
     A closed form past the float range raises EstimationError instead, as
     the measure is admissible; only a quadrature value can be non-finite.
+    An empty grid checks nothing and raises ValidationError.
     """
+    a_grid = tuple(a_grid)
+    if not a_grid:
+        raise ValidationError("a_grid must be nonempty")
     values = []
     for a in a_grid:
         _check_real(a=a)

@@ -263,13 +263,6 @@ def _cov_triangle(cov, cols) -> tuple:
     return cov(lo, lo), cov(lo, hi), cov(hi, hi)
 
 
-def _lower_triangle(mats: np.ndarray) -> tuple:
-    """The lower triangle (M_11,) or (M_11, M_21, M_22) of (m, n, n) matrices."""
-    if mats.shape[1] == 1:
-        return (mats[:, 0, 0],)
-    return mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
-
-
 def _row_sum(cols) -> np.ndarray:
     """Row sums folded left to right over the columns (np.sum's bits, n <= 2)."""
     return functools.reduce(np.add, cols)
@@ -495,26 +488,6 @@ class SpectralComparison:
         return bool(np.all(self.lhs <= self.rhs + slack))
 
 
-def _majorant_form(tau: np.ndarray, t: float) -> np.ndarray:
-    """Quadratic form R with sum_k w_k |sum_{j<=k} tau_j xi_j|^2 = xi^T R xi,
-
-    w_k = (tau_{k+1} - tau_k) / (tau_{k+1} tau_k), tau_{n+1} = t.
-    Batched over the rows of tau, each sorted.  Raises EstimationError where
-    R is not finite, as when tau_{k+1} tau_k underflows to 0 at tiny t.
-    """
-    m, n = tau.shape
-    nxt = np.concatenate([tau[:, 1:], np.full((m, 1), t)], axis=1)
-    idx = np.maximum(np.arange(n)[:, None], np.arange(n)[None, :])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = (nxt - tau) / (nxt * tau)
-        # R_jl = tau_j tau_l * sum_{k >= max(j, l)} w_k
-        wtail = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-        form = tau[:, :, None] * tau[:, None, :] * wtail[:, idx]
-    if not np.all(np.isfinite(form)):
-        raise EstimationError(f"spectral majorant form is not finite at t={t!r}")
-    return form
-
-
 def _majorant_terms(draws, j0sq, log_norm, rate, cov_row, r_row) -> tuple:
     """The weighted integrands of lhs and rhs in `verify_lemma32` at one
     time sample, over the spectral draws (the blocks of `_spectral_draws`).
@@ -548,8 +521,16 @@ def verify_lemma32(
         rhs = J0^2 int prod_k exp(-w_k |sum_{j<=k} tau_j xi_j|^2) mu^n(dxi)
 
     from `xi_samples` shared spectral draws and require lhs <= rhs within
-    four standard errors of the difference.  For n = 1 and a point mass the
-    two integrands coincide exactly, which pins down all constants.
+    four standard errors of the difference.  With w_k = 1/tau_k -
+    1/tau_{k+1}, tau_{n+1} = t, the sum telescopes: rhs's exponent is
+    xi^T R xi with R_jl = tau_j tau_l sum_{k >= max(j, l)} w_k =
+    tau_j tau_l (1/tau_max - 1/t) = tau_min (t - tau_max) / t, the point
+    mass's covariance (`_kernel_formulas`).  So for a point mass the two
+    integrands are the same floats and every margin is exactly 0.  S - R
+    is 0 there, u u^T / t for c * Lebesgue and v0 u u^T / (t (t + v0)) for
+    N(m0, v0), u_j = t - tau_j: positive semidefinite, so the rate
+    lambda_min(2 R) / 4 bounds both weights.  Raises EstimationError where
+    lhs, rhs or the difference's variance is not finite, as at t = 1e-300.
     """
     _check_inputs(n, t, x, params)
     _check_int("time_samples", time_samples)
@@ -559,28 +540,27 @@ def verify_lemma32(
                           f"got {time_samples} and {xi_samples}")
     h = params.H
     streams = _worker_streams(seed, workers, xi_samples)
-    tau = np.sort(streams[0][0].uniform(0.0, t, size=(time_samples, n)), axis=1)
-    _, cov, _ = _kernel_formulas(t, x, measure)
-    cov_tri = _cov_triangle(cov, tuple(tau.T))
-    j0sq = measure.j0(t, x) ** 2
-    r_tri = _lower_triangle(_majorant_form(tau, t))
-    lam = np.minimum(_lambda_min(*(2.0 * e for e in cov_tri)),
-                     _lambda_min(*(2.0 * e for e in r_tri)))
-    rate = np.maximum(0.25 * lam, 1e-300)
-    log_norm = (n * (math.log(params.c_H) + math.lgamma(1.0 - h))
-                + n * (h - 1.0) * np.log(rate))
-    # per time sample: its exponent, rate and the triangles of S and R
-    rows = list(zip(log_norm, rate, zip(*cov_tri), zip(*r_tri)))
-
-    lhs = np.zeros(time_samples)
-    rhs = np.zeros(time_samples)
-    dvar = np.zeros(time_samples)
-    for rng, m in streams:
-        for i, row in enumerate(rows):
-            a, b = _majorant_terms(_spectral_draws(rng, m, n, h), j0sq, *row)
-            lhs[i] += float(np.sum(a))
-            rhs[i] += float(np.sum(b))
-            dvar[i] += float(np.sum((b - a) ** 2))
+    tau = _sorted_columns(streams[0][0].uniform(0.0, t, size=(time_samples, n)))
+    cov, point_cov = (_kernel_formulas(t, x, mu)[1] for mu in (measure, DiracAt(x)))
+    j0 = measure.j0(t, x)
+    j0sq = j0 * j0  # inf past the float range, where ** 2 raises OverflowError
+    lhs, rhs, dvar = np.zeros((3, time_samples))
+    # past the float range a sum turns inf or nan; the sums are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov_tri, r_tri = _cov_triangle(cov, tau), _cov_triangle(point_cov, tau)
+        rate = np.maximum(0.25 * _lambda_min(*(2.0 * e for e in r_tri)), 1e-300)
+        log_norm = (n * (math.log(params.c_H) + math.lgamma(1.0 - h))
+                    + n * (h - 1.0) * np.log(rate))
+        # per time sample: its exponent, rate and the triangles of S and R
+        rows = list(zip(log_norm, rate, zip(*cov_tri), zip(*r_tri)))
+        for rng, m in streams:
+            for i, row in enumerate(rows):
+                a, b = _majorant_terms(_spectral_draws(rng, m, n, h), j0sq, *row)
+                lhs[i] += float(np.sum(a))
+                rhs[i] += float(np.sum(b))
+                dvar[i] += float(np.sum((b - a) ** 2))
+    if not all(np.all(np.isfinite(v)) for v in (lhs, rhs, dvar)):
+        raise EstimationError(f"spectral majorant integrals are not finite at t={t!r}")
     lhs /= xi_samples
     rhs /= xi_samples
     diff_stderr = np.sqrt(np.maximum(dvar / xi_samples - (rhs - lhs) ** 2, 0.0) / xi_samples)

@@ -2,8 +2,10 @@
 (m, n, n) arrays: the matrix form of the covariance formulas of
 `pam_moments.mc_verifier._kernel_formulas`, kept as a test-only oracle for
 the samplers' column form (`tests/test_mc_verifier.py`,
-`tests/test_mc_sampler_oracles.py`)."""
+`tests/test_mc_sampler_oracles.py`); and the spectral majorant's form in
+the Lemma's literal sum, which `verify_lemma32` takes in closed form."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,3 +47,16 @@ def kernel_fourier_gaussian(
         mean=np.full((m, n), mean(tau)),
         cov=cov(tau[:, np.minimum.outer(ar, ar)], tau[:, np.maximum.outer(ar, ar)]),
     )
+
+
+def majorant_form(tau, t):
+    """The matrix R with sum_k w_k |sum_{j<=k} tau_j xi_j|^2 = xi^T R xi,
+
+    w_k = (tau_{k+1} - tau_k) / (tau_{k+1} tau_k) and tau_{n+1} = t, for one
+    sorted tuple tau of floats or Fractions: R_jl = tau_j tau_l times the
+    tail sum of the w_k from k = max(j, l), as a list of rows.
+    """
+    w = [(b - a) / (b * a) for a, b in zip(tau, [*tau[1:], t])]
+    tail = list(itertools.accumulate(reversed(w)))[::-1]
+    return [[tj * tl * tail[max(j, l)] for l, tl in enumerate(tau)]
+            for j, tj in enumerate(tau)]

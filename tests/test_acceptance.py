@@ -73,7 +73,7 @@ SELFCHECK_LINES = {
     ),
     13: (
         '[PASS] 13 mc-verify determinism: two runs byte-identical: True '
-        '(538 bytes, exit 0)'
+        '(452 bytes, exit 0)'
     ),
 }
 

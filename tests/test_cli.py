@@ -152,9 +152,10 @@ def test_values_near_the_float_range_raise_no_numpy_warning(capsys):
 
 
 def test_mc_verify_at_a_tiny_horizon_is_an_estimation_error(capsys):
-    # tau_{k+1} tau_k underflows to 0 at t = 1e-300, so the spectral
-    # majorant's weights divide by zero; this once printed "nan" margins
-    # and exited 1 as a verification failure
+    # at t = 1e-300 the rate is floored at 1e-300 and the spectral
+    # majorant's integrals pass the float range; this once printed "nan"
+    # margins and exited 1 as a verification failure, and without numpy's
+    # flags silenced it leaks "overflow encountered in exp"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for n in ("1", "2"):
@@ -163,8 +164,19 @@ def test_mc_verify_at_a_tiny_horizon_is_an_estimation_error(capsys):
             err = capsys.readouterr().err.strip().splitlines()
             assert code == 2 and out == ""
             assert err[1:] == [
-                "estimation error: spectral majorant form is not finite at t=1e-300"
+                "estimation error: spectral majorant integrals are not finite at t=1e-300"
             ]
+
+
+def test_mc_verify_past_any_address_space_is_one_line_and_exit_2(capsys):
+    # 1e15 samples once ended in numpy's _ArrayMemoryError traceback with
+    # exit 1; the 7.11 PiB block is more than a 64-bit address space holds,
+    # so the allocation is refused before any memory is touched
+    code, out = run_cli("mc-verify", "--n", "1", "--t", "1", "--H0", "0.75", "--H", "0.3",
+                        "--samples", "1000000000000000")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and out == ""
+    assert len(err) == 2 and err[1].startswith("out of memory: Unable to allocate 7.11 PiB")
 
 
 def test_mc_verify_with_more_workers_than_samples_exits_0(capsys):
@@ -252,14 +264,18 @@ def _strict_json(text):
 
 def test_j0_with_closed_forms_past_the_float_range(capsys):
     # an atom at 1e200 once ended in an OverflowError traceback from x0**2;
-    # a constant density of 1e308 printed [Infinity] with exit 1, which
-    # called an admissible measure inadmissible
+    # a constant density of 1e308, and atoms whose masses sum past the
+    # floats, printed Infinity with exit 1, which called an admissible
+    # measure inadmissible
     cases = [
         ('{"type": "dirac", "x0": 1e200}', "0", 0),
         ('{"type": "gaussian", "mean": 1e200}', "0", 0),
         ('{"type": "atoms", "atoms": [[1e200, 1.0], [0.0, 2.0]]}', "0", 0),
         ('{"type": "lebesgue", "c": 1e308}', "0", 2),
         ('{"type": "polynomial"}', "1e200", 2),
+        ('{"type": "atoms", "atoms": [[0, 1e308], [0, 1e308]]}', "0", 2),
+        ('{"type": "atoms", "atoms": [[0, 1e308], [0, 1e308], [0, 1e308], '
+         '[0, 1e308], [0, 1e308]]}', "0", 2),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -20,7 +20,7 @@ STDOUT_SHA256 = {
     "03_initial_data": "768acc03c77056210389a717eb525e01cf0df2d87481f552ab24233ff100d7a4",
     "04_chaos_bounds": "27263357800a0a98251fd01e4b07ab4f3e99ac364756476d2d591c0bd73e5063",
     "05_monte_carlo_verification":
-        "801a391830a3b4fe05c35ea52d2911cb3cf0209a34a3536cc85fed7f03e06ac6",
+        "0621154980fd3f425ca0dfec8f067ed8c7323d90c73e5175ce0ff65e89565485",
 }
 
 

@@ -127,6 +127,10 @@ def test_cond_mu0_reports():
     assert all(math.isfinite(v) for v in ok.values)
     with pytest.raises(DomainError):
         check_cond_mu0(DiracAt(0.0), a_grid=(0.0,))
+    # an empty grid once returned ok=True, a verdict that checked nothing
+    for empty in ((), [], iter(())):
+        with pytest.raises(ValidationError, match="a_grid must be nonempty"):
+            check_cond_mu0(DiracAt(0.0), a_grid=empty)
 
 
 def test_measure_from_config_round_trip():
@@ -316,6 +320,11 @@ def test_closed_forms_past_the_float_range():
         lambda: LebesgueConstant(1e308).gaussian_integral(0.01),
         lambda: check_cond_mu0(LebesgueConstant(1e308)),
         lambda: PolynomialDensity().j0(1.0, 1e200),
+        # masses summing past the floats once gave inf, and the verdict
+        # called an admissible measure inadmissible
+        lambda: FiniteAtoms(((0.0, 1e308),) * 5).j0(1.0, 0.0),
+        lambda: FiniteAtoms(((0.0, 1e308),) * 2).gaussian_integral(0.01),
+        lambda: check_cond_mu0(FiniteAtoms(((0.0, 1e308),) * 2)),
     ):
         with pytest.raises(EstimationError, match="exceeds the float range"):
             value()

@@ -12,11 +12,16 @@ form itself is checked against a 50-digit eigenvalue.  ``np.einsum``
 rounds differently on batches of one or two rows, so the oracles are run
 on at least four rows per stream, and the estimate at two samples is
 pinned instead; the column form does not depend on the batch size at all.
+The lemma check takes R, the majorant's form, as the point mass's
+covariance; the Lemma's literal sum over k (`kernel_oracle.majorant_form`)
+is checked to equal it exactly in Fractions and within four ulps in floats.
 """
 
 import io
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -31,8 +36,6 @@ from pam_moments.mc_verifier import (
     _cov_triangle,
     _kernel_formulas,
     _lambda_min,
-    _lower_triangle,
-    _majorant_form,
     _majorant_terms,
     _positioned,
     _quadform,
@@ -48,7 +51,7 @@ from pam_moments.mc_verifier import (
     verify_lemma32,
 )
 
-from kernel_oracle import kernel_fourier_gaussian
+from kernel_oracle import kernel_fourier_gaussian, majorant_form
 
 MEASURES = {
     "dirac": DiracAt(0.1),
@@ -73,6 +76,13 @@ def _kernel_cov_broadcast(sorted_times, t, measure):
     return (tmin + v0) * (t - tmax) / (t + v0)
 
 
+def _lower_triangle(mats):
+    """The lower triangle (M_11,) or (M_11, M_21, M_22) of (m, n, n) matrices."""
+    if mats.shape[1] == 1:
+        return (mats[:, 0, 0],)
+    return mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+
+
 def _sorted_times_with_ties(rng, m, n, t):
     """Sorted rows uniform on (0, t); every fourth row has tau_1 = tau_2."""
     tau = rng.uniform(0.0, t, size=(m, n))
@@ -82,8 +92,9 @@ def _sorted_times_with_ties(rng, m, n, t):
 
 
 def _sampler_matrices(rng, measure, t, h0, m=10_000):
-    """The 2x2 matrices whose lambda_min the sampler takes: S_t + S_s of
-    `chaos_norm_estimate`, and 2 cov and 2 R of `verify_lemma32`."""
+    """The 2x2 matrices whose lambda_min the samplers take: S_t + S_s of
+    `chaos_norm_estimate`, and 2 R of `verify_lemma32`, R the point
+    mass's covariance."""
     tt = rng.uniform(0.0, t, size=(m, 2))
     tt[::4, 1] = tt[::4, 0]
     side_u, dist_u = rng.random(tt.shape), rng.random(tt.shape)
@@ -92,7 +103,7 @@ def _sampler_matrices(rng, measure, t, h0, m=10_000):
     tau, sig = np.sort(tt, axis=1), np.sort(ss, axis=1)
     cov_t = _kernel_cov_broadcast(tau, t, measure)
     cov_s = _kernel_cov_broadcast(sig, t, measure)
-    return np.concatenate([cov_t + cov_s, 2.0 * cov_t, 2.0 * _majorant_form(tau, t)])
+    return np.concatenate([cov_t + cov_s, 2.0 * _kernel_cov_broadcast(tau, t, DiracAt(0.0))])
 
 
 def _log_const(n, t, params):
@@ -156,15 +167,15 @@ def _whole_array_estimate(n, t, x, measure, params, samples, seed, workers):
 
 def _matrix_form_lemma(n, t, x, measure, params, time_samples, xi_samples, seed, workers):
     """(lhs, rhs, diff_stderr) of `verify_lemma32` in its matrix form, with
-    np.einsum on each stream's batch of spectral draws."""
+    np.einsum on each stream's batch of spectral draws; R is the gathered
+    covariance of the point mass at x."""
     h = params.H
     streams = _worker_streams(seed, workers, xi_samples)
     tau = np.sort(streams[0][0].uniform(0.0, t, size=(time_samples, n)), axis=1)
     gk = kernel_fourier_gaussian(tau, t, x, measure)
-    rform = _majorant_form(tau, t)
+    rform = kernel_fourier_gaussian(tau, t, x, DiracAt(x)).cov
     j0sq = measure.j0(t, x) ** 2
-    lam = np.minimum(_smallest_eigenvalue(2.0 * gk.cov), _smallest_eigenvalue(2.0 * rform))
-    rate = np.maximum(0.25 * lam, 1e-300)
+    rate = np.maximum(0.25 * _smallest_eigenvalue(2.0 * rform), 1e-300)
     log_norm = n * (math.log(params.c_H) + math.lgamma(1.0 - h)) + n * (h - 1.0) * np.log(rate)
     lhs, rhs, dvar = np.zeros(time_samples), np.zeros(time_samples), np.zeros(time_samples)
     for rng, m in streams:
@@ -294,6 +305,34 @@ def test_lemma_check_is_the_matrix_form(n, kind, workers):
             assert np.array_equal(cmp.diff_stderr, diff_stderr), (t, xi_samples)
 
 
+def test_majorant_form_telescopes_to_the_point_mass_covariance_exactly():
+    """The Lemma's sum, R_jl = tau_j tau_l sum_{k >= max(j, l)} w_k, is
+    tau_min (t - tau_max) / t, the point mass's cov(lo, hi) that
+    `verify_lemma32` takes R from, in exact rationals on random sorted
+    tuples up to n = 6, some with ties."""
+    rng = random.Random(36)
+    for n, _ in itertools.product(range(1, 7), range(40)):
+        t = Fraction(rng.randint(1, 500), rng.randint(1, 50))
+        tau = sorted(t * Fraction(rng.randint(1, 999), 1000) for _ in range(n))
+        if n > 1 and rng.random() < 0.25:
+            tau[1] = tau[0]
+        _, cov, _ = _kernel_formulas(t, 0.0, DiracAt(0.0))
+        want = [[cov(min(a, b), max(a, b)) for b in tau] for a in tau]
+        assert majorant_form(tau, t) == want, (t, tau)
+
+
+def test_majorant_form_is_the_point_mass_covariance_within_four_ulps():
+    """In floats the Lemma's sum and the closed form round differently, by
+    at most four ulps relative (4.9e-16 measured) for n up to 6; a factor
+    or a term off misses by far more."""
+    rng = np.random.default_rng(36)
+    for n, t in itertools.product(range(1, 7), (1e-3, 0.8, 1e3)):
+        tau = _sorted_times_with_ties(rng, 300, n, t)
+        want = kernel_fourier_gaussian(tau, t, 0.0, DiracAt(0.0)).cov
+        got = np.array([majorant_form(row, t) for row in tau.tolist()])
+        assert np.max(np.abs(got - want) / want) <= 4 * 2.0**-52, (n, t)
+
+
 @pytest.mark.parametrize("kind", sorted(MEASURES))
 @pytest.mark.parametrize("n", [1, 2])
 def test_row_values_do_not_depend_on_the_batch_size(n, kind):
@@ -318,7 +357,7 @@ def test_row_values_do_not_depend_on_the_batch_size(n, kind):
     spectral = _spectral_draws(rng, m, n, params.H)
     tau = np.array([[0.3, 0.6][:n]])
     tri = _lower_triangle(kernel_fourier_gaussian(tau, t, x, measure).cov)
-    r_tri = _lower_triangle(_majorant_form(tau, t))
+    r_tri = _lower_triangle(kernel_fourier_gaussian(tau, t, x, DiracAt(x)).cov)
     row = (-0.4, 0.7, tuple(e[0] for e in tri), tuple(e[0] for e in r_tri))
     whole_lhs, whole_rhs = _majorant_terms(spectral, 0.9, *row)
     for size in (1, 2, 3):
@@ -436,81 +475,83 @@ def test_sort_rows_is_numpy_sort(n):
     assert np.array_equal(np.stack(got, axis=1), np.sort(x, axis=1))
 
 
-# (n, measure, workers): ((value, stderr), lhs, rhs, diff_stderr), recorded
-# from the eigvalsh / np.sort / einsum implementation at t = 0.8, x = 0.2,
-# (H0, H) = (0.75, 0.3), seed 5, 3000 samples, 2 time x 300 spectral draws
+# (n, measure, workers): ((value, stderr), lhs, rhs, diff_stderr) at t = 0.8,
+# x = 0.2, (H0, H) = (0.75, 0.3), seed 5, 3000 samples, 2 time x 300
+# spectral draws.  (value, stderr) were recorded from the eigvalsh / np.sort
+# / einsum implementation; the lemma's floats from R as the point mass's
+# covariance, which `_matrix_form_lemma` matches bit for bit
 PINNED = {
     (1, "dirac", 1): (
         (0.09833980238505459, 0.0016610563508621422),
         [0.10994402618910153, 0.09156661829049247],
         [0.10994402618910153, 0.09156661829049247],
-        [1.1247654519885915e-18, 0.0],
+        [0.0, 0.0],
     ),
     (1, "dirac", 3): (
         (0.09973867372869155, 0.002106891905736573),
         [0.1076100401397078, 0.0905092130662564],
         [0.1076100401397078, 0.0905092130662564],
-        [1.1480447996467965e-18, 0.0],
+        [0.0, 0.0],
     ),
     (1, "lebesgue", 1): (
         (0.6083587371132452, 0.012653770791443171),
-        [1.0309118926429237, 0.6424734692204586],
+        [1.030911892642924, 0.6424734692204586],
         [1.259078162057227, 1.0486202248468979],
-        [0.007493940620066834, 0.011500678814619095],
+        [0.007493940620066836, 0.011500678814619095],
     ),
     (1, "lebesgue", 3): (
         (0.6303181098195815, 0.02148694116436363),
         [0.99835009482672, 0.6418885544105626],
         [1.232349371351642, 1.036510828161798],
-        [0.0076566303221966845, 0.012344890204313189],
+        [0.007656630322196666, 0.012344890204313189],
     ),
     (1, "gaussian", 1): (
         (0.040414586861533305, 0.0006747931941405815),
-        [0.06103654743649052, 0.04408070422573815],
+        [0.06103654743649055, 0.04408070422573815],
         [0.0664330276314179, 0.05532858759006205],
-        [0.00017960133433927186, 0.0003329956573491591],
+        [0.00017960133433927362, 0.0003329956573491591],
     ),
     (1, "gaussian", 3): (
         (0.04162705229536884, 0.0011357327206638723),
-        [0.059502952671899256, 0.043656380622993304],
+        [0.05950295267189927, 0.043656380622993304],
         [0.06502273036393356, 0.05468965673666165],
-        [0.00018359326253019823, 0.00034900090798740453],
+        [0.00018359326253019855, 0.00034900090798740453],
     ),
     (2, "dirac", 1): (
         (0.03580018455022496, 0.001874970440941232),
         [0.0751649072637798, 0.12220065527986347],
-        [0.07516490726377982, 0.1222006552798635],
-        [1.7869025729349354e-18, 5.4466830000895075e-18],
+        [0.0751649072637798, 0.12220065527986347],
+        [0.0, 0.0],
     ),
     (2, "dirac", 3): (
         (0.03596484904339001, 0.0018435549389509505),
         [0.07561179040198726, 0.12671348669821617],
-        [0.07561179040198726, 0.1267134866982162],
-        [2.0919685385711572e-18, 5.285477886897292e-18],
+        [0.07561179040198726, 0.12671348669821617],
+        [0.0, 0.0],
     ),
     (2, "lebesgue", 1): (
         (0.18430069253660267, 0.014079901427747524),
         [0.5498392579077656, 1.1304376087498489],
         [0.860787953372796, 1.3994409863372006],
-        [0.025357223737668338, 0.0300469962910307],
+        [0.02535722373766834, 0.03004699629103071],
     ),
     (2, "lebesgue", 3): (
         (0.18517333949687304, 0.014405194912768112),
         [0.5563450530255795, 1.1558196903152858],
-        [0.8659056557147206, 1.4511218978413933],
-        [0.025463530607582892, 0.029857152831254393],
+        [0.8659056557147206, 1.451121897841393],
+        [0.025463530607582895, 0.029857152831254424],
     ),
     (2, "gaussian", 1): (
         (0.012984997765176264, 0.000811749172710472),
         [0.036911579546079605, 0.06730503092455786],
-        [0.045417950699559104, 0.07383902327554816],
-        [0.0006672742800274167, 0.0007169932463914208],
+        [0.0454179506995591, 0.07383902327554817],
+        [0.0006672742800274172, 0.0007169932463914211],
     ),
     (2, "gaussian", 3): (
         (0.012976367936804225, 0.000827531208398427),
         [0.03723592469648394, 0.06913116036751611],
-        [0.045687977193017586, 0.07656587497184408],
-        [0.0006759214849504028, 0.0007394669238678427],
+        [0.04568797719301758, 0.07656587497184407],
+        [0.0006759214849504034, 0.000739466923867844],
     ),
 }
 
@@ -525,6 +566,8 @@ def test_sampler_floats_are_pinned(key):
     cmp = verify_lemma32(*args, time_samples=2, xi_samples=300, seed=5, workers=workers)
     assert (cmp.lhs.tolist(), cmp.rhs.tolist(), cmp.diff_stderr.tolist()) == (
         lhs, rhs, diff_stderr)
+    oracle = _matrix_form_lemma(*args, 2, 300, 5, workers)
+    assert [v.tolist() for v in oracle] == [lhs, rhs, diff_stderr]
 
 
 README_MC_VERIFY = (
@@ -533,9 +576,7 @@ README_MC_VERIFY = (
     '\\"dirac\\", \\"x0\\": 0.0}", "n": 2, "samples": 200000, "seed": 7, "t": "1", '
     '"workers": 4, "x": "0"}, "estimate": "0.042343103612441063", "minimal_b": '
     '"0.51781880573510686", "spectral_majorant_passed": true, "spectral_margins": '
-    '["0", "-1.1102230246251565e-15", "-2.7755575615628914e-17", "0", "0", '
-    '"6.9388939039072284e-18", "6.9388939039072284e-18", "-2.7755575615628914e-17", '
-    '"1.6653345369377348e-16", "2.7755575615628914e-17"], "stderr": '
+    '["0", "0", "0", "0", "0", "0", "0", "0", "0", "0"], "stderr": '
     '"0.00040739626241990425"}\n'
 )
 

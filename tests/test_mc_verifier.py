@@ -191,6 +191,20 @@ def test_estimates_past_the_float_range_are_estimation_errors():
                 chaos_norm_estimate(n, t, x, measure, P, samples=64)
 
 
+def test_lemma_checks_past_the_float_range_are_estimation_errors():
+    """At t = 1e-300 the majorant integrals pass the float range, at
+    t = 1e300 the covariance does, and J0^2 does for c = 1e200 (once an
+    OverflowError): one EstimationError, no numpy warning."""
+    measures = (DiracAt(0.0), LebesgueConstant(1.0), GaussianDensity(0.0, 0.5))
+    cases = [*itertools.product((1, 2), measures, (1e-300, 1e300)),
+             (1, LebesgueConstant(1e200), 1.0), (2, LebesgueConstant(1e200), 1.0)]
+    for n, measure, t in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EstimationError, match="not finite at t="):
+                verify_lemma32(n, t, 0.0, measure, P, time_samples=3, xi_samples=64)
+
+
 def test_worker_split_changes_stream_but_not_scale():
     args = (1, 1.0, 0.0, DiracAt(0.0), P)
     one = chaos_norm_estimate(*args, samples=60_000, seed=5, workers=1)
@@ -248,12 +262,15 @@ def test_kernel_gaussian_rejects_unsupported_measure():
 
 
 def test_lemma_check_exact_for_dirac():
-    # for a point mass the majorant equals the norm integrand identically
-    cmp = verify_lemma32(
-        2, 1.0, 0.5, DiracAt(0.2), P, time_samples=6, xi_samples=2_000, seed=4
-    )
-    assert cmp.ok
-    assert float(np.max(np.abs(cmp.margins))) <= 1e-12 * float(np.max(cmp.rhs))
+    # for a point mass the majorant's form is the kernel's covariance, so
+    # the two integrands are the same floats
+    for n in (1, 2):
+        cmp = verify_lemma32(
+            n, 1.0, 0.5, DiracAt(0.2), P, time_samples=6, xi_samples=2_000, seed=4
+        )
+        assert cmp.ok
+        assert np.array_equal(cmp.lhs, cmp.rhs)
+        assert not np.any(cmp.margins) and not np.any(cmp.diff_stderr)
 
 
 def test_lemma_check_gaussian_measure():
