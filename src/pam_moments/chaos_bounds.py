@@ -49,7 +49,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
-from .errors import _check_int, _check_real, _exp_or_inf, _real_array
+from .errors import _check_int, _check_real, _exp_or_inf, _real_array, _real_sequence
 from .initial_data import InitialMeasure, j0 as _j0
 from .path_combinatorics import ExponentVector, _check_enum_n
 from .simplex_integrals import _sigma
@@ -674,12 +674,11 @@ class MomentBoundResult:
     """Series value of the p-th moment bound and its exponential envelope.
 
     Values are carried in logs; the plain properties overflow to inf for
-    large (p, t).  truncation_index is `log_chaos_series`' peak index.
+    large (p, t).
     """
 
     log_series_value: float
     log_envelope_value: float
-    truncation_index: int
 
     @property
     def series_value(self) -> float:
@@ -775,7 +774,9 @@ def _fit_log_envelope(
     """(ln C1, C2) of the envelope witnesses (see `fit_envelope_constants`),
     the log series values they were fitted to and the log envelope
     ln C1 + C2 * g(p, t) / p, each grid of shape (len(p_grid),
-    len(t_grid)).  Raises ValidationError for an empty grid."""
+    len(t_grid)).  Raises ValidationError for an empty grid or one that is
+    not a sequence of real numbers."""
+    p_grid, t_grid = _real_sequence("p_grid", p_grid), _real_sequence("t_grid", t_grid)
     if not (len(p_grid) and len(t_grid)):
         raise ValidationError("p_grid and t_grid must be nonempty")
     g, v = [], []
@@ -841,7 +842,7 @@ def moment_bound(
     `fit_envelope_constants` (a tuple or list of two real numbers, C1
     finite and > 0, C2 finite; DomainError or ValidationError otherwise).
     """
-    log_sum, trunc = log_chaos_series(p, t, params, C)
+    log_sum, _ = log_chaos_series(p, t, params, C)
     if not (isinstance(constants, (tuple, list)) and len(constants) == 2):
         raise DomainError(f"constants must be a pair (C1, C2), got {constants}")
     C1, C2 = constants
@@ -857,7 +858,7 @@ def moment_bound(
     log_env = p * math.log(C1) + p * log_j0 + C2 * _envelope_exponent(
         p, t, params
     )
-    return MomentBoundResult(log_series, log_env, trunc)
+    return MomentBoundResult(log_series, log_env)
 
 
 def _log_log_slope(xs: np.ndarray, ys: Sequence[float]) -> float:
@@ -883,7 +884,7 @@ def fit_time_exponent(
     For t deep enough in the growth regime this approaches
     (2H0+H-1)/H, the t-exponent inside the exponential envelope.
     """
-    ts = np.asarray(t_grid, dtype=float)
+    ts = np.asarray(_real_sequence("t_grid", t_grid), dtype=float)
     return _log_log_slope(ts, [log_chaos_series(2.0, t, params, C)[0] for t in ts])
 
 
@@ -900,7 +901,7 @@ def fit_p_exponent(
     ln(p-1); the fitted slope estimates (H+1)/H, the p-exponent after
     the final power p is taken.
     """
-    ps = np.asarray(p_grid, dtype=float)
+    ps = np.asarray(_real_sequence("p_grid", p_grid), dtype=float)
     return _log_log_slope(
         ps - 1.0, [p * log_chaos_series(p, t, params, C)[0] for p in ps]
     )

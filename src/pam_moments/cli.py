@@ -213,8 +213,7 @@ def _mc_verify(o: dict):
     params = FractionalParams(o["H0"], o["H"], o["b"])
     measure = o["measure"].measure
     chk = verify_term_bound(n, t, x, measure, params, o["samples"], seed, workers)
-    cmp = verify_lemma32(n, t, x, measure, params, time_samples=10, xi_samples=4_000,
-                         seed=seed, workers=workers)
+    cmp = verify_lemma32(n, t, x, measure, params, time_samples=10, xi_samples=4_000, seed=seed)
     report = {
         "config": {
             "n": n, "t": _fmt(t), "x": _fmt(x),

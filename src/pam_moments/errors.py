@@ -50,6 +50,17 @@ def _check_real(**values) -> None:
             raise ValidationError(f"{name} must be real, got an int past the float range")
 
 
+def _real_sequence(name: str, value) -> tuple:
+    """tuple(value), its entries unconverted; ValidationError where value is
+    not a sequence or an entry is not a real number (`_check_real`, name[i])."""
+    try:
+        values = tuple(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, got {value!r}") from None
+    _check_real(**{f"{name}[{i}]": v for i, v in enumerate(values)})
+    return values
+
+
 def _real_array(value, what: str) -> np.ndarray:
     """value as a float array, or ValidationError, its message starting
     with what, where numpy cannot read it as an array or reads it with a

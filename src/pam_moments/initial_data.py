@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, _check_real, _in_float_range
+from .errors import DomainError, ValidationError, _check_real, _in_float_range, _real_sequence
 
 __all__ = [
     "InitialMeasure",
@@ -249,7 +249,6 @@ def j0(t: float, x: float, measure: InitialMeasure) -> float:
 @dataclass(frozen=True)
 class CondMu0Report:
     ok: bool
-    violated_at: float | None = None
     values: tuple[float, ...] = ()
 
     def __bool__(self):
@@ -262,29 +261,28 @@ def check_cond_mu0(
 ) -> CondMu0Report:
     """Evaluate int exp(-a x^2) mu0(dx) over a grid of finite a > 0.
 
-    All values finite -> ok; otherwise reports the first offending a.  The
-    verdict covers the a checked, and so J0(t, .), which needs a = 1/(2t),
-    up to t = 1/(2 min a): with the default grid, whose smallest a is 0.01,
-    up to t = 50.  That matters only for a `CustomDensity`, whose
-    integrals are quadratures; the built-in measures are admissible by
-    construction.
+    All values finite -> ok; otherwise the values end at the first
+    offending a.  The verdict covers the a checked, and so J0(t, .),
+    which needs a = 1/(2t), up to t = 1/(2 min a): with the default grid,
+    whose smallest a is 0.01, up to t = 50.  That matters only for a
+    `CustomDensity`, whose integrals are quadratures; the built-in
+    measures are admissible by construction.
     A closed form past the float range raises EstimationError instead, as
     the measure is admissible; only a quadrature value can be non-finite.
-    An empty grid checks nothing and raises ValidationError.
+    A grid that is empty or not a sequence of reals raises ValidationError.
     """
-    a_grid = tuple(a_grid)
+    a_grid = _real_sequence("a_grid", a_grid)
     if not a_grid:
         raise ValidationError("a_grid must be nonempty")
     values = []
     for a in a_grid:
-        _check_real(a=a)
         if not (0 < a < math.inf):
             raise DomainError(f"grid values must be finite and > 0, got {a}")
         v = measure.gaussian_integral(a)
         values.append(v)
         if not math.isfinite(v):
-            return CondMu0Report(False, a, tuple(values))
-    return CondMu0Report(True, None, tuple(values))
+            return CondMu0Report(False, tuple(values))
+    return CondMu0Report(True, tuple(values))
 
 
 def measure_from_config(cfg: dict) -> InitialMeasure:

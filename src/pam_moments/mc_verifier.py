@@ -102,10 +102,9 @@ base, its first partial sum, then the weight and the phase.  It writes
 its values into one array per worker, which is summed once.  Every step
 in between is a ufunc on columns, which acts row by row, so a row's
 value has the same bits in whatever chunk it falls, and ``np.sum`` sees
-the same array: no result depends on the chunking, nor, in
-`verify_lemma32`, on a stream's batch size.  ``np.einsum`` itself would
-not do here: it was seen to round differently on batches of one or two
-rows, which a last chunk or a small stream's batch can be.  Memory is
+the same array: no result depends on the chunking.  ``np.einsum`` itself
+would not do here: it was seen to round differently on batches of one or
+two rows, which a last chunk or a lemma check's draws can be.  Memory is
 the two spectral blocks, the value array and one chunk's working set,
 so O(samples * n): the traced peak is 2.65 (samples, n) blocks at the
 centre and off it (400k samples, n = 2), where holding all five draw
@@ -117,9 +116,10 @@ Reproducibility: a single integer seed is expanded through
 ``SeedSequence(seed).spawn`` into independent Philox streams, one per
 worker that gets a row (a child does not depend on how many are spawned,
 so workers past the rows are not made and change nothing); the batches
-are always accumulated in worker order, so the result depends only on
-(seed, workers and the sample counts, which every caller states: they
-have no defaults), never on timing.  The streams run one after another
+are always accumulated in worker order, so an estimate depends only on
+(seed, workers, samples), never on timing.  `verify_lemma32` draws from
+the seed's first child alone, so its result depends only on (seed,
+time_samples, xi_samples).  The streams run one after another
 on the calling thread, and nothing runs beside them.  A helper thread
 that drew a stream's spectral block while the time half ran (numpy
 releases the GIL while it fills a block) bought no time on a 2-vCPU
@@ -143,7 +143,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
-from .errors import _check_int, _check_real, _exp_or_inf
+from .errors import _check_int, _check_real, _exp_or_inf, _in_float_range
 from .chaos_bounds import FractionalParams, _check_params, term_bound
 from .initial_data import (
     DiracAt,
@@ -435,6 +435,7 @@ def chaos_norm_estimate(
         raise DomainError(f"samples must be >= 2, got {samples}")
     kernel = _kernel_formulas(t, x, measure)
     j0 = measure.j0(t, x)
+    _in_float_range(j0 * j0, f"J0(t, x)^2 at t={t!r}, x={x!r}")
     h0, h = params.H0, params.H
     q = 2.0 * h0 - 1.0
     log_const = n * (
@@ -510,12 +511,11 @@ def verify_lemma32(
     time_samples: int,
     xi_samples: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> SpectralComparison:
     """Check the Gaussian majorant of the kernel's spectral norm numerically.
 
     For `time_samples` sorted time vectors, drawn uniformly on (0, t) from
-    the first worker stream, estimate both
+    one Philox stream of seed, estimate both
 
         lhs = int |Ff(tau)(xi)|^2 mu^n(dxi)   and
         rhs = J0^2 int prod_k exp(-w_k |sum_{j<=k} tau_j xi_j|^2) mu^n(dxi)
@@ -530,7 +530,8 @@ def verify_lemma32(
     is 0 there, u u^T / t for c * Lebesgue and v0 u u^T / (t (t + v0)) for
     N(m0, v0), u_j = t - tau_j: positive semidefinite, so the rate
     lambda_min(2 R) / 4 bounds both weights.  Raises EstimationError where
-    lhs, rhs or the difference's variance is not finite, as at t = 1e-300.
+    J0(t, x)^2 passes the float range, before any draw, and where lhs, rhs
+    or the difference's variance is not finite, as at t = 1e-300.
     """
     _check_inputs(n, t, x, params)
     _check_int("time_samples", time_samples)
@@ -539,11 +540,11 @@ def verify_lemma32(
         raise DomainError("time_samples and xi_samples must be >= 1, "
                           f"got {time_samples} and {xi_samples}")
     h = params.H
-    streams = _worker_streams(seed, workers, xi_samples)
-    tau = _sorted_columns(streams[0][0].uniform(0.0, t, size=(time_samples, n)))
+    (rng, _), = _worker_streams(seed, 1, xi_samples)
     cov, point_cov = (_kernel_formulas(t, x, mu)[1] for mu in (measure, DiracAt(x)))
     j0 = measure.j0(t, x)
-    j0sq = j0 * j0  # inf past the float range, where ** 2 raises OverflowError
+    j0sq = _in_float_range(j0 * j0, f"J0(t, x)^2 at t={t!r}, x={x!r}")
+    tau = _sorted_columns(rng.uniform(0.0, t, size=(time_samples, n)))
     lhs, rhs, dvar = np.zeros((3, time_samples))
     # past the float range a sum turns inf or nan; the sums are checked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -552,13 +553,12 @@ def verify_lemma32(
         log_norm = (n * (math.log(params.c_H) + math.lgamma(1.0 - h))
                     + n * (h - 1.0) * np.log(rate))
         # per time sample: its exponent, rate and the triangles of S and R
-        rows = list(zip(log_norm, rate, zip(*cov_tri), zip(*r_tri)))
-        for rng, m in streams:
-            for i, row in enumerate(rows):
-                a, b = _majorant_terms(_spectral_draws(rng, m, n, h), j0sq, *row)
-                lhs[i] += float(np.sum(a))
-                rhs[i] += float(np.sum(b))
-                dvar[i] += float(np.sum((b - a) ** 2))
+        rows = zip(log_norm, rate, zip(*cov_tri), zip(*r_tri))
+        for i, row in enumerate(rows):
+            a, b = _majorant_terms(_spectral_draws(rng, xi_samples, n, h), j0sq, *row)
+            lhs[i] = float(np.sum(a))
+            rhs[i] = float(np.sum(b))
+            dvar[i] = float(np.sum((b - a) ** 2))
     if not all(np.all(np.isfinite(v)) for v in (lhs, rhs, dvar)):
         raise EstimationError(f"spectral majorant integrals are not finite at t={t!r}")
     lhs /= xi_samples

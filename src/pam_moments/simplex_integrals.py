@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import betaln, gammaln, psi
 
 from .errors import DomainError, EstimationError, SizeError, ValidationError
-from .errors import _check_int, _check_real, _exp_or_inf, _in_float_range
+from .errors import _check_int, _check_real, _exp_or_inf, _in_float_range, _real_sequence
 
 __all__ = [
     "SimplexIntegralSpec",
@@ -58,12 +58,7 @@ class SimplexIntegralSpec:
         _check_real(t=self.t)
         object.__setattr__(self, "t", float(self.t))
         for name in ("alphas", "betas"):
-            given = getattr(self, name)
-            try:
-                values = tuple(given)
-            except TypeError:
-                raise ValidationError(f"{name} must be a sequence, got {given!r}") from None
-            _check_real(**{f"{name}[{i}]": v for i, v in enumerate(values)})
+            values = _real_sequence(name, getattr(self, name))
             object.__setattr__(self, name, tuple(map(float, values)))
         if len(self.alphas) != len(self.betas) or not self.alphas:
             raise ValidationError(
@@ -83,7 +78,6 @@ class ConditionReport:
 
     ok: bool
     clause: str | None = None
-    k: int | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -92,17 +86,15 @@ class ConditionReport:
 def check_conditions(spec: SimplexIntegralSpec) -> ConditionReport:
     """Check alpha_1 > -1, beta_i > -1, and the cumulative conditions.
 
-    Returns the first violated clause (with its index k where relevant)
-    rather than raising.
+    Returns the first violated clause, naming its index (beta_k, or
+    "fails at k=...") where it has one, rather than raising.
     """
     a, b = spec.alphas, spec.betas
     if a[0] <= -1:
         return ConditionReport(False, f"alpha_1 > -1 fails (alpha_1={a[0]})")
     for i, bi in enumerate(b):
         if bi <= -1:
-            return ConditionReport(
-                False, f"beta_{i + 1} > -1 fails (beta_{i + 1}={bi})", i + 1
-            )
+            return ConditionReport(False, f"beta_{i + 1} > -1 fails (beta_{i + 1}={bi})")
     with np.errstate(over="ignore"):  # a margin past the floats is +-inf
         margins = _sigma(a, b)[:-1] + a[1:]  # sigma_k + alpha_(k+1), k < n
     bad = np.flatnonzero(margins <= 0)
@@ -113,7 +105,6 @@ def check_conditions(spec: SimplexIntegralSpec) -> ConditionReport:
             f"cumulative condition fails at k={k}: "
             f"sum_(i<=k)(alpha_i+beta_i)+k+1+alpha_(k+1) = "
             f"{margins[k - 1]:.6g} <= 0",
-            k,
         )
     return ConditionReport(True)
 

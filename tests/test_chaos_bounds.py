@@ -629,7 +629,6 @@ def test_moment_bound_composition():
     res = moment_bound(4.0, 2.0, 0.0, P_REF, LebesgueConstant(1.0), C=4.0,
                        constants=fit_envelope_constants(P_REF, 4.0))
     assert res.log_envelope_value >= res.log_series_value
-    assert res.truncation_index > 0
     assert res.series_value == math.inf or res.series_value > 0
 
 
@@ -679,7 +678,7 @@ def test_bound_and_envelope_past_the_float_range_are_inf():
     res = moment_bound(4.0, 2.0, 0.0, P_REF, LebesgueConstant(1.0), C=4.0,
                        constants=fit_envelope_constants(P_REF, 4.0))
     assert res.log_envelope_value > 710.0 and res.envelope_value == math.inf
-    big = MomentBoundResult(1e4, 2e4, 3)
+    big = MomentBoundResult(1e4, 2e4)
     assert big.series_value == math.inf and big.envelope_value == math.inf
 
 
@@ -762,6 +761,18 @@ def test_inputs_that_are_not_real_numbers_are_validation_errors():
     for call in calls:
         with pytest.raises(ValidationError, match="must be real"):
             call()
+    # a grid that is not a sequence once ended in a bare TypeError, and a
+    # string entry was read as a number by numpy
+    for call in (lambda: fit_envelope_constants(P_REF, 4.0, p_grid=5),
+                 lambda: fit_envelope_constants(P_REF, 4.0, t_grid=None),
+                 lambda: fit_time_exponent(P_REF, t_grid=5),
+                 lambda: fit_p_exponent(P_REF, p_grid=5)):
+        with pytest.raises(ValidationError, match="_grid must be a sequence"):
+            call()
+    with pytest.raises(ValidationError, match=r"t_grid\[1\] must be real"):
+        fit_time_exponent(P_REF, t_grid=(1.0, "2"))
+    with pytest.raises(ValidationError, match=r"p_grid\[0\] must be real"):
+        fit_envelope_constants(P_REF, 4.0, p_grid=(True,))
     # a params that is not a FractionalParams once ended in AttributeError
     with pytest.raises(ValidationError, match="params must be a FractionalParams"):
         log_chaos_series(2.0, 1.0, (0.75, 0.3), 4.0)

@@ -168,6 +168,16 @@ def test_mc_verify_at_a_tiny_horizon_is_an_estimation_error(capsys):
             ]
 
 
+def test_mc_verify_with_j0_squared_past_the_float_range_is_one_line(capsys):
+    # J0(t, x)^2 = 1e400 for c = 1e200; it was once reported, after every
+    # sample was drawn, as a non-finite Monte-Carlo accumulator
+    code, out = run_cli("mc-verify", "--n", "2", "--t", "1", "--H0", "0.75", "--H", "0.3",
+                        "--measure", '{"type": "lebesgue", "c": 1e200}', "--samples", "64")
+    config, *err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == "" and config.startswith("config: ")
+    assert err == ["estimation error: J0(t, x)^2 at t=1.0, x=0.0 exceeds the float range"]
+
+
 def test_mc_verify_past_any_address_space_is_one_line_and_exit_2(capsys):
     # 1e15 samples once ended in numpy's _ArrayMemoryError traceback with
     # exit 1; the 7.11 PiB block is more than a 64-bit address space holds,

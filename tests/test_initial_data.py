@@ -123,7 +123,7 @@ def test_custom_density_is_oracle_grade():
 
 def test_cond_mu0_reports():
     ok = check_cond_mu0(PolynomialDensity())
-    assert ok and ok.violated_at is None
+    assert ok
     assert all(math.isfinite(v) for v in ok.values)
     with pytest.raises(DomainError):
         check_cond_mu0(DiracAt(0.0), a_grid=(0.0,))
@@ -131,6 +131,9 @@ def test_cond_mu0_reports():
     for empty in ((), [], iter(())):
         with pytest.raises(ValidationError, match="a_grid must be nonempty"):
             check_cond_mu0(DiracAt(0.0), a_grid=empty)
+    # a grid that is not a sequence of reals once ended in a bare TypeError
+    with pytest.raises(ValidationError, match="a_grid must be a sequence"):
+        check_cond_mu0(DiracAt(0.0), a_grid=5)
 
 
 def test_measure_from_config_round_trip():
@@ -233,8 +236,8 @@ def test_times_positions_and_grid_values_that_are_not_real_are_validation_errors
         (lambda: GaussianDensity(0.0, 1.0).j0(True, 0.0), "t"),
         (lambda: PolynomialDensity().j0("1", 0.0), "t"),
         (lambda: CustomDensity(lambda y: 1.0).j0(None, 0.0), "t"),
-        (lambda: check_cond_mu0(DiracAt(0.0), a_grid=("1",)), "a"),
-        (lambda: check_cond_mu0(DiracAt(0.0), a_grid=(1.0, True)), "a"),
+        (lambda: check_cond_mu0(DiracAt(0.0), a_grid=("1",)), r"a_grid\[0\]"),
+        (lambda: check_cond_mu0(DiracAt(0.0), a_grid=(1.0, True)), r"a_grid\[1\]"),
     ):
         with pytest.raises(ValidationError, match=f"^{name} must be real"):
             call()

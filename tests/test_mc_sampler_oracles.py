@@ -165,29 +165,28 @@ def _whole_array_estimate(n, t, x, measure, params, samples, seed, workers):
     return mean, math.sqrt(max(total_sq / count - mean**2, 0.0) / count)
 
 
-def _matrix_form_lemma(n, t, x, measure, params, time_samples, xi_samples, seed, workers):
+def _matrix_form_lemma(n, t, x, measure, params, time_samples, xi_samples, seed):
     """(lhs, rhs, diff_stderr) of `verify_lemma32` in its matrix form, with
-    np.einsum on each stream's batch of spectral draws; R is the gathered
-    covariance of the point mass at x."""
+    np.einsum on each time sample's batch of spectral draws; R is the
+    gathered covariance of the point mass at x."""
     h = params.H
-    streams = _worker_streams(seed, workers, xi_samples)
-    tau = np.sort(streams[0][0].uniform(0.0, t, size=(time_samples, n)), axis=1)
+    (rng, _), = _worker_streams(seed, 1, xi_samples)
+    tau = np.sort(rng.uniform(0.0, t, size=(time_samples, n)), axis=1)
     gk = kernel_fourier_gaussian(tau, t, x, measure)
     rform = kernel_fourier_gaussian(tau, t, x, DiracAt(x)).cov
     j0sq = measure.j0(t, x) ** 2
     rate = np.maximum(0.25 * _smallest_eigenvalue(2.0 * rform), 1e-300)
     log_norm = n * (math.log(params.c_H) + math.lgamma(1.0 - h)) + n * (h - 1.0) * np.log(rate)
     lhs, rhs, dvar = np.zeros(time_samples), np.zeros(time_samples), np.zeros(time_samples)
-    for rng, m in streams:
-        for i in range(time_samples):
-            g, sign_u = _spectral_draws(rng, m, n, h)
-            xi = np.where(sign_u < 0.5, -1.0, 1.0) * np.sqrt(g / np.full(m, rate[i])[:, None])
-            base = np.exp(log_norm[i] + rate[i] * np.sum(xi**2, axis=1))
-            a = gk.amp[i] ** 2 * base * np.exp(-np.einsum("ij,jk,ik->i", xi, gk.cov[i], xi))
-            b = j0sq * base * np.exp(-np.einsum("ij,jk,ik->i", xi, rform[i], xi))
-            lhs[i] += float(np.sum(a))
-            rhs[i] += float(np.sum(b))
-            dvar[i] += float(np.sum((b - a) ** 2))
+    for i in range(time_samples):
+        g, sign_u = _spectral_draws(rng, xi_samples, n, h)
+        xi = np.where(sign_u < 0.5, -1.0, 1.0) * np.sqrt(g / np.full(xi_samples, rate[i])[:, None])
+        base = np.exp(log_norm[i] + rate[i] * np.sum(xi**2, axis=1))
+        a = gk.amp[i] ** 2 * base * np.exp(-np.einsum("ij,jk,ik->i", xi, gk.cov[i], xi))
+        b = j0sq * base * np.exp(-np.einsum("ij,jk,ik->i", xi, rform[i], xi))
+        lhs[i] = float(np.sum(a))
+        rhs[i] = float(np.sum(b))
+        dvar[i] = float(np.sum((b - a) ** 2))
     lhs /= xi_samples
     rhs /= xi_samples
     var = np.maximum(dvar / xi_samples - (rhs - lhs) ** 2, 0.0)
@@ -288,18 +287,19 @@ def test_stream_values_across_a_chunk_boundary_are_the_whole_array_values(n, kin
         assert np.array_equal((est.value, est.stderr), _whole_array_estimate(*args, 2 * m, 4, 2))
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+# ids 1 and 3 name the worker counts w whose 4 w, 4 w + 2 and 301 draws
+# these were, when the lemma check split its draws among workers
+@pytest.mark.parametrize("xi_counts", [(4, 6, 301), (12, 14, 301)], ids=["1", "3"])
 @pytest.mark.parametrize("kind", sorted(MEASURES))
 @pytest.mark.parametrize("n", [1, 2])
-def test_lemma_check_is_the_matrix_form(n, kind, workers):
-    """The column fold is np.einsum's sum on four or more rows per stream."""
+def test_lemma_check_is_the_matrix_form(n, kind, xi_counts):
+    """The column fold is np.einsum's sum on four or more spectral draws."""
     params = FractionalParams(0.75, 0.3)
     for t in (1e-3, 0.8, 1e3):
-        for xi_samples in (4 * workers, 4 * workers + 2, 301):
+        for xi_samples in xi_counts:
             args = (n, t, 0.2, MEASURES[kind], params)
-            cmp = verify_lemma32(*args, time_samples=3, xi_samples=xi_samples, seed=6,
-                                 workers=workers)
-            lhs, rhs, diff_stderr = _matrix_form_lemma(*args, 3, xi_samples, 6, workers)
+            cmp = verify_lemma32(*args, time_samples=3, xi_samples=xi_samples, seed=6)
+            lhs, rhs, diff_stderr = _matrix_form_lemma(*args, 3, xi_samples, 6)
             assert np.array_equal(cmp.lhs, lhs), (t, xi_samples)
             assert np.array_equal(cmp.rhs, rhs), (t, xi_samples)
             assert np.array_equal(cmp.diff_stderr, diff_stderr), (t, xi_samples)
@@ -478,8 +478,9 @@ def test_sort_rows_is_numpy_sort(n):
 # (n, measure, workers): ((value, stderr), lhs, rhs, diff_stderr) at t = 0.8,
 # x = 0.2, (H0, H) = (0.75, 0.3), seed 5, 3000 samples, 2 time x 300
 # spectral draws.  (value, stderr) were recorded from the eigvalsh / np.sort
-# / einsum implementation; the lemma's floats from R as the point mass's
-# covariance, which `_matrix_form_lemma` matches bit for bit
+# / einsum implementation at that many workers; the lemma's floats from R
+# as the point mass's covariance, which `_matrix_form_lemma` matches bit for
+# bit.  The lemma check has no workers, so its floats are the same at 1 and 3
 PINNED = {
     (1, "dirac", 1): (
         (0.09833980238505459, 0.0016610563508621422),
@@ -489,8 +490,8 @@ PINNED = {
     ),
     (1, "dirac", 3): (
         (0.09973867372869155, 0.002106891905736573),
-        [0.1076100401397078, 0.0905092130662564],
-        [0.1076100401397078, 0.0905092130662564],
+        [0.10994402618910153, 0.09156661829049247],
+        [0.10994402618910153, 0.09156661829049247],
         [0.0, 0.0],
     ),
     (1, "lebesgue", 1): (
@@ -501,9 +502,9 @@ PINNED = {
     ),
     (1, "lebesgue", 3): (
         (0.6303181098195815, 0.02148694116436363),
-        [0.99835009482672, 0.6418885544105626],
-        [1.232349371351642, 1.036510828161798],
-        [0.007656630322196666, 0.012344890204313189],
+        [1.030911892642924, 0.6424734692204586],
+        [1.259078162057227, 1.0486202248468979],
+        [0.007493940620066836, 0.011500678814619095],
     ),
     (1, "gaussian", 1): (
         (0.040414586861533305, 0.0006747931941405815),
@@ -513,9 +514,9 @@ PINNED = {
     ),
     (1, "gaussian", 3): (
         (0.04162705229536884, 0.0011357327206638723),
-        [0.05950295267189927, 0.043656380622993304],
-        [0.06502273036393356, 0.05468965673666165],
-        [0.00018359326253019855, 0.00034900090798740453],
+        [0.06103654743649055, 0.04408070422573815],
+        [0.0664330276314179, 0.05532858759006205],
+        [0.00017960133433927362, 0.0003329956573491591],
     ),
     (2, "dirac", 1): (
         (0.03580018455022496, 0.001874970440941232),
@@ -525,8 +526,8 @@ PINNED = {
     ),
     (2, "dirac", 3): (
         (0.03596484904339001, 0.0018435549389509505),
-        [0.07561179040198726, 0.12671348669821617],
-        [0.07561179040198726, 0.12671348669821617],
+        [0.0751649072637798, 0.12220065527986347],
+        [0.0751649072637798, 0.12220065527986347],
         [0.0, 0.0],
     ),
     (2, "lebesgue", 1): (
@@ -537,9 +538,9 @@ PINNED = {
     ),
     (2, "lebesgue", 3): (
         (0.18517333949687304, 0.014405194912768112),
-        [0.5563450530255795, 1.1558196903152858],
-        [0.8659056557147206, 1.451121897841393],
-        [0.025463530607582895, 0.029857152831254424],
+        [0.5498392579077656, 1.1304376087498489],
+        [0.860787953372796, 1.3994409863372006],
+        [0.02535722373766834, 0.03004699629103071],
     ),
     (2, "gaussian", 1): (
         (0.012984997765176264, 0.000811749172710472),
@@ -549,9 +550,9 @@ PINNED = {
     ),
     (2, "gaussian", 3): (
         (0.012976367936804225, 0.000827531208398427),
-        [0.03723592469648394, 0.06913116036751611],
-        [0.04568797719301758, 0.07656587497184407],
-        [0.0006759214849504034, 0.000739466923867844],
+        [0.036911579546079605, 0.06730503092455786],
+        [0.0454179506995591, 0.07383902327554817],
+        [0.0006672742800274172, 0.0007169932463914211],
     ),
 }
 
@@ -563,10 +564,10 @@ def test_sampler_floats_are_pinned(key):
     args = (n, 0.8, 0.2, MEASURES[kind], FractionalParams(0.75, 0.3))
     est = chaos_norm_estimate(*args, samples=3000, seed=5, workers=workers)
     assert (est.value, est.stderr) == (value, stderr)
-    cmp = verify_lemma32(*args, time_samples=2, xi_samples=300, seed=5, workers=workers)
+    cmp = verify_lemma32(*args, time_samples=2, xi_samples=300, seed=5)
     assert (cmp.lhs.tolist(), cmp.rhs.tolist(), cmp.diff_stderr.tolist()) == (
         lhs, rhs, diff_stderr)
-    oracle = _matrix_form_lemma(*args, 2, 300, 5, workers)
+    oracle = _matrix_form_lemma(*args, 2, 300, 5)
     assert [v.tolist() for v in oracle] == [lhs, rhs, diff_stderr]
 
 
